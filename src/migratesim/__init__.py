@@ -11,7 +11,6 @@ from .model import (
     SystemState,
     empirical_measure,
     load_config,
-    rlo_next_server,
     rls_accepts,
     tail_sums,
     uniform_jump_matrix,
@@ -24,11 +23,7 @@ from .ctmc import (
     step,
 )
 from .balance import (
-    BalanceDiagnostics,
     BalanceTimeResult,
-    diagnostics,
-    is_balanced,
-    is_eps_balanced,
     lower_bound_estimates,
     measure_balance_time,
     balance_time_bound,
@@ -51,7 +46,6 @@ from .meanfield import (
     throughput,
 )
 from .experiments import (
-    ExperimentResult,
     SojournSummary,
     StabilityReport,
     ThroughputRow,
@@ -66,17 +60,17 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "BalanceDiagnostics", "BalanceTimeResult", "ConfigError",
-    "EmpiricalMeasure", "ExperimentResult", "FixedPoint", "OdeState",
+    "BalanceTimeResult", "ConfigError",
+    "EmpiricalMeasure", "FixedPoint", "OdeState",
     "Policy", "RlsEquilibrium", "SimulationError", "SojournSummary",
     "SolverError", "StabilityReport", "SystemConfig", "SystemState",
     "ThroughputRow",
-    "counts_from_measure", "diagnostics", "drift_exclusion_threshold",
+    "counts_from_measure", "drift_exclusion_threshold",
     "empirical_measure", "equilibrium_rls", "g_of_z", "integrate",
-    "is_balanced", "is_eps_balanced", "kurtz_deviation",
+    "kurtz_deviation",
     "load_config", "lower_bound_estimates", "lyapunov_drift",
     "mean_occupancy", "measure_balance_time", "measure_sojourns",
-    "rhs_rlo", "rhs_rlo_tail", "rhs_rls", "rlo_next_server", "rls_accepts",
+    "rhs_rlo", "rhs_rlo_tail", "rhs_rls", "rls_accepts",
     "simulate_closed", "simulate_coupled", "simulate_open", "sojourn_time",
     "solve_fixed_point_rlo", "st_leq", "stability_probe", "step",
     "tail_sums", "balance_time_bound", "throughput", "throughput_comparison",

@@ -1,24 +1,23 @@
-"""Balance predicates, diagnostics, and time-to-balance measurement.
+"""Balance bounds, initial placements, and time-to-balance measurement.
 
 The closed-system question is how long the load-sensitive resampling
 dynamics needs to even out an arbitrary initial placement of n clients on
 m servers. Exact balance means no two servers differ by more than one
 client; relative (eps) balance means every server sits within a factor
-1 +- eps of the ideal level n/m. All level arithmetic is exact rational,
-so boundary occupancies are classified deterministically.
+1 +- eps of the ideal level n/m. Both predicates are checked inside
+``simulate_closed``, whose band arithmetic is exact rational, so boundary
+occupancies are classified deterministically.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ctmc import simulate_closed
-from .model import SystemConfig, eps_band, exact_fraction
-from .stats import mean_sd, normal_ci
+from .model import SystemConfig, exact_fraction
+from .stats import map_replications, mean_sd, normal_ci
 
 
 def balance_time_bound(m: int, n: int) -> float:
@@ -46,112 +45,6 @@ def lower_bound_estimates(m: int, n: int) -> dict:
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 servers and n >= 1 clients")
     return {"last_move": m * m / (m + n), "all_at_one": math.log(m)}
-
-
-def is_balanced(counts: Sequence[int]) -> bool:
-    """True iff no two servers differ by more than one client."""
-    return max(counts) - min(counts) <= 1
-
-
-def is_eps_balanced(counts: Sequence[int], eps) -> bool:
-    """True iff every occupancy is within a factor 1 +- eps of n/m."""
-    m = len(counts)
-    n = sum(counts)
-    lo, hi = eps_band(m, n, eps)
-    return min(counts) >= lo and max(counts) <= hi
-
-
-@dataclass
-class BalanceDiagnostics:
-    """Exact rational snapshot of how far a state is from balance.
-
-    peak_level       the maximum occupancy v
-    peak_count       servers holding exactly v
-    near_peak_count  servers holding exactly v - 1
-    below_count      servers holding less than v - 1
-    target           ideal level n/m as a Fraction
-    underflow        per-server max(target - N_i, 0)
-    overflow         per-server max(N_i - target, 0)
-    eps              tolerance used for the three load classes
-    overloaded       indices with N_i > (1 + eps) target
-    underloaded      indices with N_i < (1 - eps) target
-    compliant        the rest
-    overload_excess  sum over overloaded servers of N_i - (1 + eps) target
-    """
-
-    counts: tuple
-    m: int
-    n: int
-    peak_level: int
-    peak_count: int
-    near_peak_count: int
-    below_count: int
-    target: Fraction
-    underflow: tuple
-    overflow: tuple
-    total_underflow: Fraction
-    total_overflow: Fraction
-    eps: Fraction
-    overloaded: tuple
-    underloaded: tuple
-    compliant: tuple
-    overload_excess: Fraction
-    balanced: bool
-    eps_balanced: bool
-
-
-def diagnostics(counts: Sequence[int], eps) -> BalanceDiagnostics:
-    """Full balance diagnostics for one occupancy vector.
-
-    Total underflow and overflow are equal by construction (mass above the
-    ideal level must come from below it); that identity is recomputed and
-    checked here rather than assumed.
-    """
-    counts = tuple(int(c) for c in counts)
-    m = len(counts)
-    if m == 0:
-        raise ValueError("no servers")
-    if any(c < 0 for c in counts):
-        raise ValueError(f"negative occupancy in {counts}")
-    n = sum(counts)
-    eps = exact_fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    target = Fraction(n, m)
-    v = max(counts)
-    peak_count = sum(1 for c in counts if c == v)
-    near_peak = sum(1 for c in counts if c == v - 1)
-    below = m - peak_count - near_peak
-
-    underflow = tuple(max(target - c, Fraction(0)) for c in counts)
-    overflow = tuple(max(c - target, Fraction(0)) for c in counts)
-    total_under = sum(underflow, Fraction(0))
-    total_over = sum(overflow, Fraction(0))
-    if total_under != total_over:
-        raise AssertionError(
-            f"underflow {total_under} != overflow {total_over}; "
-            "rational bookkeeping is broken"
-        )
-
-    hi = (1 + eps) * target
-    lo = (1 - eps) * target
-    overloaded = tuple(i for i, c in enumerate(counts) if c > hi)
-    underloaded = tuple(i for i, c in enumerate(counts) if c < lo)
-    compliant = tuple(i for i in range(m)
-                      if i not in overloaded and i not in underloaded)
-    excess = sum((counts[i] - hi for i in overloaded), Fraction(0))
-
-    return BalanceDiagnostics(
-        counts=counts, m=m, n=n,
-        peak_level=v, peak_count=peak_count,
-        near_peak_count=near_peak, below_count=below,
-        target=target, underflow=underflow, overflow=overflow,
-        total_underflow=total_under, total_overflow=total_over,
-        eps=eps, overloaded=overloaded, underloaded=underloaded,
-        compliant=compliant, overload_excess=excess,
-        balanced=is_balanced(counts),
-        eps_balanced=not overloaded and not underloaded,
-    )
 
 
 # --- initial placements ----------------------------------------------------
@@ -243,11 +136,7 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
         horizon = 100.0 * bound
     seeds = tuple(base_seed + k for k in range(reps))
     work = [(config, initial, stop, eps, horizon, s) for s in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            times = list(pool.map(_balance_rep, work))
-    else:
-        times = [_balance_rep(w) for w in work]
+    times = map_replications(_balance_rep, work, jobs)
 
     done = [t for t in times if t is not None]
     if done:

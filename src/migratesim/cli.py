@@ -50,8 +50,6 @@ from .meanfield import (
     solve_fixed_point_rlo,
     st_leq,
     throughput,
-    write_fixed_point_csv,
-    write_ode_trajectory_csv,
 )
 from .model import ConfigError, Policy, SystemConfig, measure_from_tails, tail_sums
 from .stats import poisson_gof, standard_error
@@ -331,7 +329,9 @@ def cmd_meanfield(args) -> int:
                             lam=lam, beta=beta)
         comments = [f"policy={args.policy} lambda={lam!r} beta={beta!r} "
                     f"B={cap} dt={args.dt or 1e-3!r}"]
-        write_ode_trajectory_csv(csv_path, samples, comments)
+        columns = ("t",) + tuple(f"x_{k}" for k in range(cap + 1))
+        rows = [dict(zip(columns, (t, *state.x))) for t, state in samples]
+        exp.write_results_csv(csv_path, columns, rows, comments)
         manifest.finished = time.time()
         manifest.write(outdir / "manifest.json")
         final = samples[-1][1]
@@ -350,8 +350,10 @@ def cmd_meanfield(args) -> int:
     code = 0
     if args.policy == "rlo":
         fp = solve_fixed_point_rlo(lam, beta, cap, tol=args.tol)
-        comments = [f"lambda={lam!r} beta={beta!r} B={cap}"]
-        write_fixed_point_csv(csv_path, fp, comments)
+        comments = [f"lambda={lam!r} beta={beta!r} B={cap}",
+                    f"y={fp.y!r} z={fp.z!r} residual={fp.residual!r}"]
+        rows = [{"k": k, "xi_k": v} for k, v in enumerate(fp.xi)]
+        exp.write_results_csv(csv_path, ("k", "xi_k"), rows, comments)
         print(f"y (mean occupancy): {fp.y!r}")
         print(f"z: {fp.z!r} residual: {fp.residual!r}")
         if lam > 0:
@@ -365,13 +367,11 @@ def cmd_meanfield(args) -> int:
             warnings.simplefilter("ignore", RuntimeWarning)
             eq = equilibrium_rls(lam, beta, cap, tol=args.tol, dt=args.dt)
         y = mean_occupancy(eq.state)
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write(f"# lambda={lam!r} beta={beta!r} B={cap}\n")
-            fh.write(f"# y={y!r} residual={eq.residual!r} "
-                     f"two_start_gap={eq.two_start_gap!r}\n")
-            fh.write("k,x_k\n")
-            for k, v in enumerate(eq.state.x):
-                fh.write(f"{k},{float(v)!r}\n")
+        comments = [f"lambda={lam!r} beta={beta!r} B={cap}",
+                    f"y={y!r} residual={eq.residual!r} "
+                    f"two_start_gap={eq.two_start_gap!r}"]
+        rows = [{"k": k, "x_k": v} for k, v in enumerate(eq.state.x)]
+        exp.write_results_csv(csv_path, ("k", "x_k"), rows, comments)
         print(f"y (mean occupancy): {y!r}")
         print(f"residual: {eq.residual!r}")
         print(f"two-start agreement (L1): {eq.two_start_gap!r}")
@@ -387,9 +387,9 @@ def cmd_meanfield(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify suites: each check returns (ok, detail); the acceptance tests reuse them
 
-def _check_coupling(seed: int, reps: int):
+def check_coupling(seed: int, reps: int):
     rg = []
     br = []
     for k in range(reps):
@@ -406,7 +406,7 @@ def _check_coupling(seed: int, reps: int):
     return ok, detail
 
 
-def _check_kurtz(seed: int):
+def check_kurtz(seed: int):
     b_cap, lam, beta, t_end = 40, 0.8, 0.5, 10.0
     x0 = np.zeros(b_cap + 1)
     x0[0] = 1.0
@@ -426,7 +426,7 @@ def _check_kurtz(seed: int):
     return ok, detail
 
 
-def _check_lyapunov(m: int, max_n: int):
+def check_lyapunov(m: int, max_n: int):
     lam = Fraction(1, 5)
     eps = Fraction(1, 10)
     gamma = Fraction(1, 20)
@@ -454,7 +454,7 @@ def _check_lyapunov(m: int, max_n: int):
     return ok, detail
 
 
-def _check_monotone(seed: int, pairs: int = 20):
+def check_monotone(seed: int, pairs: int = 20):
     b_cap, lam, beta, t_end = 30, 0.8, 0.5, 5.0
     rng = np.random.default_rng(seed)
     failures = 0
@@ -482,13 +482,13 @@ def cmd_verify(args) -> int:
     results = []
     for name in suites:
         if name == "coupling":
-            ok, detail = _check_coupling(seed, args.reps)
+            ok, detail = check_coupling(seed, args.reps)
         elif name == "kurtz":
-            ok, detail = _check_kurtz(seed)
+            ok, detail = check_kurtz(seed)
         elif name == "lyapunov":
-            ok, detail = _check_lyapunov(args.m, args.max_n)
+            ok, detail = check_lyapunov(args.m, args.max_n)
         else:
-            ok, detail = _check_monotone(seed)
+            ok, detail = check_monotone(seed)
         results.append((name, ok, detail))
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
 

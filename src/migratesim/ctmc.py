@@ -840,7 +840,7 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
     )
 
 
-# --- CSV serialization -----------------------------------------------------
+# --- CSV comment headers ---------------------------------------------------
 
 def config_echo(config: SystemConfig) -> str:
     """Deterministic one-line JSON echo of a config, for CSV comment headers."""
@@ -856,30 +856,3 @@ def config_echo(config: SystemConfig) -> str:
         else [list(r) for r in config.jump_matrix],
     }
     return json.dumps(data, sort_keys=True)
-
-
-def write_trajectory_csv(traj: Trajectory, path, config: SystemConfig) -> None:
-    """Columns t, N_1 .. N_m, preceded by seed and config comment lines."""
-    m = traj.counts.shape[1]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# seed={traj.seed}\n")
-        fh.write(f"# config={config_echo(config)}\n")
-        fh.write("t," + ",".join(f"N_{i + 1}" for i in range(m)) + "\n")
-        for t, row in zip(traj.times, traj.counts):
-            fh.write(f"{float(t)!r}," + ",".join(str(int(v)) for v in row) + "\n")
-
-
-def write_sojourns_csv(records, path, config: SystemConfig, seed: int) -> None:
-    """Columns client_id, arrive_t, depart_t, sojourn; empty cells if censored."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# seed={seed}\n")
-        fh.write(f"# config={config_echo(config)}\n")
-        fh.write("client_id,arrive_t,depart_t,sojourn\n")
-        for rec in records:
-            if rec.depart_t is None:
-                fh.write(f"{rec.client_id},{rec.arrive_t!r},,\n")
-            else:
-                fh.write(
-                    f"{rec.client_id},{rec.arrive_t!r},{rec.depart_t!r},"
-                    f"{rec.sojourn!r}\n"
-                )

@@ -4,15 +4,12 @@ Each study follows the same shape: a deterministic seed plan (cell index
 times a fixed stride plus the replication index), independent replications
 that can fan out over processes, and a plain-data result that the CLI can
 dump to CSV next to a JSON manifest. Verdicts here are statistical, never
-formal: a probe can answer "inconclusive" and a comparison can flag an
-ordering without failing it.
+formal: a probe can answer "inconclusive" rather than guess.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -20,7 +17,6 @@ import numpy as np
 
 from .ctmc import simulate_open
 from .meanfield import (
-    OdeState,
     equilibrium_rls,
     integrate,
     mean_occupancy,
@@ -35,41 +31,7 @@ from .model import (
     empirical_measure,
     rls_accepts,
 )
-from .stats import cell_seed, mean_sd, normal_ci, ols_slope
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """One summarized metric: parameter echo, estimate, spread, provenance."""
-
-    params: dict
-    metric: str
-    estimate: float
-    sd: float
-    ci95: Optional[tuple]
-    reps: int
-    seeds: tuple  # (first, last)
-    wall_time: float
-
-    def __post_init__(self):
-        if self.ci95 is not None:
-            lo, hi = self.ci95
-            if not lo <= self.estimate <= hi:
-                raise ValueError(
-                    f"estimate {self.estimate!r} outside its own interval "
-                    f"({lo!r}, {hi!r})"
-                )
-
-
-def summarize(params: dict, metric: str, values: Sequence[float],
-              seeds: Sequence[int], wall_time: float) -> ExperimentResult:
-    """Collapse per-replication values into an ExperimentResult row."""
-    mean, sd = mean_sd(values)
-    return ExperimentResult(
-        params=dict(params), metric=metric, estimate=mean, sd=sd,
-        ci95=normal_ci(values), reps=len(values),
-        seeds=(min(seeds), max(seeds)), wall_time=wall_time,
-    )
+from .stats import cell_seed, map_replications, normal_ci, ols_slope
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +85,7 @@ def stability_probe(config: SystemConfig, horizon: float,
         sample_dt = horizon / 500.0
 
     work = [(config, horizon, sample_dt, s) for s in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            paths = list(pool.map(_population_path, work))
-    else:
-        paths = [_population_path(w) for w in work]
+    paths = map_replications(_population_path, work, jobs)
 
     times = paths[0][0]
     pops = np.stack([p for _, p in paths])
@@ -387,11 +345,7 @@ def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
         cutoff = horizon
     seeds = [base_seed + r for r in range(reps)]
     work = [(config, horizon, warmup, cutoff, s) for s in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reps_out = list(pool.map(_sojourn_rep, work))
-    else:
-        reps_out = [_sojourn_rep(w) for w in work]
+    reps_out = map_replications(_sojourn_rep, work, jobs)
 
     clients = sum(r[1] for r in reps_out)
     censored = sum(r[2] for r in reps_out)
@@ -505,49 +459,14 @@ def throughput_comparison(
     return rows
 
 
-def sojourn_ordering_flags(rows: Sequence[ThroughputRow]) -> List[str]:
-    """Check rls sojourns never exceed rlo sojourns at matching cells.
-
-    Returns human-readable flags: an inversion whose intervals overlap is
-    reported as noise, one with disjoint intervals as a violation. An empty
-    list means the expected ordering held everywhere.
-    """
-    cells: Dict[tuple, Dict[str, ThroughputRow]] = {}
-    for row in rows:
-        cells.setdefault((row.m, row.lam), {})[row.policy] = row
-    flags = []
-    for (m, lam), pair in sorted(cells.items()):
-        if set(pair) != {"rls", "rlo"}:
-            continue
-        rls, rlo = pair["rls"], pair["rlo"]
-        if rls.throughput >= rlo.throughput:
-            continue  # faster service under rls, as expected
-        overlap = (rls.ci95 is None or rlo.ci95 is None
-                   or (rls.ci95[0] <= rlo.ci95[1]
-                       and rlo.ci95[0] <= rls.ci95[1]))
-        kind = "within noise" if overlap else "ordering violated"
-        flags.append(
-            f"m={m} lambda={lam!r}: rls throughput {rls.throughput!r} below "
-            f"rlo {rlo.throughput!r} ({kind})"
-        )
-    return flags
-
-
 # ---------------------------------------------------------------------------
 # artifact writers
-
-THROUGHPUT_COLUMNS = (
-    "m", "lambda", "beta", "policy", "single_entry", "reps", "clients",
-    "censored", "mean_sojourn", "throughput", "ci_lo", "ci_hi",
-    "prediction", "rel_error",
-)
-
 
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # np.float64 would repr as np.float64(...)
     if isinstance(value, bool):
         return str(int(value))
     return str(value)
@@ -562,40 +481,3 @@ def write_results_csv(path, columns: Sequence[str],
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_cell(row.get(c)) for c in columns) + "\n")
-
-
-def throughput_table_rows(rows: Sequence[ThroughputRow]) -> List[dict]:
-    out = []
-    for r in rows:
-        out.append({
-            "m": r.m, "lambda": r.lam, "beta": r.beta, "policy": r.policy,
-            "single_entry": r.single_entry, "reps": r.reps,
-            "clients": r.clients, "censored": r.censored,
-            "mean_sojourn": r.mean_sojourn, "throughput": r.throughput,
-            "ci_lo": None if r.ci95 is None else r.ci95[0],
-            "ci_hi": None if r.ci95 is None else r.ci95[1],
-            "prediction": r.prediction, "rel_error": r.rel_error,
-        })
-    return out
-
-
-def write_manifest(path, name: str, params: dict, seeds: Sequence[int],
-                   outputs: Sequence[str], started: float,
-                   finished: float) -> None:
-    """JSON run manifest; the only artifact that carries timestamps."""
-    from . import __version__
-
-    seeds = sorted(int(s) for s in seeds)
-    data = {
-        "experiment": name,
-        "version": __version__,
-        "params": params,
-        "seeds": {"first": seeds[0], "last": seeds[-1], "count": len(seeds)}
-        if seeds else {"first": None, "last": None, "count": 0},
-        "outputs": list(outputs),
-        "started": started,
-        "finished": finished,
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

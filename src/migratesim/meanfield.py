@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,9 +59,6 @@ __all__ = [
     "sojourn_time",
     "throughput",
     "st_leq",
-    "write_fixed_point_csv",
-    "write_ode_trajectory_csv",
-    "write_sweep_csv",
 ]
 
 # Mass drift allowed before a step is declared broken, and how far below
@@ -533,45 +530,3 @@ def st_leq(x, x_prime, slack: float = 1e-12) -> bool:
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     return bool(np.all(np.cumsum(a) >= np.cumsum(b) - slack))
-
-
-def write_fixed_point_csv(path, fp: FixedPoint, comments: Sequence[str] = ()) -> None:
-    """Two columns (k, xi_k); '#' lines first, stable float text via repr."""
-    with open(path, "w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(f"# y={fp.y!r} z={fp.z!r} residual={fp.residual!r}\n")
-        fh.write("k,xi_k\n")
-        for k, v in enumerate(fp.xi):
-            fh.write(f"{k},{float(v)!r}\n")
-
-
-def write_ode_trajectory_csv(path, samples: Sequence[Tuple[float, OdeState]],
-                             comments: Sequence[str] = ()) -> None:
-    """Wide format (t, x_0..x_B), one row per recorded sample."""
-    if not samples:
-        raise ValueError("no samples to write")
-    b_cap = samples[0][1].b_cap
-    with open(path, "w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("t," + ",".join(f"x_{k}" for k in range(b_cap + 1)) + "\n")
-        for t, state in samples:
-            fh.write(f"{float(t)!r}," + ",".join(f"{float(v)!r}" for v in state.x) + "\n")
-
-
-SWEEP_COLUMNS = ("lambda", "beta", "B", "policy", "y", "sojourn", "throughput", "residual")
-
-
-def write_sweep_csv(path, rows: Sequence[dict], comments: Sequence[str] = ()) -> None:
-    """Summary table, one row per (lambda, beta, B, policy) cell."""
-    with open(path, "w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            cells = []
-            for col in SWEEP_COLUMNS:
-                v = row[col]
-                cells.append(f"{v!r}" if isinstance(v, float) else str(v))
-            fh.write(",".join(cells) + "\n")

@@ -11,7 +11,7 @@ their server at a fixed per-client rate. Two resampling policies exist:
 * ``rlo``: the client hops along a configured random walk regardless of
   load, so the move is always accepted.
 
-Everything downstream (event-driven simulation, balance diagnostics, mean
+Everything downstream (event-driven simulation, balance measurement, mean
 field limits) builds on the value objects and predicates defined here.
 """
 
@@ -187,12 +187,6 @@ class SystemConfig:
     def total_service_rate(self) -> float:
         return math.fsum(self.service_rates)
 
-    def effective_jump_rows(self) -> tuple:
-        """The walk actually used by rlo, materializing the uniform default."""
-        if self.jump_matrix is not None:
-            return self.jump_matrix
-        return uniform_jump_matrix(self.m, self.include_self)
-
 
 @dataclass(frozen=True)
 class SystemState:
@@ -278,30 +272,6 @@ def rls_accepts(service_from, count_from, service_to, count_to) -> bool:
     return service_to * count_from > service_from * (count_to + 1)
 
 
-def rlo_next_server(config: SystemConfig, current: int, u: float) -> int:
-    """Destination of a load-oblivious jump, by inverse CDF on the walk row.
-
-    u is a uniform draw in [0, 1). The destination is the smallest index j
-    whose cumulative row mass exceeds u.
-    """
-    if not 0 <= current < config.m:
-        raise ValueError(f"server index {current} out of range for m={config.m}")
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"uniform draw {u!r} outside [0, 1)")
-    if config.jump_matrix is None:
-        if config.include_self:
-            return min(int(u * config.m), config.m - 1)
-        k = min(int(u * (config.m - 1)), config.m - 2)
-        return k if k < current else k + 1
-    row = config.jump_matrix[current]
-    acc = 0.0
-    for j, w in enumerate(row):
-        acc += w
-        if u < acc:
-            return j
-    return config.m - 1  # cumulative roundoff fell short of 1
-
-
 def empirical_measure(state: Union[SystemState, Sequence[int]], b_cap: int) -> EmpiricalMeasure:
     """Histogram of per-server occupancies, normalized by the server count.
 
@@ -335,32 +305,6 @@ def measure_from_tails(s) -> np.ndarray:
     x = s.copy()
     x[:-1] -= s[1:]
     return x
-
-
-def stationary_distribution(jump_matrix, tol: float = 1e-12) -> np.ndarray:
-    """Stationary law pi of a row-stochastic irreducible walk: pi Q = pi.
-
-    Solved as a dense linear system with the normalization sum(pi) = 1
-    substituted for one redundant balance equation. The residual
-    max|pi Q - pi| is checked against tol and the result is strictly
-    positive componentwise (guaranteed by irreducibility).
-    """
-    q = np.asarray(jump_matrix, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"jump matrix must be square, got shape {q.shape}")
-    m = q.shape[0]
-    _check_jump_matrix([tuple(row) for row in q], m)
-    a = q.T - np.eye(m)
-    a[-1, :] = 1.0
-    b = np.zeros(m)
-    b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
-    residual = float(np.max(np.abs(pi @ q - pi)))
-    if residual > tol:
-        raise RuntimeError(f"stationary solve residual {residual:.3e} exceeds {tol:.1e}")
-    if np.any(pi <= 0):
-        raise RuntimeError("stationary law has a non-positive entry despite irreducibility")
-    return pi
 
 
 # --- config file interface -------------------------------------------------

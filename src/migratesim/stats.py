@@ -1,8 +1,10 @@
-"""Small statistical helpers shared by the measurement and experiment layers."""
+"""Seeds, the replication fan-out, and small statistical helpers shared by the
+measurement and experiment layers."""
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy import stats as sps
@@ -18,6 +20,20 @@ def cell_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
     if rep_index >= SEED_STRIDE:
         raise ValueError(f"rep index {rep_index} exceeds the seed stride {SEED_STRIDE}")
     return base_seed + cell_index * SEED_STRIDE + rep_index
+
+
+def map_replications(fn, work: list, jobs: int) -> list:
+    """[fn(w) for w in work], fanned out over ``jobs`` processes when jobs > 1.
+
+    Each worker receives about four chunks of replications, so a pool round
+    trip carries several short runs instead of one. The pool is shut down,
+    its workers joined, before the results are returned.
+    """
+    if jobs <= 1:
+        return [fn(w) for w in work]
+    chunk = max(1, len(work) // (4 * jobs))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, work, chunksize=chunk))
 
 
 def mean_sd(values) -> tuple:

@@ -18,8 +18,7 @@ from migratesim.balance import (
     initial_all_at_one,
     measure_balance_time,
 )
-from migratesim.cli import main
-from migratesim.ctmc import simulate_coupled
+from migratesim.cli import check_coupling, main
 from migratesim.experiments import (
     drift_exclusion_threshold,
     kurtz_deviation,
@@ -38,7 +37,6 @@ from migratesim.meanfield import (
     st_leq,
 )
 from migratesim.model import SystemConfig, measure_from_tails, tail_sums
-from migratesim.stats import poisson_gof
 
 
 def test_01_closed_balance_time_within_analytic_bound():
@@ -225,23 +223,8 @@ def test_08_stability_verdicts_follow_the_total_load():
 
 
 def test_09_coupled_walk_population_identities():
-    removals = []
-    blue_red = []
-    for seed in range(10000):
-        traj = simulate_coupled((5, 5), (1.0, 1.0), (1.0, 1.0), horizon=2.0,
-                                seed=9000 + seed, sample_dt=None)
-        removals.append(sum(traj.final.red) + sum(traj.final.green))
-        blue_red.append(sum(traj.final.blue) + sum(traj.final.red))
-    stat, df, p = poisson_gof(removals, 4.0)
-    mean = sum(blue_red) / len(blue_red)
-    sd = math.sqrt(sum((v - mean) ** 2 for v in blue_red) / (len(blue_red) - 1))
-    se = sd / math.sqrt(len(blue_red))
-    gof_ok = p > 0.01
-    mean_ok = abs(mean - 14.0) <= 3 * se
-    ok = gof_ok and mean_ok
-    detail = (f"red+green vs Poisson(4): p={p:.3f} "
-              f"{'ok' if gof_ok else 'FAIL'}; mean blue+red {mean:.3f} vs 14 "
-              f"(3se = {3 * se:.3f}) {'ok' if mean_ok else 'FAIL'}")
+    # seeds 9000..18999: red+green ~ Poisson(4), blue+red mean 14 within 3 SE
+    ok, detail = check_coupling(9000, 10000)
     record_acceptance(9, "coupled walk population identities", ok, detail)
     assert ok, detail
 

@@ -3,6 +3,7 @@
 import json
 
 from migratesim.cli import main
+from migratesim.meanfield import integrate, point_mass, solve_fixed_point_rlo
 
 
 def run(argv):
@@ -153,7 +154,15 @@ def test_meanfield_fixed_point_rlo(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "2.022376456163667" in text
-    assert (out / "fixed_point.csv").exists()
+    lines = (out / "fixed_point.csv").read_text().splitlines()
+    assert lines[0] == "# lambda=0.8 beta=0.5 B=100"
+    assert lines[1].startswith("# y=2.022376456163667 z=")
+    assert " residual=" in lines[1]
+    assert lines[2] == "k,xi_k"
+    assert len(lines) == 3 + 101
+    # a float cell round-trips exactly through repr
+    fp = solve_fixed_point_rlo(0.8, 0.5, 100)
+    assert lines[3] == f"0,{float(fp.xi[0])!r}"
 
 
 def test_meanfield_empty_system(tmp_path, capsys):
@@ -170,7 +179,13 @@ def test_meanfield_rls_flagged_equilibrium_warns(tmp_path, capsys):
     assert code == 2
     text = capsys.readouterr().out
     assert "two relaxations disagree" in text
-    assert (out / "equilibrium.csv").exists()
+    lines = (out / "equilibrium.csv").read_text().splitlines()
+    assert lines[0] == "# lambda=0.8 beta=0.5 B=60"
+    assert lines[1].startswith("# y=") and " two_start_gap=" in lines[1]
+    assert lines[2] == "k,x_k"
+    assert len(lines) == 3 + 61
+    cells = [ln.split(",")[1] for ln in lines[3:]]
+    assert all(repr(float(c)) == c for c in cells)
 
 
 def test_meanfield_integrate_mode(tmp_path, capsys):
@@ -180,8 +195,13 @@ def test_meanfield_integrate_mode(tmp_path, capsys):
                 "--t-end", "5", "--out", out])
     assert code == 0
     lines = (out / "trajectory.csv").read_text().splitlines()
-    header = [ln for ln in lines if not ln.startswith("#")][0]
-    assert header.startswith("t,x_0,x_1,")
+    assert lines[0] == "# policy=rlo lambda=0.6 beta=0.3 B=30 dt=0.001"
+    assert lines[1] == "t," + ",".join(f"x_{k}" for k in range(31))
+    samples = integrate("rlo", point_mass(0, 30), 5.0, dt=1e-3,
+                        sample_dt=0.05, lam=0.6, beta=0.3)
+    assert len(lines) == 2 + len(samples)
+    t, state = samples[-1]
+    assert lines[-1].split(",")[:2] == [repr(t), repr(float(state.x[0]))]
 
 
 def test_meanfield_overload_rejected(tmp_path, capsys):

@@ -15,7 +15,6 @@ from migratesim.ctmc import (
     simulate_coupled,
     simulate_open,
     step,
-    write_trajectory_csv,
 )
 from migratesim.model import Policy, SystemConfig, SystemState
 from migratesim.stats import chi_square_gof
@@ -357,21 +356,7 @@ def test_coupled_explicit_matrix_and_validation():
         simulate_coupled((1, 0), (1.0,), (1.0, 1.0))
 
 
-# --- serialization -----------------------------------------------------------------
-
-def test_trajectory_csv_shape(tmp_path):
-    cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.5)
-    traj, _ = simulate_open(cfg, horizon=3.0, seed=1, sample_dt=1.0)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path, cfg)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=1"
-    assert lines[1].startswith("# config=")
-    assert lines[2] == "t,N_1,N_2"
-    assert len(lines) == 3 + len(traj.times)
-    # a float cell round-trips exactly through repr
-    assert float(lines[4].split(",")[0]) == traj.times[1]
-
+# --- config echo -------------------------------------------------------------------
 
 def test_config_echo_is_canonical_json():
     import json

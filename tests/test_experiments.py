@@ -11,20 +11,15 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from migratesim.cli import RunManifest
 from migratesim.experiments import (
-    ExperimentResult,
-    THROUGHPUT_COLUMNS,
-    ThroughputRow,
     counts_from_measure,
     drift_exclusion_threshold,
     kurtz_deviation,
     lyapunov_drift,
     measure_sojourns,
-    sojourn_ordering_flags,
     stability_probe,
-    summarize,
     throughput_comparison,
-    write_manifest,
     write_results_csv,
 )
 from migratesim.meanfield import point_mass, solve_fixed_point_rlo
@@ -132,9 +127,10 @@ def test_measure_sojourns_plumbing():
 
 
 def test_measure_sojourns_jobs_parity():
+    # 24 reps over 2 workers hand each pool round trip a chunk of 3
     cfg = SystemConfig(m=2, policy="rlo", arrival_rates=0.4, resample_rate=0.3)
-    a = measure_sojourns(cfg, horizon=60.0, warmup=10.0, reps=4, base_seed=2)
-    b = measure_sojourns(cfg, horizon=60.0, warmup=10.0, reps=4, base_seed=2,
+    a = measure_sojourns(cfg, horizon=60.0, warmup=10.0, reps=24, base_seed=2)
+    b = measure_sojourns(cfg, horizon=60.0, warmup=10.0, reps=24, base_seed=2,
                          jobs=2)
     assert a.per_rep == b.per_rep
 
@@ -293,6 +289,14 @@ def test_probe_few_seeds_is_inconclusive():
     assert len(rep.per_seed_slopes) == 5
 
 
+def test_probe_jobs_parity():
+    # 24 seeds over 2 workers hand each pool round trip a chunk of 3
+    cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.4, resample_rate=0.3)
+    a = stability_probe(cfg, 40.0, range(24))
+    b = stability_probe(cfg, 40.0, range(24), jobs=2)
+    assert a == b
+
+
 def test_probe_verdicts_on_light_and_heavy_load():
     light = SystemConfig(m=2, policy="rls", arrival_rates=0.4, resample_rate=0.3)
     rep = stability_probe(light, 200.0, range(20))
@@ -357,58 +361,34 @@ def test_throughput_comparison_domain():
         throughput_comparison([2], [0.5], beta=0.5, horizon=30.0, warmup=10.0)
 
 
-def _row(policy, thr, ci):
-    return ThroughputRow(m=5, lam=0.8, beta=0.5, policy=policy,
-                         single_entry=False, reps=20, seeds=(0, 19),
-                         clients=100, censored=0, mean_sojourn=1.0 / thr,
-                         throughput=thr, ci95=ci, prediction=None,
-                         rel_error=None)
-
-
-def test_sojourn_ordering_flags():
-    ok = [_row("rls", 0.32, (0.31, 0.33)), _row("rlo", 0.30, (0.29, 0.31))]
-    assert sojourn_ordering_flags(ok) == []
-    noisy = [_row("rls", 0.30, (0.28, 0.32)), _row("rlo", 0.31, (0.29, 0.33))]
-    flags = sojourn_ordering_flags(noisy)
-    assert len(flags) == 1 and "within noise" in flags[0]
-    bad = [_row("rls", 0.28, (0.27, 0.29)), _row("rlo", 0.32, (0.31, 0.33))]
-    flags = sojourn_ordering_flags(bad)
-    assert len(flags) == 1 and "ordering violated" in flags[0]
-
-
-# --- summaries and artifacts ------------------------------------------------------------
-
-def test_experiment_result_interval_invariant():
-    with pytest.raises(ValueError):
-        ExperimentResult(params={}, metric="x", estimate=5.0, sd=1.0,
-                         ci95=(1.0, 2.0), reps=30, seeds=(0, 29), wall_time=0.1)
-    res = summarize({"m": 4}, "balance_time", [1.0, 2.0, 3.0], [7, 8, 9], 0.5)
-    assert res.estimate == pytest.approx(2.0)
-    assert res.reps == 3 and res.seeds == (7, 9)
-    assert res.ci95 is None
-
+# --- artifacts ----------------------------------------------------------------------------
 
 def test_write_results_csv_formatting(tmp_path):
     path = tmp_path / "table.csv"
     write_results_csv(path, ("a", "b", "c", "flag"),
                       [{"a": 1, "b": 0.25, "c": None, "flag": True},
-                       {"a": 2, "b": float("inf"), "c": "x", "flag": False}],
+                       {"a": 2, "b": float("inf"), "c": "x", "flag": False},
+                       {"a": 3, "b": np.float64(0.1), "c": None, "flag": None}],
                       comments=["hello"])
     lines = path.read_text().splitlines()
     assert lines[0] == "# hello"
     assert lines[1] == "a,b,c,flag"
     assert lines[2] == "1,0.25,,1"
     assert lines[3] == "2,inf,x,0"
-    assert len(THROUGHPUT_COLUMNS) == 14
+    assert lines[4] == "3,0.1,,"  # numpy floats write like plain floats
 
 
 def test_write_manifest_schema(tmp_path):
+    # the CLI's RunManifest is the package's one manifest writer
     path = tmp_path / "manifest.json"
-    write_manifest(path, "demo", {"m": 2}, [3, 4, 5], ["a.csv"],
-                   started="2026-01-01T00:00:00", finished=None)
+    RunManifest("demo", {"m": 2}, (5, 3, 4), ("a.csv",), started=1.5).write(path)
     data = json.loads(path.read_text())
-    assert data["experiment"] == "demo"
+    assert data["subcommand"] == "demo"
+    assert data["config"] == {"m": 2}
     assert data["seeds"] == {"first": 3, "last": 5, "count": 3}
     assert data["outputs"] == ["a.csv"]
-    assert data["finished"] is None
+    assert data["started"] == 1.5 and data["finished"] is None
     assert data["version"]
+    RunManifest("demo", {}, (), (), started=1.5).write(path)
+    assert json.loads(path.read_text())["seeds"] == {
+        "first": None, "last": None, "count": 0}

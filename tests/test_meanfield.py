@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from migratesim.cli import main
 from migratesim.meanfield import (
     FixedPoint,
     OdeState,
@@ -24,8 +25,6 @@ from migratesim.meanfield import (
     solve_fixed_point_rlo,
     st_leq,
     throughput,
-    write_fixed_point_csv,
-    write_ode_trajectory_csv,
 )
 from migratesim.model import measure_from_tails, tail_sums
 
@@ -343,27 +342,33 @@ def test_derived_quantities():
         throughput(0.0, 0.5)
 
 
-# --- serialization --------------------------------------------------------------------
+# --- CSV outputs (written by `migrate-sim meanfield`) ----------------------------
 
 def test_fixed_point_csv(tmp_path):
+    out = tmp_path / "mf"
+    assert main(["meanfield", "--policy", "rlo", "--lambda", "0.5",
+                 "--beta", "0.5", "--bcap", "5", "--out", str(out)]) == 0
     fp = solve_fixed_point_rlo(0.5, 0.5, 5)
-    path = tmp_path / "fp.csv"
-    write_fixed_point_csv(path, fp, comments=["demo"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# demo"
-    assert lines[1].startswith("# y=")
+    lines = (out / "fixed_point.csv").read_text().splitlines()
+    assert lines[0] == "# lambda=0.5 beta=0.5 B=5"
+    assert lines[1] == f"# y={fp.y!r} z={fp.z!r} residual={fp.residual!r}"
     assert lines[2] == "k,xi_k"
     assert len(lines) == 3 + 6
-    assert float(lines[3].split(",")[1]) == fp.xi[0]
+    for k, line in enumerate(lines[3:]):
+        assert line == f"{k},{float(fp.xi[k])!r}"
 
 
 def test_ode_trajectory_csv(tmp_path):
+    out = tmp_path / "mf"
+    assert main(["meanfield", "--policy", "rlo", "--mode", "integrate",
+                 "--lambda", "0.5", "--beta", "0.2", "--bcap", "3",
+                 "--t-end", "0.5", "--sample-dt", "0.25",
+                 "--out", str(out)]) == 0
     samples = integrate("rlo", point_mass(0, 3).x, 0.5, dt=1e-3,
                         sample_dt=0.25, lam=0.5, beta=0.2)
-    path = tmp_path / "traj.csv"
-    write_ode_trajectory_csv(path, samples)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x_0,x_1,x_2,x_3"
-    assert len(lines) == 1 + len(samples)
-    with pytest.raises(ValueError):
-        write_ode_trajectory_csv(tmp_path / "empty.csv", [])
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0].startswith("# policy=rlo ")
+    assert lines[1] == "t,x_0,x_1,x_2,x_3"
+    assert len(lines) == 2 + len(samples)
+    for line, (t, state) in zip(lines[2:], samples):
+        assert line == ",".join(repr(float(v)) for v in (t, *state.x))
