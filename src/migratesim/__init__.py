@@ -13,7 +13,6 @@ from .model import (
     load_config,
     rls_accepts,
     tail_sums,
-    uniform_jump_matrix,
 )
 from .ctmc import (
     SimulationError,
@@ -74,5 +73,4 @@ __all__ = [
     "simulate_closed", "simulate_coupled", "simulate_open", "sojourn_time",
     "solve_fixed_point_rlo", "st_leq", "stability_probe", "step",
     "tail_sums", "balance_time_bound", "throughput", "throughput_comparison",
-    "uniform_jump_matrix",
 ]

@@ -108,7 +108,7 @@ class BalanceTimeResult:
 def _balance_rep(args) -> Optional[float]:
     config, initial, stop, eps, horizon, seed = args
     res = simulate_closed(config, initial, horizon=horizon, stop=stop, eps=eps,
-                          seed=seed, sample_dt=None)
+                          seed=seed)
     return res.stop_time if not res.censored else None
 
 

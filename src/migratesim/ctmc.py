@@ -5,6 +5,11 @@ Three drivers share one transition law:
 * ``simulate_closed``: a fixed client population moving between servers,
   arrivals and service completions switched off. Only the per-client
   resampling clocks run, so the total event rate is resample_rate * n.
+  Its domain is the balance question alone: the rls policy on servers with
+  equal, positive service rates, stopped at exact or eps balance. On that
+  domain an accepted move is a plain occupancy comparison and the maximum
+  occupancy never rises, which the loop audits; other configs raise
+  ConfigError.
 * ``simulate_open``: arrivals, processor-sharing service completions and
   resampling all active. Optionally tracks individual clients through
   migrations to produce sojourn records.
@@ -18,7 +23,7 @@ Three drivers share one transition law:
 drivers are written for speed but consume random draws in exactly the same
 order, one event at a time:
 
-    closed:  dt ~ expovariate(total) ; slot = randrange(n) ; destination draw
+    closed:  dt ~ expovariate(total) ; slot = randrange(n) ; dest = randrange(m)
     open:    dt ~ expovariate(total) ; u = random() picks the event category
              and, within arrivals/departures/resampling, the server or slot;
              resampling destination and (when tracking) the departing
@@ -39,7 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Policy, SystemConfig, SystemState, eps_band
+from .model import ConfigError, Policy, SystemConfig, SystemState, eps_band, rls_accepts
 
 
 class SimulationError(RuntimeError):
@@ -228,8 +233,7 @@ def _resample_event(config, rows_cum, counts, origin, rng: Random, dt: float) ->
     svc = config.service_rates
     if config.policy is Policy.RLS:
         dest = rng.randrange(config.m)
-        # strict improvement of the client's service share, ties stay
-        if svc[dest] * counts[origin] > svc[origin] * (counts[dest] + 1):
+        if rls_accepts(svc[origin], counts[origin], svc[dest], counts[dest]):
             if config.cap is not None and counts[dest] >= config.cap:
                 return Event("migration_blocked", dt, origin, dest)
             counts[origin] -= 1
@@ -247,20 +251,32 @@ def _resample_event(config, rows_cum, counts, origin, rng: Random, dt: float) ->
 
 
 def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float,
-                    stop: str = "balanced", eps=None, seed: int = 0,
-                    sample_dt: Optional[float] = None) -> ClosedRunResult:
-    """Run the closed system until a stopping predicate or the horizon.
+                    stop: str = "balanced", eps=None, seed: int = 0) -> ClosedRunResult:
+    """Run the closed rls system on identical servers until it balances.
 
-    stop is one of "balanced" (max - min <= 1), "eps" (every occupancy
-    within a factor 1 +- eps of n/m), or "horizon" (time limit only).
-    The returned stop_time is the exact event time at which the predicate
-    first held; if the horizon hits first the result is flagged censored.
-    Under the rls policy the running maximum occupancy is checked to be
-    non-increasing, and the number of servers at the maximum non-increasing
-    while the maximum is flat, after every accepted move.
+    The domain is the one the balance question asks about: the rls policy
+    with equal, positive service rates. There an accepted move is exactly
+    ``counts[i] > counts[j] + 1`` and the running maximum occupancy cannot
+    rise, so one comparison decides each resample and the audits below
+    hold. Any other config is rejected with ConfigError before the first
+    event; ``step`` with closed=True still covers every policy.
+
+    stop is "balanced" (max - min <= 1) or "eps" (every occupancy within a
+    factor 1 +- eps of n/m). The returned stop_time is the exact event time
+    at which the predicate first held; if the horizon hits first the
+    result is flagged censored. After every accepted move the running
+    maximum is checked to be non-increasing, and the number of servers at
+    the maximum non-increasing while the maximum is flat. The trajectory
+    holds the start and end rows only.
     """
     if any(r != 0.0 for r in config.arrival_rates):
         raise SimulationError("closed runs require all arrival rates to be zero")
+    if config.policy is not Policy.RLS:
+        raise ConfigError("closed runs support only the rls policy, "
+                          f"got {config.policy.value!r}")
+    if len(set(config.service_rates)) != 1 or config.service_rates[0] <= 0:
+        raise ConfigError("closed runs need equal, positive service rates, "
+                          f"got {config.service_rates!r}")
     if horizon is None or horizon <= 0:
         raise ValueError("closed runs need a positive horizon")
     m = config.m
@@ -269,6 +285,8 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
         raise ValueError(f"initial occupancy must be {m} non-negative integers")
     if config.cap is not None and any(c > config.cap for c in counts):
         raise ValueError("initial occupancy exceeds the configured cap")
+    # no cap check in the loop: an accepted move lands on a server holding at
+    # most counts[i] - 2, so no server ever exceeds the starting maximum
     n = sum(counts)
 
     if stop == "balanced":
@@ -281,20 +299,11 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
 
         def stopped(lo_v, hi_v):
             return lo_v >= band_lo and hi_v <= band_hi
-    elif stop == "horizon":
-        def stopped(lo_v, hi_v):
-            return False
     else:
-        raise ValueError(f'stop must be "balanced", "eps" or "horizon", got {stop!r}')
+        raise ValueError(f'stop must be "balanced" or "eps", got {stop!r}')
 
     rng = Random(seed)
-    beta = config.resample_rate
-    svc = list(config.service_rates)
-    homogeneous = len(set(svc)) == 1
-    rls = config.policy is Policy.RLS
-    rows_cum = _rows_cum(config)
-    include_self = config.include_self
-    uniform_walk = config.jump_matrix is None
+    total = config.resample_rate * n
 
     # occupancy histogram with tracked extremes gives O(1) predicate checks
     hist = [0] * (n + 2)
@@ -308,121 +317,70 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     for i, c in enumerate(counts):
         slots.extend([i] * c)
 
-    cap = config.cap
-    events = {"migration": 0, "resample_rejected": 0, "resample_self": 0,
-              "migration_blocked": 0}
-    times = [0.0]
-    snaps = [tuple(counts)]
-    sample_idx = 1
-    next_sample = sample_dt if sample_dt else math.inf
-
+    events = {"migration": 0, "resample_rejected": 0}
+    initial_row = tuple(counts)
     t = 0.0
     stop_time = None
-    if stopped(cur_min, cur_max) and stop != "horizon":
+    if stopped(cur_min, cur_max):
         stop_time = 0.0
-    elif n == 0 or beta == 0.0:
-        if stop == "horizon":
-            while next_sample <= horizon:
-                times.append(next_sample)
-                snaps.append(tuple(counts))
-                sample_idx += 1
-                next_sample = sample_idx * sample_dt
-            t = horizon
-        else:
-            raise SimulationError(
-                "total event rate is zero and the stopping predicate does not "
-                f"hold (n={n}, resample_rate={beta})"
-            )
+    elif total == 0.0:
+        raise SimulationError(
+            "total event rate is zero and the stopping predicate does not "
+            f"hold (n={n}, resample_rate={config.resample_rate})"
+        )
     else:
-        total = beta * n
         prev_cmax_count = hist[cur_max]
         while True:
             t_next = t + rng.expovariate(total)
             if t_next > horizon:
-                while next_sample <= horizon:
-                    times.append(next_sample)
-                    snaps.append(tuple(counts))
-                    sample_idx += 1
-                    next_sample = sample_idx * sample_dt
                 t = horizon
                 break
-            while next_sample <= t_next:
-                times.append(next_sample)
-                snaps.append(tuple(counts))
-                sample_idx += 1
-                next_sample = sample_idx * sample_dt
             t = t_next
 
             slot = rng.randrange(n)
             i = slots[slot]
             ci = counts[i]
-            moved = False
-            if rls:
-                j = rng.randrange(m)
-                if homogeneous:
-                    accept = ci > counts[j] + 1
-                else:
-                    accept = svc[j] * ci > svc[i] * (counts[j] + 1)
-                if accept:
-                    moved = True
-                else:
-                    events["resample_rejected"] += 1
-            else:
-                if uniform_walk:
-                    if include_self:
-                        j = rng.randrange(m)
-                    else:
-                        k = rng.randrange(m - 1)
-                        j = k if k < i else k + 1
-                else:
-                    u = rng.random()
-                    j = min(bisect_right(rows_cum[i], u), m - 1)
-                if j == i:
-                    events["resample_self"] += 1
-                else:
-                    moved = True
-            if moved and cap is not None and counts[j] >= cap:
-                events["migration_blocked"] += 1
-                moved = False
-            if moved:
-                cj = counts[j]
-                counts[i] = ci - 1
-                counts[j] = cj + 1
-                slots[slot] = j
-                events["migration"] += 1
-                hist[ci] -= 1
-                hist[ci - 1] += 1
-                hist[cj] -= 1
-                hist[cj + 1] += 1
-                prev_max = cur_max
-                if cj + 1 > cur_max:
-                    cur_max = cj + 1
-                elif ci == cur_max and hist[ci] == 0:
-                    cur_max = ci - 1
-                if ci - 1 < cur_min:
-                    cur_min = ci - 1
-                elif cj == cur_min and hist[cj] == 0:
-                    cur_min = cj + 1
-                if rls:
-                    if cur_max > prev_max:
-                        raise SimulationError(
-                            f"maximum occupancy rose from {prev_max} to {cur_max} "
-                            "during a closed rls run"
-                        )
-                    if cur_max == prev_max and hist[cur_max] > prev_cmax_count:
-                        raise SimulationError(
-                            "server count at the maximum level rose while the "
-                            "maximum was flat during a closed rls run"
-                        )
-                    prev_cmax_count = hist[cur_max]
-                if stopped(cur_min, cur_max):
-                    stop_time = t
-                    break
+            j = rng.randrange(m)
+            cj = counts[j]
+            if ci <= cj + 1:
+                events["resample_rejected"] += 1
+                continue
+            counts[i] = ci - 1
+            counts[j] = cj + 1
+            slots[slot] = j
+            events["migration"] += 1
+            hist[ci] -= 1
+            hist[ci - 1] += 1
+            hist[cj] -= 1
+            hist[cj + 1] += 1
+            prev_max = cur_max
+            if cj + 1 > cur_max:
+                cur_max = cj + 1
+            elif ci == cur_max and hist[ci] == 0:
+                cur_max = ci - 1
+            if ci - 1 < cur_min:
+                cur_min = ci - 1
+            elif cj == cur_min and hist[cj] == 0:
+                cur_min = cj + 1
+            if cur_max > prev_max:
+                raise SimulationError(
+                    f"maximum occupancy rose from {prev_max} to {cur_max} "
+                    "during a closed rls run"
+                )
+            if cur_max == prev_max and hist[cur_max] > prev_cmax_count:
+                raise SimulationError(
+                    "server count at the maximum level rose while the "
+                    "maximum was flat during a closed rls run"
+                )
+            prev_cmax_count = hist[cur_max]
+            if stopped(cur_min, cur_max):
+                stop_time = t
+                break
 
-    if times[-1] < t:  # the horizon may already sit on the sample grid
+    times, snaps = [0.0], [initial_row]
+    if t > 0.0:
         times.append(t)
         snaps.append(tuple(counts))
-    censored = stop_time is None and stop != "horizon"
     traj = Trajectory(
         times=np.asarray(times),
         counts=np.asarray(snaps, dtype=np.int64),
@@ -430,7 +388,7 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
         seed=seed,
         final=SystemState(t, tuple(counts)),
     )
-    return ClosedRunResult(traj, stop_time if stop != "horizon" else horizon, censored)
+    return ClosedRunResult(traj, stop_time, stop_time is None)
 
 
 def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,

@@ -65,6 +65,10 @@ __all__ = [
 # zero a component may dip before clipping is refused.
 MASS_TOL = 1e-9
 NEG_TOL = 1e-12
+# Flow time after which relaxation to the rls equilibrium gives up, and the
+# flow time between two residual checks.
+RELAX_MAX_T = 20000.0
+RELAX_CHECK_EVERY = 2.0
 
 
 class SolverError(RuntimeError):
@@ -282,21 +286,21 @@ def integrate(
     return samples
 
 
-def _relax(rhs: Callable, x: np.ndarray, tol: float, dt: float, max_t: float,
-           check_every: float) -> Tuple[np.ndarray, float, float]:
+def _relax(rhs: Callable, x: np.ndarray, tol: float,
+           dt: float) -> Tuple[np.ndarray, float, float]:
     """Step until the derivative's max norm drops below tol.
 
     Returns (state, residual, elapsed). The fixed point of the exact flow is
     also a fixed point of the discrete step, so dt limits stability and the
     convergence clock, never where we land.
     """
-    steps_per_check = max(1, int(round(check_every / dt)))
+    steps_per_check = max(1, int(round(RELAX_CHECK_EVERY / dt)))
     t = 0.0
     residual = float(np.max(np.abs(rhs(x))))
     while residual >= tol:
-        if t >= max_t:
+        if t >= RELAX_MAX_T:
             raise SolverError(
-                f"no equilibrium within t={max_t}: residual {residual!r} "
+                f"no equilibrium within t={RELAX_MAX_T}: residual {residual!r} "
                 f"still above tol={tol!r}"
             )
         for _ in range(steps_per_check):
@@ -455,8 +459,7 @@ class RlsEquilibrium:
 
 
 def equilibrium_rls(lam: float, beta: float, b_cap: int, tol: float = 1e-10,
-                    dt: Optional[float] = None, max_t: float = 20000.0,
-                    check_every: float = 2.0) -> RlsEquilibrium:
+                    dt: Optional[float] = None) -> RlsEquilibrium:
     """Relax the load-sensitive flow to rest from both extreme starts.
 
     Returns the empty-start limit. The full-start run only feeds the
@@ -474,12 +477,8 @@ def equilibrium_rls(lam: float, beta: float, b_cap: int, tol: float = 1e-10,
         # total rate; stay a factor of a few inside that.
         dt = 0.5 / (1.0 + lam + beta * b_cap)
     rhs = make_rhs(Policy.RLS, lam, beta)
-    x_empty, residual, elapsed = _relax(
-        rhs, point_mass(0, b_cap).x.copy(), tol, dt, max_t, check_every
-    )
-    x_full, _, elapsed_full = _relax(
-        rhs, point_mass(b_cap, b_cap).x.copy(), tol, dt, max_t, check_every
-    )
+    x_empty, residual, elapsed = _relax(rhs, point_mass(0, b_cap).x.copy(), tol, dt)
+    x_full, _, elapsed_full = _relax(rhs, point_mass(b_cap, b_cap).x.copy(), tol, dt)
     gap = float(np.abs(x_empty - x_full).sum())
     flagged = gap > 10.0 * tol
     if flagged:

@@ -60,24 +60,6 @@ def _as_rate_tuple(value, m: int, key: str) -> tuple:
     return rates
 
 
-def uniform_jump_matrix(m: int, include_self: bool = True) -> tuple:
-    """Uniform random-walk row distribution over the m servers.
-
-    With include_self, every entry is 1/m and a jump may land on the origin
-    server (a no-op move). Without it, mass 1/(m-1) is spread over the other
-    servers; m must then be at least 2.
-    """
-    if include_self:
-        row = (1.0 / m,) * m
-        return tuple(row for _ in range(m))
-    if m < 2:
-        raise ConfigError("cannot exclude self-jumps with a single server")
-    rows = []
-    for i in range(m):
-        rows.append(tuple(0.0 if j == i else 1.0 / (m - 1) for j in range(m)))
-    return tuple(rows)
-
-
 def _check_jump_matrix(q, m: int) -> tuple:
     rows = []
     if len(q) != m:

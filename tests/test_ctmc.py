@@ -16,7 +16,7 @@ from migratesim.ctmc import (
     simulate_open,
     step,
 )
-from migratesim.model import Policy, SystemConfig, SystemState
+from migratesim.model import ConfigError, SystemConfig, SystemState
 from migratesim.stats import chi_square_gof
 
 
@@ -144,10 +144,20 @@ def test_closed_rejects_arrivals_and_bad_input():
         simulate_closed(RLS2, (1, 1, 1), horizon=1.0)
     with pytest.raises(ValueError):
         simulate_closed(RLS2, (1, 1), horizon=0.0)
-    with pytest.raises(ValueError):
-        simulate_closed(RLS2, (2, 0), horizon=1.0, stop="sometime")
+    for stop in ("sometime", "horizon"):
+        with pytest.raises(ValueError):
+            simulate_closed(RLS2, (2, 0), horizon=1.0, stop=stop)
     with pytest.raises(ValueError):
         simulate_closed(RLS2, (2, 0), horizon=1.0, stop="eps")
+    # the closed loop covers rls on identical servers with positive rates only
+    for cfg in (SystemConfig(m=3, policy="rlo"),
+                SystemConfig(m=3, policy="rls", service_rates=(1.0, 5.0, 1.0)),
+                SystemConfig(m=3, policy="rls", service_rates=0.0)):
+        with pytest.raises(ConfigError):
+            simulate_closed(cfg, (2, 2, 0), horizon=50.0, seed=1)
+    capped = SystemConfig(m=3, policy="rls", cap=2)
+    with pytest.raises(ValueError, match="exceeds the configured cap"):
+        simulate_closed(capped, (3, 0, 0), horizon=1.0)
 
 
 def test_closed_zero_rate_deadlock():
@@ -157,12 +167,6 @@ def test_closed_zero_rate_deadlock():
     # but a predicate that already holds needs no events at all
     res = simulate_closed(frozen, (1, 1), horizon=1.0)
     assert res.stop_time == 0.0 and not res.censored
-
-
-def test_closed_horizon_mode_never_censors():
-    res = simulate_closed(RLS2, (2, 0), horizon=2.0, stop="horizon", seed=3)
-    assert res.stop_time == 2.0 and not res.censored
-    assert res.trajectory.final.t == 2.0
 
 
 def test_closed_censoring_at_horizon():
@@ -183,42 +187,21 @@ def test_eps_stop_never_later_than_exact_balance():
 
 def test_closed_rls_extremes_monotone():
     """Accepted moves strictly improve a share, so with equal service rates
-    the running maximum never rises and the minimum never falls."""
+    the running maximum never rises and the minimum never falls. The path is
+    read from outside the loop: a rerun cut off at horizon h ends in the
+    path's state at h."""
     cfg = SystemConfig(m=5, policy="rls", resample_rate=1.0)
-    res = simulate_closed(cfg, (20, 0, 0, 0, 0), horizon=200.0, seed=42,
-                          sample_dt=0.05)
-    highs = res.trajectory.counts.max(axis=1)
-    lows = res.trajectory.counts.min(axis=1)
-    assert np.all(np.diff(highs) <= 0) or highs[0] == highs[-1]
-    assert np.all(np.diff(highs) <= 0)
-    assert np.all(np.diff(lows) >= 0)
+    start = (20, 0, 0, 0, 0)
+    res = simulate_closed(cfg, start, horizon=200.0, seed=42)
     assert res.stop_time is not None
-
-
-def test_closed_rlo_walk_conserves_population():
-    cfg = SystemConfig(m=3, policy="rlo", resample_rate=2.0)
-    res = simulate_closed(cfg, (4, 1, 0), horizon=5.0, stop="horizon", seed=9,
-                          sample_dt=0.5)
-    assert np.all(res.trajectory.counts.sum(axis=1) == 5)
-    ev = res.trajectory.event_counts
-    assert ev["resample_self"] > 0  # uniform walk keeps the self cell
-
-
-def test_closed_exclude_self_never_draws_self():
-    cfg = SystemConfig(m=3, policy="rlo", resample_rate=2.0, include_self=False)
-    res = simulate_closed(cfg, (4, 1, 0), horizon=5.0, stop="horizon", seed=9)
-    assert res.trajectory.event_counts["resample_self"] == 0
-
-
-def test_closed_cap_blocks_accepted_moves():
-    cfg = SystemConfig(m=3, policy="rls", service_rates=(1.0, 5.0, 1.0),
-                       resample_rate=1.0, cap=2)
-    res = simulate_closed(cfg, (2, 2, 0), horizon=3.0, stop="horizon", seed=7,
-                          sample_dt=0.1)
-    assert res.trajectory.counts.max() <= 2
-    assert res.trajectory.event_counts["migration_blocked"] > 0
-    with pytest.raises(ValueError):
-        simulate_closed(cfg, (3, 0, 0), horizon=1.0, stop="horizon")
+    grid = 0.05 * np.arange(1, int(res.stop_time / 0.05) + 1)
+    path = np.array([start]
+                    + [simulate_closed(cfg, start, horizon=h, seed=42)
+                       .trajectory.final.counts for h in grid]
+                    + [res.trajectory.final.counts])
+    assert len(path) > 10 and np.all(path.sum(axis=1) == 20)
+    assert np.all(np.diff(path.max(axis=1)) <= 0)
+    assert np.all(np.diff(path.min(axis=1)) >= 0)
 
 
 # --- open driver ----------------------------------------------------------------
@@ -281,28 +264,18 @@ def test_open_argument_validation():
 
 # --- sampling grids --------------------------------------------------------------
 
-def test_closed_quiescent_run_still_samples():
-    frozen = SystemConfig(m=2, policy="rls", resample_rate=0.0)
-    res = simulate_closed(frozen, (2, 0), horizon=1.0, stop="horizon",
-                          sample_dt=0.25)
-    np.testing.assert_array_equal(res.trajectory.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert np.all(res.trajectory.counts == (2, 0))
-
-
 def test_sample_grid_is_exact_multiples():
     cfg = SystemConfig(m=2, policy="rlo", resample_rate=1.0)
-    res = simulate_closed(cfg, (5, 5), horizon=1.0, stop="horizon", seed=3,
-                          sample_dt=0.002)
+    traj, _ = simulate_open(cfg, horizon=1.0, seed=3, sample_dt=0.002,
+                            initial=(5, 5))
     # index * dt, not running addition: no accumulated float drift
-    np.testing.assert_array_equal(res.trajectory.times,
-                                  np.arange(501) * 0.002)
+    np.testing.assert_array_equal(traj.times, np.arange(501) * 0.002)
 
 
 def test_off_grid_horizon_appends_final_row():
-    frozen = SystemConfig(m=2, policy="rls", resample_rate=0.0)
-    res = simulate_closed(frozen, (2, 0), horizon=0.9, stop="horizon",
-                          sample_dt=0.25)
-    np.testing.assert_array_equal(res.trajectory.times, [0.0, 0.25, 0.5, 0.75, 0.9])
+    cfg = SystemConfig(m=2, policy="rls")
+    traj, _ = simulate_open(cfg, horizon=0.9, sample_dt=0.25, initial=(2, 0))
+    np.testing.assert_array_equal(traj.times, [0.0, 0.25, 0.5, 0.75, 0.9])
 
 
 def test_open_empty_system_grid():

@@ -22,7 +22,7 @@ from migratesim.experiments import (
     throughput_comparison,
     write_results_csv,
 )
-from migratesim.meanfield import point_mass, solve_fixed_point_rlo
+from migratesim.meanfield import point_mass
 from migratesim.model import ConfigError, SystemConfig, rls_accepts
 from migratesim.stats import mean_sd
 

@@ -1,7 +1,6 @@
 """Mean-field layer: derivative fields, the tail-sum form, the stationary
 solvers, and the deterministic integrator."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 
 from migratesim.cli import main
 from migratesim.meanfield import (
-    FixedPoint,
     OdeState,
     SolverError,
     equilibrium_rls,
@@ -20,7 +18,6 @@ from migratesim.meanfield import (
     rhs_rlo,
     rhs_rlo_tail,
     rhs_rls,
-    rk4_step,
     sojourn_time,
     solve_fixed_point_rlo,
     st_leq,

@@ -1,9 +1,11 @@
 """Unit tests for the configuration layer, the acceptance predicate, and the
 empirical-measure helpers."""
 
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from migratesim.model import (
     measure_from_tails,
     rls_accepts,
     tail_sums,
-    uniform_jump_matrix,
 )
 
 
@@ -84,16 +85,6 @@ def test_jump_matrix_must_be_irreducible():
     # one-way chain: 0 -> 1 but never back
     with pytest.raises(ConfigError):
         SystemConfig(m=2, policy="rlo", jump_matrix=((0.0, 1.0), (0.0, 1.0)))
-
-
-def test_uniform_jump_matrix_shapes():
-    q = uniform_jump_matrix(4)
-    assert all(v == 0.25 for row in q for v in row)
-    q = uniform_jump_matrix(4, include_self=False)
-    for i, row in enumerate(q):
-        assert row[i] == 0.0
-        assert math.fsum(row) == pytest.approx(1.0)
-        assert all(v == pytest.approx(1.0 / 3.0) for j, v in enumerate(row) if j != i)
 
 
 def test_config_dict_round_trip(tmp_path):
@@ -200,3 +191,29 @@ def test_every_export_resolves():
     for module in (migratesim, meanfield):
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
+def test_no_unused_imports():
+    # an import nothing reads is dead code; names listed in __all__ are
+    # re-exports, and __future__ imports change the compiler, not the namespace
+    root = Path(__file__).resolve().parent.parent
+    files = sorted([*root.glob("src/migratesim/*.py"), *root.glob("tests/*.py"),
+                    *root.glob("demos/*.py")])
+    assert files
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(root)}: {name}")
+    assert not unused, f"unused imports: {unused}"
