@@ -3,7 +3,7 @@
 One small and one moderate server count at a fixed offered load, both
 migration policies. The oblivious-walk prediction is the fixed point of
 its one-dimensional root equation; the load-sensitive prediction is the
-relaxed equilibrium of its mean-field system.
+equilibrium of its mean-field system, solved by damped Newton.
 """
 
 from migratesim.experiments import throughput_comparison

@@ -11,7 +11,7 @@ existing output directory unless --force is given, and keeps timestamps
 out of the CSV files so a repeated command with the same seed reproduces
 them byte for byte. Exit codes: 0 success, 1 configuration or usage
 error, 2 completed with warnings (censoring, inconclusive or failed
-checks, flagged relaxations).
+checks, an rls equilibrium whose two starts disagree).
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ class RunManifest:
     started: float
     finished: Optional[float] = None
     version: str = field(default=__version__)
+    # solver telemetry (iterations, residual, ...); written only when set
+    solver: Optional[dict] = None
 
     def write(self, path) -> None:
         data = {
@@ -85,6 +87,8 @@ class RunManifest:
             "started": self.started,
             "finished": self.finished,
         }
+        if self.solver is not None:
+            data["solver"] = self.solver
         with open(path, "w", newline="\n") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -353,6 +357,7 @@ def cmd_meanfield(args) -> int:
         comments = [f"lambda={lam!r} beta={beta!r} B={cap}",
                     f"y={fp.y!r} z={fp.z!r} residual={fp.residual!r}"]
         rows = [{"k": k, "xi_k": v} for k, v in enumerate(fp.xi)]
+        manifest.solver = {"residual": fp.residual}
         exp.write_results_csv(csv_path, ("k", "xi_k"), rows, comments)
         print(f"y (mean occupancy): {fp.y!r}")
         print(f"z: {fp.z!r} residual: {fp.residual!r}")
@@ -365,8 +370,12 @@ def cmd_meanfield(args) -> int:
         with warnings.catch_warnings():
             # the flagged field is reported below; skip the noisy banner
             warnings.simplefilter("ignore", RuntimeWarning)
-            eq = equilibrium_rls(lam, beta, cap, tol=args.tol, dt=args.dt)
+            eq = equilibrium_rls(lam, beta, cap, tol=args.tol)
         y = mean_occupancy(eq.state)
+        manifest.solver = {"iterations": eq.iterations,
+                           "residual": eq.residual,
+                           "two_start_gap": eq.two_start_gap,
+                           "flagged": eq.flagged}
         comments = [f"lambda={lam!r} beta={beta!r} B={cap}",
                     f"y={y!r} residual={eq.residual!r} "
                     f"two_start_gap={eq.two_start_gap!r}"]
@@ -379,7 +388,7 @@ def cmd_meanfield(args) -> int:
             print(f"sojourn: {sojourn_time(y, lam)!r} "
                   f"throughput: {throughput(y, lam)!r}")
         if eq.flagged:
-            print("warning: the two relaxations disagree beyond 10x tol")
+            print("warning: the two starts disagree beyond 10x tol")
             code = 2
     manifest.finished = time.time()
     manifest.write(outdir / "manifest.json")
@@ -571,7 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mode", choices=("integrate", "fixedpoint"),
                    default="fixedpoint")
     f.add_argument("--t-end", type=float, default=50.0)
-    f.add_argument("--dt", type=float, default=None)
+    f.add_argument("--dt", type=float, default=None,
+                   help="RK4 step for --mode integrate (default 0.001); "
+                        "the fixed-point solvers take no step")
     f.add_argument("--sample-dt", type=float, default=None)
     f.add_argument("--tol", type=float, default=1e-10)
     f.add_argument("--out", default="runs/meanfield")

@@ -24,9 +24,13 @@ stochastic system does.
 The stationary law of the rlo flow is available in closed form up to a
 scalar root: flux balance gives xi_i = xi_0 * z**i / prod_{j<=i}(1+beta*j)
 with z = lam + beta*y, and z is pinned down by the self-consistency of y,
-expressed here as the root of ``g_of_z``. The rls flow has no closed form;
-``equilibrium_rls`` relaxes the ODE from the two extreme starts and reports
-how well they agree.
+expressed here as the root of ``g_of_z``. The rls flow has no closed form.
+Its right-hand side is quadratic in x, so ``jac_rls`` gives the exact
+Jacobian cheaply, and ``equilibrium_rls`` solves rhs_rls(x) = 0 under the
+mass constraint by damped Newton (Armijo backtracking, as in Kelley,
+"Solving Nonlinear Equations with Newton's Method", SIAM 2003, ch. 1). It
+solves from two starts, the empty system and the rlo fixed point, and
+reports how well they agree.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ __all__ = [
     "rhs_rlo",
     "rhs_rlo_tail",
     "rhs_rls",
+    "jac_rls",
     "make_rhs",
     "rk4_step",
     "integrate",
@@ -65,10 +70,14 @@ __all__ = [
 # zero a component may dip before clipping is refused.
 MASS_TOL = 1e-9
 NEG_TOL = 1e-12
-# Flow time after which relaxation to the rls equilibrium gives up, and the
-# flow time between two residual checks.
-RELAX_MAX_T = 20000.0
-RELAX_CHECK_EVERY = 2.0
+# Damped Newton for the rls equilibrium: done once the max-norm residual
+# is at rounding level; stuck after this many iterations, or once
+# backtracking has halved the step below the last constant.
+NEWTON_FLOOR = 8e-15
+NEWTON_MAX_ITER = 100
+NEWTON_MIN_STEP = 1e-12
+# Armijo slope: a step of length s must cut ||rhs||^2 by the factor 1 - ARMIJO*s.
+ARMIJO = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -153,6 +162,24 @@ def rhs_rlo_tail(s, lam: float, beta: float) -> np.ndarray:
     return ds
 
 
+def _rls_terms(x: np.ndarray):
+    """Levels, padded T and P, and x shifted up and down, for rhs_rls.
+
+    T is padded two above the cap and P two below zero, so T_{k+j} is
+    t_pad[k+j] and P_{k-j} is p_pad[k+2-j] for every level k.
+    """
+    k = np.arange(x.size, dtype=float)
+    t_pad = np.zeros(x.size + 2)
+    t_pad[:-2] = np.cumsum((k * x)[::-1])[::-1]
+    p_pad = np.zeros(x.size + 2)
+    p_pad[2:] = np.cumsum(x)
+    x_prev = np.zeros_like(x)
+    x_prev[1:] = x[:-1]
+    x_next = np.zeros_like(x)
+    x_next[:-1] = x[1:]
+    return k, t_pad, p_pad, x_prev, x_next
+
+
 def rhs_rls(x, lam: float, beta: float) -> np.ndarray:
     """Time derivative under load-sensitive resampling.
 
@@ -170,7 +197,7 @@ def rhs_rls(x, lam: float, beta: float) -> np.ndarray:
     """
     x = _vec(x)
     b = x.size - 1
-    k = np.arange(x.size, dtype=float)
+    k, t_pad, p_pad, x_prev, x_next = _rls_terms(x)
 
     up = lam * x
     up[b] = 0.0
@@ -180,26 +207,46 @@ def rhs_rls(x, lam: float, beta: float) -> np.ndarray:
     dx[1:] += up[:-1]
     dx[:-1] += down[1:]
 
-    # T padded two above the cap, P padded two below zero, so the shifted
-    # reads below never index out of range.
-    t_pad = np.zeros(x.size + 2)
-    t_pad[:-2] = np.cumsum((k * x)[::-1])[::-1]
-    p_pad = np.zeros(x.size + 2)
-    p_pad[2:] = np.cumsum(x)
-    x_prev = np.empty_like(x)
-    x_prev[0] = 0.0
-    x_prev[1:] = x[:-1]
-    x_next = np.empty_like(x)
-    x_next[-1] = 0.0
-    x_next[:-1] = x[1:]
-
-    idx = np.arange(x.size)
-    gain_hi = x_prev * t_pad[idx + 1]  # migrant lands, origin held >= k+1
-    loss_hi = x * t_pad[idx + 2]  # migrant lands elsewhere on level k
-    loss_lo = k * x * p_pad[idx]  # resident leaves for a level <= k-2
-    gain_lo = (k + 1.0) * x_next * p_pad[idx + 1]  # resident leaves level k+1
+    gain_hi = x_prev * t_pad[1:-1]  # migrant lands, origin held >= k+1
+    loss_hi = x * t_pad[2:]  # migrant lands elsewhere on level k
+    loss_lo = k * x * p_pad[:-2]  # resident leaves for a level <= k-2
+    gain_lo = (k + 1.0) * x_next * p_pad[1:-1]  # resident leaves level k+1
     dx += beta * (gain_hi - loss_hi - loss_lo + gain_lo)
     return dx
+
+
+def jac_rls(x, lam: float, beta: float) -> np.ndarray:
+    """Jacobian of rhs_rls at x: entry [k, i] is d(dx_k/dt)/dx_i.
+
+    rhs_rls is quadratic in x, so this is exact. Each migration term is one
+    component times a suffix sum T or a prefix sum P. Differentiating the
+    component gives a sub-, main- or superdiagonal entry; differentiating
+    the sum gives an outer product masked to the sum's triangle, since
+    dT_j/dx_i = i [i >= j] and dP_j/dx_i = [i <= j].
+    """
+    x = _vec(x)
+    b = x.size - 1
+    k, t_pad, p_pad, x_prev, x_next = _rls_terms(x)
+    ones = np.ones(x.size)
+    # [lo, hi] walks the superdiagonal, [hi, lo] the subdiagonal
+    lo, hi = np.arange(b), np.arange(1, b + 1)
+
+    # derivatives through the sums, one term of rhs_rls per line
+    mig = (np.triu(np.outer(x_prev, k), 1)  # x_{k-1} T_{k+1}
+           - np.triu(np.outer(x, k), 2)  # x_k T_{k+2}
+           - np.tril(np.outer(k * x, ones), -2)  # k x_k P_{k-2}
+           + np.tril(np.outer((k + 1.0) * x_next, ones), -1))  # (k+1) x_{k+1} P_{k-1}
+    # derivatives through the components
+    mig[hi, lo] += t_pad[2:-1]
+    mig[lo, hi] += (k[:-1] + 1.0) * p_pad[1:-2]
+    mig[np.diag_indices(b + 1)] -= t_pad[2:] + k * p_pad[:-2]
+
+    jac = beta * mig
+    jac[hi, lo] += lam  # arrivals from level k-1 land on k
+    jac[lo, hi] += 1.0  # completions from level k+1 land on k
+    jac[lo, lo] -= lam  # arrivals leave every level below the cap
+    jac[hi, hi] -= 1.0  # completions leave every level above zero
+    return jac
 
 
 def make_rhs(policy: Union[Policy, str], lam: float, beta: float) -> Callable:
@@ -284,30 +331,6 @@ def integrate(
     elif samples[-1][0] < t_end - 1e-12 or not samples:
         samples.append((t_end, OdeState(x.copy(), b_cap)))
     return samples
-
-
-def _relax(rhs: Callable, x: np.ndarray, tol: float,
-           dt: float) -> Tuple[np.ndarray, float, float]:
-    """Step until the derivative's max norm drops below tol.
-
-    Returns (state, residual, elapsed). The fixed point of the exact flow is
-    also a fixed point of the discrete step, so dt limits stability and the
-    convergence clock, never where we land.
-    """
-    steps_per_check = max(1, int(round(RELAX_CHECK_EVERY / dt)))
-    t = 0.0
-    residual = float(np.max(np.abs(rhs(x))))
-    while residual >= tol:
-        if t >= RELAX_MAX_T:
-            raise SolverError(
-                f"no equilibrium within t={RELAX_MAX_T}: residual {residual!r} "
-                f"still above tol={tol!r}"
-            )
-        for _ in range(steps_per_check):
-            t += dt
-            x = _advance(rhs, x, dt, t)
-        residual = float(np.max(np.abs(rhs(x))))
-    return x, residual, t
 
 
 def _check_rates(lam, beta, b_cap) -> None:
@@ -443,27 +466,106 @@ def solve_fixed_point_rlo(lam: float, beta: float, b_cap: int,
 
 @dataclass(frozen=True)
 class RlsEquilibrium:
-    """Relaxed load-sensitive equilibrium plus the two-start agreement audit.
+    """Load-sensitive equilibrium plus the two-start agreement audit.
 
     Uniqueness of this equilibrium is an observation, not a theorem, so the
-    distance between the empty-start and full-start limits is reported
-    rather than assumed away; ``flagged`` marks a gap above 10x the
-    residual tolerance.
+    distance between the Newton limits from the empty start and from the
+    rlo fixed point is reported rather than assumed away; ``flagged`` marks
+    a gap above 10x the residual tolerance. ``iterations`` is the larger of
+    the two starts' Newton iteration counts.
     """
 
     state: OdeState
     residual: float
     two_start_gap: float
     flagged: bool
-    elapsed: float
+    iterations: int
 
 
-def equilibrium_rls(lam: float, beta: float, b_cap: int, tol: float = 1e-10,
-                    dt: Optional[float] = None) -> RlsEquilibrium:
-    """Relax the load-sensitive flow to rest from both extreme starts.
+def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a @ x = b by Gaussian elimination with partial pivoting.
 
-    Returns the empty-start limit. The full-start run only feeds the
-    agreement gap.
+    Plain numpy instead of LAPACK: OpenBLAS runs its LU on several threads
+    for systems this size. On a 2-vCPU Xeon VM with the second vCPU busy,
+    one 121 x 121 solve took up to 0.1 s of CPU there, against 0.3 ms on
+    one thread, and the last bits of the answer changed with the thread
+    count. The array ops here run on one thread and give the same answer
+    whatever the BLAS threading.
+    """
+    a = a.copy()
+    b = b.copy()
+    n = b.size
+    for j in range(n):
+        p = j + int(np.argmax(np.abs(a[j:, j])))
+        if a[p, j] == 0.0:
+            raise SolverError(f"singular Newton system at column {j}")
+        if p != j:
+            a[[j, p]] = a[[p, j]]
+            b[[j, p]] = b[[p, j]]
+        m = a[j + 1:, j] / a[j, j]
+        a[j + 1:, j + 1:] -= np.outer(m, a[j, j + 1:])
+        b[j + 1:] -= m * b[j]
+    x = np.empty(n)
+    for j in range(n - 1, -1, -1):
+        x[j] = (b[j] - a[j, j + 1:] @ x[j + 1:]) / a[j, j]
+    return x
+
+
+def _newton_rls(x: np.ndarray, lam: float, beta: float,
+                tol: float) -> Tuple[np.ndarray, float, int]:
+    """Damped Newton on rhs_rls(x) = 0 from x, holding sum(x) = 1.
+
+    The balance rows sum to zero, so the last one is redundant; the mass
+    row takes its place in the Newton system. A trial point is clipped at
+    zero and renormalized, and the step is halved until the trial cuts
+    ||rhs_rls||^2 by the Armijo factor. Returns (state, max-norm residual,
+    iterations); raises SolverError if the residual is not under tol when
+    the iterations run out or the step collapses.
+    """
+    x = x.copy()
+    f = rhs_rls(x, lam, beta)
+    merit = float(f @ f)
+    residual = float(np.max(np.abs(f)))
+    iterations = 0
+    step = 1.0
+    while (residual > NEWTON_FLOOR and iterations < NEWTON_MAX_ITER
+           and step >= NEWTON_MIN_STEP):
+        jac = jac_rls(x, lam, beta)
+        jac[-1] = 1.0
+        g = f.copy()
+        g[-1] = float(x.sum()) - 1.0
+        dx = _gauss_solve(jac, -g)
+        step = 1.0
+        while step >= NEWTON_MIN_STEP:
+            trial = np.maximum(x + step * dx, 0.0)
+            trial /= trial.sum()
+            f_trial = rhs_rls(trial, lam, beta)
+            merit_trial = float(f_trial @ f_trial)
+            if merit_trial <= (1.0 - ARMIJO * step) * merit:
+                x, f, merit = trial, f_trial, merit_trial
+                residual = float(np.max(np.abs(f)))
+                iterations += 1
+                break
+            step *= 0.5
+    if not residual < tol:
+        why = (f"the step fell below {NEWTON_MIN_STEP}"
+               if step < NEWTON_MIN_STEP
+               else f"{iterations} Newton iterations")
+        raise SolverError(
+            f"no rls equilibrium: residual {residual!r} still not under "
+            f"tol={tol!r} after {why}"
+        )
+    return x, residual, iterations
+
+
+def equilibrium_rls(lam: float, beta: float, b_cap: int,
+                    tol: float = 1e-10) -> RlsEquilibrium:
+    """Solve the load-sensitive stationarity system from two starts.
+
+    Runs damped Newton with the analytic ``jac_rls`` from the empty start
+    and from the rlo fixed point at the same rates, and returns the
+    empty-start solution. The second start only feeds the agreement gap;
+    a gap above 10x tol sets ``flagged`` and warns. Requires lam < 1.
     """
     _check_rates(lam, beta, b_cap)
     if not tol > 0:
@@ -472,14 +574,11 @@ def equilibrium_rls(lam: float, beta: float, b_cap: int, tol: float = 1e-10,
         raise ValueError(
             f"no equilibrium at per-server load lam={lam!r}: requires lam < 1"
         )
-    if dt is None:
-        # Explicit stepping is stable for dt against the stiffest level's
-        # total rate; stay a factor of a few inside that.
-        dt = 0.5 / (1.0 + lam + beta * b_cap)
-    rhs = make_rhs(Policy.RLS, lam, beta)
-    x_empty, residual, elapsed = _relax(rhs, point_mass(0, b_cap).x.copy(), tol, dt)
-    x_full, _, elapsed_full = _relax(rhs, point_mass(b_cap, b_cap).x.copy(), tol, dt)
-    gap = float(np.abs(x_empty - x_full).sum())
+    x_empty, residual, it_empty = _newton_rls(point_mass(0, b_cap).x, lam,
+                                              beta, tol)
+    x_rlo, _, it_rlo = _newton_rls(solve_fixed_point_rlo(lam, beta, b_cap).xi,
+                                   lam, beta, tol)
+    gap = float(np.abs(x_empty - x_rlo).sum())
     flagged = gap > 10.0 * tol
     if flagged:
         warnings.warn(
@@ -493,7 +592,7 @@ def equilibrium_rls(lam: float, beta: float, b_cap: int, tol: float = 1e-10,
         residual=residual,
         two_start_gap=gap,
         flagged=flagged,
-        elapsed=max(elapsed, elapsed_full),
+        iterations=max(it_empty, it_rlo),
     )
 
 

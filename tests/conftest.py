@@ -1,8 +1,32 @@
 """Shared test plumbing: the acceptance suite registers one line per check
 here and a terminal hook prints them all at the end of the run, so the
-pass/fail table survives pytest's output capture."""
+pass/fail table survives pytest's output capture. The
+``disagreeing_starts`` fixture makes the rls equilibrium's two starts
+really disagree, for the tests of the flagged path."""
+
+import pytest
+
+from migratesim import meanfield
 
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture
+def disagreeing_starts(monkeypatch):
+    """Move 1e-6 of mass up one level in the second start's Newton answer."""
+    solve = meanfield._newton_rls
+    calls = []
+
+    def second_start_off(x, lam, beta, tol):
+        state, residual, iterations = solve(x, lam, beta, tol)
+        calls.append(1)
+        if len(calls) == 2:
+            state = state.copy()
+            state[0] -= 1e-6
+            state[1] += 1e-6
+        return state, residual, iterations
+
+    monkeypatch.setattr(meanfield, "_newton_rls", second_start_off)
 
 
 def record_acceptance(index: int, label: str, ok: bool, detail: str) -> None:

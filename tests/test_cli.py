@@ -163,6 +163,8 @@ def test_meanfield_fixed_point_rlo(tmp_path, capsys):
     # a float cell round-trips exactly through repr
     fp = solve_fixed_point_rlo(0.8, 0.5, 100)
     assert lines[3] == f"0,{float(fp.xi[0])!r}"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["solver"] == {"residual": fp.residual}
 
 
 def test_meanfield_empty_system(tmp_path, capsys):
@@ -172,20 +174,50 @@ def test_meanfield_empty_system(tmp_path, capsys):
     assert "undefined for an empty system" in capsys.readouterr().out
 
 
-def test_meanfield_rls_flagged_equilibrium_warns(tmp_path, capsys):
+def check_equilibrium_csv(out, cap):
+    lines = (out / "equilibrium.csv").read_text().splitlines()
+    assert lines[0] == f"# lambda=0.8 beta=0.5 B={cap}"
+    assert lines[1].startswith("# y=") and " two_start_gap=" in lines[1]
+    assert lines[2] == "k,x_k"
+    assert len(lines) == 3 + cap + 1
+    cells = [ln.split(",")[1] for ln in lines[3:]]
+    assert all(repr(float(c)) == c for c in cells)
+
+
+def test_meanfield_rls_equilibrium(tmp_path, capsys):
+    out = tmp_path / "mf"
+    code = run(["meanfield", "--policy", "rls", "--lambda", "0.8",
+                "--beta", "0.5", "--bcap", 60, "--out", out])
+    assert code == 0
+    assert "disagree" not in capsys.readouterr().out
+    check_equilibrium_csv(out, 60)
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert set(solver) == {"iterations", "residual", "two_start_gap", "flagged"}
+    assert solver["flagged"] is False
+    assert 0 < solver["iterations"] <= 100
+    assert solver["residual"] < 1e-10 and solver["two_start_gap"] < 1e-12
+
+
+def test_meanfield_rls_flagged_equilibrium_warns(tmp_path, capsys,
+                                                 disagreeing_starts):
     out = tmp_path / "mf"
     code = run(["meanfield", "--policy", "rls", "--lambda", "0.8",
                 "--beta", "0.5", "--bcap", 60, "--out", out])
     assert code == 2
-    text = capsys.readouterr().out
-    assert "two relaxations disagree" in text
-    lines = (out / "equilibrium.csv").read_text().splitlines()
-    assert lines[0] == "# lambda=0.8 beta=0.5 B=60"
-    assert lines[1].startswith("# y=") and " two_start_gap=" in lines[1]
-    assert lines[2] == "k,x_k"
-    assert len(lines) == 3 + 61
-    cells = [ln.split(",")[1] for ln in lines[3:]]
-    assert all(repr(float(c)) == c for c in cells)
+    assert "two starts disagree" in capsys.readouterr().out
+    check_equilibrium_csv(out, 60)
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["flagged"] is True
+
+
+def test_meanfield_rls_reruns_byte_identical(tmp_path):
+    out = tmp_path / "mf"
+    argv = ["meanfield", "--policy", "rls", "--lambda", "0.8", "--beta", "0.5",
+            "--bcap", 40, "--out", out]
+    assert run(argv) == 0
+    first = (out / "equilibrium.csv").read_bytes()
+    assert run(argv + ["--force"]) == 0
+    assert (out / "equilibrium.csv").read_bytes() == first
 
 
 def test_meanfield_integrate_mode(tmp_path, capsys):

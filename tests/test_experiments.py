@@ -389,6 +389,11 @@ def test_write_manifest_schema(tmp_path):
     assert data["outputs"] == ["a.csv"]
     assert data["started"] == 1.5 and data["finished"] is None
     assert data["version"]
+    assert "solver" not in data  # written only when a solver reports
     RunManifest("demo", {}, (), (), started=1.5).write(path)
     assert json.loads(path.read_text())["seeds"] == {
         "first": None, "last": None, "count": 0}
+    RunManifest("demo", {}, (), (), started=1.5,
+                solver={"iterations": 4, "residual": 1e-16}).write(path)
+    assert json.loads(path.read_text())["solver"] == {
+        "iterations": 4, "residual": 1e-16}

@@ -1,6 +1,7 @@
 """Mean-field layer: derivative fields, the tail-sum form, the stationary
 solvers, and the deterministic integrator."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from migratesim.meanfield import (
     equilibrium_rls,
     g_of_z,
     integrate,
+    jac_rls,
     mean_occupancy,
     point_mass,
     rhs_rlo,
@@ -228,26 +230,93 @@ def test_throughput_approaches_the_lone_client_rate_at_light_load():
     assert rates[2] == pytest.approx(1.0, abs=2e-3)
 
 
-def test_rls_equilibrium_flagged_but_converged():
-    """The two relaxations land 2.5e-9 apart at this tolerance, above the
-    10x-tol agreement line, so the result carries a warning flag while the
-    derivative residual itself is tiny."""
-    with pytest.warns(RuntimeWarning):
+def test_rls_equilibrium_converged():
+    """Newton from the empty start and from the rlo fixed point lands on
+    one state to rounding, so nothing is flagged or warned."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         eq = equilibrium_rls(0.8, 0.5, 60, tol=1e-10)
-    assert eq.flagged
+    assert not eq.flagged
     assert eq.residual < 1e-10
-    assert eq.two_start_gap == pytest.approx(2.5068693792991578e-09, rel=1e-3)
-    assert mean_occupancy(eq.state) == pytest.approx(1.614808725152698, rel=1e-9)
+    assert eq.two_start_gap < 1e-12
+    assert mean_occupancy(eq.state) == pytest.approx(1.6148087269083478, rel=1e-12)
     # resampling beats the oblivious walk on mean occupancy at these rates
     assert mean_occupancy(eq.state) < solve_fixed_point_rlo(0.8, 0.5, 60).y
 
 
 def test_rls_equilibrium_clean_case():
-    # a short occupancy range relaxes fast enough for the two starts to meet
     eq = equilibrium_rls(0.5, 1.0, 10, tol=1e-8)
     assert not eq.flagged
     assert eq.residual < 1e-8
     assert eq.two_start_gap < 1e-7
+
+
+def test_rls_equilibrium_flags_disagreeing_starts(disagreeing_starts):
+    with pytest.warns(RuntimeWarning, match="two-start equilibria differ"):
+        eq = equilibrium_rls(0.5, 1.0, 10)
+    assert eq.flagged
+    assert eq.two_start_gap == pytest.approx(2e-6, rel=1e-6)
+
+
+def test_rls_equilibrium_unreachable_tol_raises():
+    # a residual of 1e-30 is below what rounding lets rhs_rls reach
+    with pytest.raises(SolverError, match="not under tol"):
+        equilibrium_rls(0.8, 0.5, 10, tol=1e-30)
+
+
+def test_rls_equilibrium_domain():
+    with pytest.raises(ValueError):
+        equilibrium_rls(1.0, 0.5, 10)
+    with pytest.raises(ValueError):
+        equilibrium_rls(0.5, 0.5, 10, tol=0.0)
+
+
+def test_jac_rls_matches_central_differences():
+    rng = np.random.default_rng(3)
+    interior = rng.dirichlet(np.ones(13))
+    with_zero = interior.copy()
+    with_zero[5] = 0.0
+    with_zero /= with_zero.sum()
+    h = 1e-6
+    for x in (interior, with_zero):
+        jac = jac_rls(x, 0.7, 1.3)
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = h
+            column = (rhs_rls(x + e, 0.7, 1.3) - rhs_rls(x - e, 0.7, 1.3)) / (2 * h)
+            assert np.abs(jac[:, i] - column).max() < 1e-8
+
+
+def cut_balance_residual(x, lam, beta):
+    """Largest imbalance of the flux across the cuts k | k+1 at rest:
+    lam x_k + beta x_k T_{k+2} up against x_{k+1} (1 + beta (k+1) P_{k-1})
+    down, with T_j = sum_{i>=j} i x_i and P_j = sum_{i<=j} x_i."""
+    x = [float(v) for v in x]
+    b = len(x) - 1
+    worst = 0.0
+    for k in range(b):
+        t_k2 = sum(i * x[i] for i in range(k + 2, b + 1))
+        p_k1 = sum(x[:k])
+        up = lam * x[k] + beta * x[k] * t_k2
+        down = x[k + 1] * (1.0 + beta * (k + 1) * p_k1)
+        worst = max(worst, abs(up - down))
+    return worst
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 3.0])
+def test_rls_equilibrium_balances_every_cut(lam, beta):
+    for b_cap in (1, 5, 30):
+        eq = equilibrium_rls(lam, beta, b_cap)
+        assert cut_balance_residual(eq.state.x, lam, beta) < 1e-13
+
+
+def test_rls_equilibrium_is_where_the_flow_comes_to_rest():
+    # the integrator shares no code path with the Newton solve but rhs_rls
+    eq = equilibrium_rls(0.5, 1.0, 10)
+    final = integrate("rls", point_mass(0, 10), 50.0, dt=0.01, sample_dt=50.0,
+                      lam=0.5, beta=1.0)[-1][1]
+    assert np.abs(final.x - eq.state.x).sum() < 1e-8
 
 
 # --- integrator ----------------------------------------------------------------------
