@@ -10,7 +10,6 @@ from .model import (
     SystemConfig,
     SystemState,
     empirical_measure,
-    load_config,
     rls_accepts,
     tail_sums,
 )
@@ -67,7 +66,7 @@ __all__ = [
     "counts_from_measure", "drift_exclusion_threshold",
     "empirical_measure", "equilibrium_rls", "g_of_z", "integrate",
     "kurtz_deviation",
-    "load_config", "lower_bound_estimates", "lyapunov_drift",
+    "lower_bound_estimates", "lyapunov_drift",
     "mean_occupancy", "measure_balance_time", "measure_sojourns",
     "rhs_rlo", "rhs_rlo_tail", "rhs_rls", "rls_accepts",
     "simulate_closed", "simulate_coupled", "simulate_open", "sojourn_time",

@@ -15,9 +15,9 @@ Three drivers share one transition law:
   migrations to produce sojourn records.
 * ``simulate_coupled``: the three-colour particle system used to audit the
   open-system dynamics. All particles (blue, red, green) perform the same
-  random walk; blue arrivals come from one Poisson stream, and a second
-  stream marks a blue particle red where possible, otherwise deposits a
-  green one.
+  uniform random walk; blue arrivals come from one Poisson stream, and a
+  second stream marks a blue particle red where possible, otherwise
+  deposits a green one.
 
 ``step`` is the single-transition reference implementation. The loop
 drivers are written for speed but consume random draws in exactly the same
@@ -125,23 +125,13 @@ def _cumulative(seq) -> list:
     return out
 
 
-def _jump_destination(config: SystemConfig, rows_cum, origin: int, rng: Random) -> int:
-    """Destination draw for one rlo jump. rows_cum is None for the uniform walk."""
-    m = config.m
-    if rows_cum is None:
-        if config.include_self:
-            return rng.randrange(m)
-        k = rng.randrange(m - 1)
-        return k if k < origin else k + 1
-    u = rng.random()
-    j = bisect_right(rows_cum[origin], u)
-    return min(j, m - 1)
-
-
-def _rows_cum(config: SystemConfig):
-    if config.policy is Policy.RLO and config.jump_matrix is not None:
-        return [_cumulative(row) for row in config.jump_matrix]
-    return None
+def _jump_destination(config: SystemConfig, origin: int, rng: Random) -> int:
+    """Destination draw for one rlo jump: uniform over all m servers, or
+    over the other m - 1 when self-jumps are excluded."""
+    if config.include_self:
+        return rng.randrange(config.m)
+    k = rng.randrange(config.m - 1)
+    return k if k < origin else k + 1
 
 
 def step(state: SystemState, config: SystemConfig, rng: Random,
@@ -176,7 +166,7 @@ def step(state: SystemState, config: SystemConfig, rng: Random,
             if slot < acc:
                 origin = i
                 break
-        event = _resample_event(config, _rows_cum(config), counts, origin, rng, dt)
+        event = _resample_event(config, counts, origin, rng, dt)
         return SystemState(state.t + dt, tuple(counts)), event
 
     arr = config.arrival_rates
@@ -224,11 +214,11 @@ def step(state: SystemState, config: SystemConfig, rng: Random,
         if slot < acc:
             origin = i
             break
-    event = _resample_event(config, _rows_cum(config), counts, origin, rng, dt)
+    event = _resample_event(config, counts, origin, rng, dt)
     return SystemState(state.t + dt, tuple(counts)), event
 
 
-def _resample_event(config, rows_cum, counts, origin, rng: Random, dt: float) -> Event:
+def _resample_event(config, counts, origin, rng: Random, dt: float) -> Event:
     """Mutates counts according to one resampling attempt from ``origin``."""
     svc = config.service_rates
     if config.policy is Policy.RLS:
@@ -240,7 +230,7 @@ def _resample_event(config, rows_cum, counts, origin, rng: Random, dt: float) ->
             counts[dest] += 1
             return Event("migration", dt, origin, dest)
         return Event("resample_rejected", dt, origin, dest)
-    dest = _jump_destination(config, rows_cum, origin, rng)
+    dest = _jump_destination(config, origin, rng)
     if dest == origin:
         return Event("resample_self", dt, origin, dest)
     if config.cap is not None and counts[dest] >= config.cap:
@@ -425,9 +415,7 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
     homogeneous_svc = len(set(svc)) == 1
     svc0 = svc[0]
     rls = config.policy is Policy.RLS
-    rows_cum = _rows_cum(config)
     include_self = config.include_self
-    uniform_walk = config.jump_matrix is None
     cap = config.cap
 
     # busy list with positions for O(1) homogeneous departure picks
@@ -583,15 +571,11 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
             else:
                 events["resample_rejected"] += 1
         else:
-            if uniform_walk:
-                if include_self:
-                    j = rng.randrange(m)
-                else:
-                    k = rng.randrange(m - 1)
-                    j = k if k < i else k + 1
+            if include_self:
+                j = rng.randrange(m)
             else:
-                u = rng.random()
-                j = min(bisect_right(rows_cum[i], u), m - 1)
+                k = rng.randrange(m - 1)
+                j = k if k < i else k + 1
             if j == i:
                 events["resample_self"] += 1
             elif cap is not None and counts[j] >= cap:
@@ -647,15 +631,15 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
 
 
 def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float],
-                     removal_rates: Sequence[float], jump_matrix=None,
-                     horizon: float = 1.0, seed: int = 0,
+                     removal_rates: Sequence[float], horizon: float = 1.0,
+                     seed: int = 0,
                      sample_dt: Optional[float] = 0.1) -> CoupledTrajectory:
     """Run the three-colour auditing system.
 
-    Every particle, whatever its colour, walks independently from server i
-    to j at rate jump_matrix[i][j] (None means the uniform row 1/m, whose
-    self-jumps are no-ops). Blue particles arrive in a Poisson stream with
-    per-server intensities ``arrival_rates``. A second Poisson stream with
+    Every particle, whatever its colour, walks independently at rate 1 to a
+    uniformly drawn server (one of all m, so self-jumps are no-ops). Blue
+    particles arrive in a Poisson stream with per-server intensities
+    ``arrival_rates``. A second Poisson stream with
     intensities ``removal_rates`` picks a server: if a blue particle is
     present there one blue turns red, otherwise a green particle appears.
 
@@ -673,14 +657,6 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
         raise ValueError("arrival and removal rate vectors must have length m")
     if any(v < 0 for v in ell + rho):
         raise ValueError("arrival and removal rates must be non-negative")
-    if jump_matrix is None:
-        rows = [[1.0 / m] * m for _ in range(m)]
-    else:
-        rows = [[float(v) for v in row] for row in jump_matrix]
-        if len(rows) != m or any(len(r) != m for r in rows):
-            raise ValueError("jump matrix shape does not match the server count")
-    walk_rate = [math.fsum(r) for r in rows]  # per-particle clock at server i
-    rows_cum = [_cumulative(r) for r in rows]
     cum_ell = _cumulative(ell)
     cum_rho = _cumulative(rho)
     total_ell = cum_ell[-1]
@@ -713,11 +689,7 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
             next_sample = sample_idx * sample_dt
 
     while True:
-        # plain left-to-right sum so the selection scan below reproduces the
-        # exact partial sums and a draw below walk_total always lands
-        walk_total = 0.0
-        for i in range(m):
-            walk_total += (blue[i] + red[i] + green[i]) * walk_rate[i]
+        walk_total = sum(blue) + sum(red) + sum(green)  # each walks at rate 1
         total = walk_total + total_ell + total_rho
         if total <= 0.0:
             _emit(horizon)
@@ -735,18 +707,15 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
         if w < walk_total:
             # locate the walking particle: server first, then colour
             i = m - 1
-            acc = 0.0
+            acc = 0
             for k in range(m):
-                acc += (blue[k] + red[k] + green[k]) * walk_rate[k]
+                acc += blue[k] + red[k] + green[k]
                 if w < acc:
                     i = k
                     break
             z_i = blue[i] + red[i] + green[i]
-            r = w - (acc - z_i * walk_rate[i])
-            c = int(r / walk_rate[i]) if walk_rate[i] > 0 else 0
-            c = min(c, z_i - 1)
-            u = rng.random()
-            j = min(bisect_right(rows_cum[i], u * walk_rate[i]), m - 1)
+            c = min(int(w - (acc - z_i)), z_i - 1)
+            j = min(int(rng.random() * m), m - 1)
             if j == i:
                 events["walk_self"] += 1
                 continue
@@ -810,7 +779,5 @@ def config_echo(config: SystemConfig) -> str:
         "resample_rate": config.resample_rate,
         "cap": config.cap,
         "include_self": config.include_self,
-        "jump_matrix": None if config.jump_matrix is None
-        else [list(r) for r in config.jump_matrix],
     }
     return json.dumps(data, sort_keys=True)

@@ -10,7 +10,7 @@ queueing skeleton and differ only in the migration flux:
   to a birth-death flow with birth rate lam + beta * y below the cap and
   death rate 1 + beta * k off the empty level.
 * load-sensitive ("rls"): a resampled client moves only when the move
-  strictly improves her service share, which at this scale means the
+  strictly improves its service share, which at this scale means the
   origin holds at least two clients more than the destination. The
   migration terms couple each level to the prefix and suffix of the
   distribution instead of to y alone.

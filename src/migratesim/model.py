@@ -8,8 +8,9 @@ their server at a fixed per-client rate. Two resampling policies exist:
 
 * ``rls``: the client draws a candidate server uniformly at random and moves
   only if its service share would strictly improve there.
-* ``rlo``: the client hops along a configured random walk regardless of
-  load, so the move is always accepted.
+* ``rlo``: the client hops to a uniformly drawn server regardless of load
+  (any of the m servers, or one of the other m - 1 when self-jumps are
+  excluded), so the move is always accepted.
 
 Everything downstream (event-driven simulation, balance measurement, mean
 field limits) builds on the value objects and predicates defined here.
@@ -17,7 +18,6 @@ field limits) builds on the value objects and predicates defined here.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -60,54 +60,6 @@ def _as_rate_tuple(value, m: int, key: str) -> tuple:
     return rates
 
 
-def _check_jump_matrix(q, m: int) -> tuple:
-    rows = []
-    if len(q) != m:
-        raise ConfigError(f"'jump_matrix' has {len(q)} rows, expected m={m}")
-    for i, row in enumerate(q):
-        row = tuple(float(v) for v in row)
-        if len(row) != m:
-            raise ConfigError(f"'jump_matrix' row {i} has length {len(row)}, expected {m}")
-        if any(v < 0 or not math.isfinite(v) for v in row):
-            raise ConfigError(f"'jump_matrix' row {i} has a negative or non-finite entry")
-        if abs(sum(row) - 1.0) > 1e-9:
-            raise ConfigError(f"'jump_matrix' row {i} sums to {sum(row)!r}, expected 1")
-        rows.append(row)
-    _check_irreducible(rows)
-    return tuple(rows)
-
-
-def _reachable(rows, start: int, transpose: bool) -> set:
-    m = len(rows)
-    seen = {start}
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in range(m):
-            w = rows[j][i] if transpose else rows[i][j]
-            # self-loops do not contribute to connectivity
-            if j != i and w > 0 and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
-
-
-def _check_irreducible(rows) -> None:
-    m = len(rows)
-    fwd = _reachable(rows, 0, transpose=False)
-    if len(fwd) != m:
-        missing = sorted(set(range(m)) - fwd)
-        raise ConfigError(
-            f"'jump_matrix' is reducible: servers {missing} are unreachable from server 0"
-        )
-    bwd = _reachable(rows, 0, transpose=True)
-    if len(bwd) != m:
-        missing = sorted(set(range(m)) - bwd)
-        raise ConfigError(
-            f"'jump_matrix' is reducible: servers {missing} cannot reach server 0"
-        )
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Immutable description of one system.
@@ -117,11 +69,11 @@ class SystemConfig:
     arrival_rates    per-server exogenous arrival rate, length m
     resample_rate    per-client resampling clock rate (>= 0)
     policy           Policy.RLS or Policy.RLO
-    jump_matrix      row-stochastic walk for rlo; None means uniform over all
-                     m servers, self-jumps included (include_self toggles that)
-    cap              optional per-server occupancy cap (arrivals beyond it
-                     are dropped and counted)
-    include_self     whether the default uniform walk may land on the origin
+    cap              optional per-server occupancy cap: arrivals beyond it
+                     are dropped and migrations onto a full server are
+                     blocked, each counted
+    include_self     whether an rlo hop may land on its origin (uniform over
+                     all m servers) or not (uniform over the other m - 1)
     """
 
     m: int
@@ -129,7 +81,6 @@ class SystemConfig:
     arrival_rates: tuple = ()
     resample_rate: float = 1.0
     policy: Policy = Policy.RLS
-    jump_matrix: Optional[tuple] = None
     cap: Optional[int] = None
     include_self: bool = True
 
@@ -152,11 +103,7 @@ class SystemConfig:
             or self.resample_rate < 0
         ):
             raise ConfigError(f"'resample_rate' must be >= 0, got {self.resample_rate!r}")
-        if self.jump_matrix is not None:
-            if self.policy is Policy.RLS:
-                raise ConfigError("'jump_matrix' only applies to the rlo policy")
-            object.__setattr__(self, "jump_matrix", _check_jump_matrix(self.jump_matrix, self.m))
-        elif self.policy is Policy.RLO and not self.include_self and self.m < 2:
+        if self.policy is Policy.RLO and not self.include_self and self.m < 2:
             raise ConfigError("cannot exclude self-jumps with a single server")
         if self.cap is not None and (not isinstance(self.cap, int) or self.cap < 1):
             raise ConfigError(f"'cap' must be a positive integer, got {self.cap!r}")
@@ -287,48 +234,3 @@ def measure_from_tails(s) -> np.ndarray:
     x = s.copy()
     x[:-1] -= s[1:]
     return x
-
-
-# --- config file interface -------------------------------------------------
-
-_CONFIG_KEYS = {
-    "m", "policy", "arrival_rates", "service_rates", "resample_rate",
-    "jump_matrix", "cap", "include_self",
-}
-
-
-def config_from_dict(data: dict) -> SystemConfig:
-    """Build a SystemConfig from a parsed mapping, naming any offending key."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    if "m" not in data:
-        raise ConfigError("config is missing required key 'm'")
-    if "policy" not in data:
-        raise ConfigError("config is missing required key 'policy'")
-    try:
-        policy = Policy(data["policy"])
-    except ValueError:
-        raise ConfigError(
-            f"'policy' must be one of {[p.value for p in Policy]}, got {data['policy']!r}"
-        )
-    kwargs = dict(data)
-    jm = kwargs.get("jump_matrix")
-    if jm is not None:
-        kwargs["jump_matrix"] = tuple(tuple(row) for row in jm)
-    kwargs["policy"] = policy
-    kwargs.setdefault("service_rates", 1.0)
-    kwargs.setdefault("arrival_rates", 0.0)
-    return SystemConfig(**kwargs)
-
-
-def load_config(path) -> SystemConfig:
-    """Read a JSON config file (schema documented in the README)."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})")
-    return config_from_dict(data)

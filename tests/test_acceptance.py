@@ -8,6 +8,7 @@ claim as stated did not survive measurement, not that the code is broken.
 """
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,10 @@ from migratesim.meanfield import (
     st_leq,
 )
 from migratesim.model import SystemConfig, measure_from_tails, tail_sums
+
+# results do not depend on the worker count (test 12 and the *_jobs_parity
+# tests), so the slow replicated claims use every core
+JOBS = os.cpu_count() or 1
 
 
 def test_01_closed_balance_time_within_analytic_bound():
@@ -169,7 +174,7 @@ def test_06_finite_system_tracks_the_ode_closer_as_m_grows():
 
 def test_07_throughput_tracks_the_fixed_point_and_policies_agree():
     rows = throughput_comparison([20, 5], [0.8], 0.5, horizon=9000.0,
-                                 reps=24, include_self=False)
+                                 reps=24, include_self=False, jobs=JOBS)
     cell = {(r.m, r.policy): r for r in rows}
     err20 = cell[(20, "rlo")].rel_error
     err5 = cell[(5, "rlo")].rel_error
@@ -196,12 +201,12 @@ def test_08_stability_verdicts_follow_the_total_load():
     for policy in ("rls", "rlo"):
         cfg = SystemConfig(m=10, policy=policy, arrival_rates=0.9,
                            resample_rate=0.5)
-        rep = stability_probe(cfg, 5000.0, range(8000, 8020))
+        rep = stability_probe(cfg, 5000.0, range(8000, 8020), jobs=JOBS)
         if rep.verdict != "stable":
             bad.append(f"{policy} lam=0.9: {rep.verdict}")
         hot = SystemConfig(m=10, policy=policy, arrival_rates=1.2,
                            resample_rate=0.02)
-        rep = stability_probe(hot, 5000.0, range(8100, 8120))
+        rep = stability_probe(hot, 5000.0, range(8100, 8120), jobs=JOBS)
         slopes[policy] = rep.growth_slope
         if rep.verdict != "unstable" or not 1.6 <= rep.growth_slope <= 2.4:
             bad.append(f"{policy} lam=1.2: {rep.verdict} "
@@ -211,7 +216,7 @@ def test_08_stability_verdicts_follow_the_total_load():
         single = SystemConfig(m=10, policy=policy,
                               arrival_rates=(9.0,) + (0.0,) * 9,
                               resample_rate=0.5)
-        rep = stability_probe(single, 10000.0, range(8200, 8220))
+        rep = stability_probe(single, 10000.0, range(8200, 8220), jobs=JOBS)
         if rep.verdict != "stable":
             bad.append(f"{policy} single-entry: {rep.verdict}")
     ok = not bad

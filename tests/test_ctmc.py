@@ -242,14 +242,25 @@ def test_open_cap_drops_arrivals():
     assert traj.event_counts["arrival_dropped"] > 0
     with pytest.raises(ValueError):
         simulate_open(cfg, horizon=1.0, initial=(3, 0))
+    # an rlo hop onto a full server is blocked, never carried out
+    rlo = SystemConfig(m=2, policy="rlo", arrival_rates=5.0, resample_rate=1.0,
+                       cap=2, include_self=False)
+    traj, _ = simulate_open(rlo, horizon=30.0, seed=8)
+    assert traj.counts.max() <= 2
+    assert traj.event_counts["migration_blocked"] > 0
 
 
 def test_open_untracked_run_matches_event_totals():
-    cfg = SystemConfig(m=2, policy="rlo", arrival_rates=0.7, resample_rate=0.3)
-    traj, recs = simulate_open(cfg, horizon=25.0, seed=13, track_sojourns=False)
-    assert recs == []
-    ev = traj.event_counts
-    assert ev["arrival"] - ev["departure"] == traj.final.total
+    for include_self in (True, False):
+        cfg = SystemConfig(m=2, policy="rlo", arrival_rates=0.7, resample_rate=0.3,
+                           include_self=include_self)
+        traj, recs = simulate_open(cfg, horizon=25.0, seed=13, track_sojourns=False)
+        assert recs == []
+        ev = traj.event_counts
+        assert ev["arrival"] - ev["departure"] == traj.final.total
+        # an rlo hop lands on its own server exactly when self-jumps are on
+        assert (ev["resample_self"] > 0) == include_self
+        assert ev["migration"] > 0
 
 
 def test_open_argument_validation():
@@ -318,11 +329,6 @@ def test_coupled_walk_only_conserves_everything():
 
 
 def test_coupled_explicit_matrix_and_validation():
-    q = ((0.0, 1.0), (1.0, 0.0))  # always hop to the other server
-    out = simulate_coupled((2, 0), (0.0, 0.0), (0.0, 0.0), jump_matrix=q,
-                           horizon=3.0, seed=5)
-    assert out.event_counts["walk_self"] == 0
-    assert out.event_counts["walk"] > 0
     with pytest.raises(ValueError):
         simulate_coupled((-1, 0), (1.0, 1.0), (1.0, 1.0))
     with pytest.raises(ValueError):
@@ -335,6 +341,10 @@ def test_config_echo_is_canonical_json():
     import json
     cfg = SystemConfig(m=2, policy="rlo", arrival_rates=(0.1, 0.2), cap=4)
     echo = json.loads(config_echo(cfg))
+    # the schema is pinned: a field added to or dropped from SystemConfig
+    # changes this test, not just a CSV comment line
+    assert set(echo) == {"arrival_rates", "cap", "include_self", "m", "policy",
+                         "resample_rate", "service_rates"}
     assert echo["m"] == 2 and echo["cap"] == 4
     assert echo["policy"] == "rlo"
     assert config_echo(cfg) == config_echo(cfg)

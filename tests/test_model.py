@@ -2,7 +2,6 @@
 empirical-measure helpers."""
 
 import ast
-import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -17,11 +16,9 @@ from migratesim.model import (
     Policy,
     SystemConfig,
     SystemState,
-    config_from_dict,
     empirical_measure,
     eps_band,
     exact_fraction,
-    load_config,
     measure_from_tails,
     rls_accepts,
     tail_sums,
@@ -66,46 +63,10 @@ def test_exact_rate_types_survive():
     dict(m=2, policy="rls", cap=0),
     dict(m=2, policy="rls", cap=-3),
     dict(m=1, policy="rlo", include_self=False),
-    dict(m=2, policy="rls", jump_matrix=((0.0, 1.0), (1.0, 0.0))),
 ])
 def test_bad_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
         SystemConfig(**kwargs)
-
-
-def test_jump_matrix_row_sums_checked():
-    with pytest.raises(ConfigError):
-        SystemConfig(m=2, policy="rlo", jump_matrix=((0.5, 0.4), (0.5, 0.5)))
-
-
-def test_jump_matrix_must_be_irreducible():
-    # two isolated self-loops: no path between the servers
-    with pytest.raises(ConfigError):
-        SystemConfig(m=2, policy="rlo", jump_matrix=((1.0, 0.0), (0.0, 1.0)))
-    # one-way chain: 0 -> 1 but never back
-    with pytest.raises(ConfigError):
-        SystemConfig(m=2, policy="rlo", jump_matrix=((0.0, 1.0), (0.0, 1.0)))
-
-
-def test_config_dict_round_trip(tmp_path):
-    data = {"m": 3, "policy": "rlo", "arrival_rates": [0.5, 0.0, 0.1],
-            "resample_rate": 2.0, "cap": 7, "include_self": False}
-    cfg = config_from_dict(data)
-    assert cfg.m == 3 and cfg.cap == 7 and not cfg.include_self
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(data))
-    assert load_config(path) == cfg
-
-
-def test_config_dict_names_offenders(tmp_path):
-    with pytest.raises(ConfigError, match="beta"):
-        config_from_dict({"m": 2, "policy": "rls", "beta": 1.0})
-    with pytest.raises(ConfigError, match="policy"):
-        config_from_dict({"m": 2})
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError, match="invalid JSON"):
-        load_config(bad)
 
 
 def test_system_state_validates():
@@ -217,3 +178,40 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.relative_to(root)}: {name}")
     assert not unused, f"unused imports: {unused}"
+
+
+# definitions whose only callers are tests, on purpose: the tail form of the
+# rlo flow is the independent reference that rhs_rlo is checked against
+TEST_ONLY_REFERENCES = {"rhs_rlo_tail"}
+
+
+def test_every_definition_has_a_caller():
+    # a top-level function, class or constant that nothing in the package,
+    # the demos or the benchmarks reads is code whose only caller is a test
+    root = Path(__file__).resolve().parent.parent
+    modules = sorted(p for p in root.glob("src/migratesim/*.py")
+                     if p.name != "__init__.py")
+    readers = sorted(p for d in ("src", "demos", "benchmarks")
+                     for p in (root / d).rglob("*.py") if p.name != "__init__.py")
+    assert modules and readers
+    used = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    unused = []
+    for path in modules:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in names
+                       if not name.startswith("__") and name not in used
+                       and name not in TEST_ONLY_REFERENCES]
+    assert not unused, f"defined but never read outside tests: {unused}"
