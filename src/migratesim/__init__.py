@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .model import (
     ConfigError,
-    EmpiricalMeasure,
     Policy,
     SystemConfig,
     SystemState,
@@ -59,7 +58,7 @@ from .experiments import (
 __all__ = [
     "__version__",
     "BalanceTimeResult", "ConfigError",
-    "EmpiricalMeasure", "FixedPoint", "OdeState",
+    "FixedPoint", "OdeState",
     "Policy", "RlsEquilibrium", "SimulationError", "SojournSummary",
     "SolverError", "StabilityReport", "SystemConfig", "SystemState",
     "ThroughputRow",

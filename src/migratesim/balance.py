@@ -86,9 +86,6 @@ def initial_from_file(path, m: int) -> tuple:
 class BalanceTimeResult:
     """Replicated time-to-balance measurement for one (config, start, stop) cell."""
 
-    config: SystemConfig
-    initial: tuple
-    stop: str
     eps: Optional[float]
     seeds: tuple
     horizon: float
@@ -146,7 +143,6 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
         mean = sd = ci = None
     lower = lower_bound_estimates(m, n) if m >= 1 and n >= 1 else None
     return BalanceTimeResult(
-        config=config, initial=initial, stop=stop,
         eps=None if eps is None else float(exact_fraction(eps)),
         seeds=seeds, horizon=horizon, times=tuple(times),
         censored=len(times) - len(done),

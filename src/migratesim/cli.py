@@ -72,6 +72,8 @@ class RunManifest:
     version: str = field(default=__version__)
     # solver telemetry (iterations, residual, ...); written only when set
     solver: Optional[dict] = None
+    # why the run exits 2; written only when there is one
+    warnings: List[str] = field(default_factory=list)
 
     def write(self, path) -> None:
         data = {
@@ -89,6 +91,8 @@ class RunManifest:
         }
         if self.solver is not None:
             data["solver"] = self.solver
+        if self.warnings:
+            data["warnings"] = list(self.warnings)
         with open(path, "w", newline="\n") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -197,6 +201,9 @@ def cmd_balance(args) -> int:
             for k, (s, t) in enumerate(zip(res.seeds, res.times))]
     exp.write_results_csv(csv_path, ("rep", "seed", "balance_time"), rows,
                           comments)
+    if res.censored:
+        manifest.warnings.append(
+            f"{res.censored} replication(s) censored at the horizon")
     manifest.finished = time.time()
     manifest.write(outdir / "manifest.json")
 
@@ -204,10 +211,9 @@ def cmd_balance(args) -> int:
     print(f"ci95={res.ci95!r}")
     print(f"analytic bound: {res.bound!r}")
     print(f"lower bounds: {res.lower_bounds!r}")
-    if res.censored:
-        print(f"warning: {res.censored} replication(s) censored at the horizon")
-        return 2
-    return 0
+    for w in manifest.warnings:
+        print(f"warning: {w}")
+    return 2 if manifest.warnings else 0
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +260,18 @@ def cmd_open(args) -> int:
             f"slope_ci={report.slope_ci!r} tail_means={report.tail_means!r}",
         ]
         exp.write_results_csv(csv_path, ("seed", "slope"), rows, comments)
+        if report.verdict == "inconclusive":
+            manifest.warnings.append("stability probe inconclusive")
         manifest.finished = time.time()
         manifest.write(outdir / "manifest.json")
         print(f"verdict: {report.verdict}")
         print(f"growth slope: {report.growth_slope!r} ci95={report.slope_ci!r}")
         print(f"quarter-window means: {report.tail_means!r}")
-        return 2 if report.verdict == "inconclusive" else 0
+        return 2 if manifest.warnings else 0
 
     load = config.total_arrival_rate / config.total_service_rate
-    warnings: List[str] = []
     if load >= 1.0:
-        warnings.append(
+        manifest.warnings.append(
             f"offered load {load!r} >= 1: sojourn statistics are "
             "unreliable; rerun with --probe for a stability verdict"
         )
@@ -272,7 +279,7 @@ def cmd_open(args) -> int:
     else:
         cutoff = args.horizon - 12.0 / (1.0 - load)
         if cutoff <= warmup:
-            warnings.append("horizon too short for a censoring margin")
+            manifest.warnings.append("horizon too short for a censoring margin")
             cutoff = args.horizon
 
     summary = exp.measure_sojourns(config, args.horizon, warmup, args.reps,
@@ -296,20 +303,20 @@ def cmd_open(args) -> int:
         csv_path,
         ("rep", "seed", "clients", "censored", "mean_sojourn", "throughput"),
         rows, comments)
+    total_seen = summary.clients + summary.censored
+    if total_seen and summary.censored / total_seen > CENSOR_WARN_FRACTION:
+        manifest.warnings.append(
+            f"{summary.censored} of {total_seen} in-window clients censored"
+        )
     manifest.finished = time.time()
     manifest.write(outdir / "manifest.json")
 
     print(f"clients: {summary.clients} (censored in window: {summary.censored})")
     print(f"mean sojourn: {summary.mean_sojourn!r}")
     print(f"throughput: {summary.throughput!r} ci95={summary.ci95!r}")
-    total_seen = summary.clients + summary.censored
-    if total_seen and summary.censored / total_seen > CENSOR_WARN_FRACTION:
-        warnings.append(
-            f"{summary.censored} of {total_seen} in-window clients censored"
-        )
-    for w in warnings:
+    for w in manifest.warnings:
         print(f"warning: {w}")
-    return 2 if warnings else 0
+    return 2 if manifest.warnings else 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +358,6 @@ def cmd_meanfield(args) -> int:
     manifest = RunManifest("meanfield", params, (), (str(csv_path),),
                            started=time.time())
     manifest.write(outdir / "manifest.json")
-    code = 0
     if args.policy == "rlo":
         fp = solve_fixed_point_rlo(lam, beta, cap, tol=args.tol)
         comments = [f"lambda={lam!r} beta={beta!r} B={cap}",
@@ -388,11 +394,12 @@ def cmd_meanfield(args) -> int:
             print(f"sojourn: {sojourn_time(y, lam)!r} "
                   f"throughput: {throughput(y, lam)!r}")
         if eq.flagged:
-            print("warning: the two starts disagree beyond 10x tol")
-            code = 2
+            manifest.warnings.append("the two starts disagree beyond 10x tol")
     manifest.finished = time.time()
     manifest.write(outdir / "manifest.json")
-    return code
+    for w in manifest.warnings:
+        print(f"warning: {w}")
+    return 2 if manifest.warnings else 0
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +410,7 @@ def check_coupling(seed: int, reps: int):
     br = []
     for k in range(reps):
         tr = simulate_coupled((5, 5), (1.0, 1.0), (1.0, 1.0), horizon=2.0,
-                              seed=seed + k, sample_dt=None)
+                              seed=seed + k)
         rg.append(sum(tr.final.red) + sum(tr.final.green))
         br.append(sum(tr.final.blue) + sum(tr.final.red))
     stat, df, p = poisson_gof(rg, 4.0)
@@ -463,8 +470,8 @@ def check_lyapunov(m: int, max_n: int):
     return ok, detail
 
 
-def check_monotone(seed: int, pairs: int = 20):
-    b_cap, lam, beta, t_end = 30, 0.8, 0.5, 5.0
+def check_monotone(seed: int):
+    b_cap, lam, beta, t_end, pairs = 30, 0.8, 0.5, 5.0, 20
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(pairs):
@@ -509,6 +516,7 @@ def cmd_verify(args) -> int:
             {"suite": args.suite, "seed": seed, "reps": args.reps,
              "m": args.m, "max_n": args.max_n},
             (seed,), (str(csv_path),), started=time.time(),
+            warnings=[f"{n} check failed" for n, ok, _ in results if not ok],
         )
         manifest.write(outdir / "manifest.json")
         rows = [{"check": n, "passed": int(ok), "detail": d.replace(",", ";")}

@@ -68,7 +68,6 @@ class SojournRecord:
 
     client_id: int
     arrive_t: float
-    entry_server: int
     depart_t: Optional[float] = None
 
     @property
@@ -85,7 +84,6 @@ class Trajectory:
     times: np.ndarray  # (k,)
     counts: np.ndarray  # (k, m) occupancies, left-limits at the sample times
     event_counts: dict
-    seed: int
     final: SystemState
 
 
@@ -106,13 +104,9 @@ class CoupledState:
 
 @dataclass
 class CoupledTrajectory:
-    times: np.ndarray
-    blue: np.ndarray  # (k, m)
-    red: np.ndarray
-    green: np.ndarray
-    arrivals_so_far: np.ndarray  # cumulative blue arrivals at each sample
+    """End state of one three-colour run plus its event tallies."""
+
     event_counts: dict
-    seed: int
     final: CoupledState
 
 
@@ -375,7 +369,6 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
         times=np.asarray(times),
         counts=np.asarray(snaps, dtype=np.int64),
         event_counts=events,
-        seed=seed,
         final=SystemState(t, tuple(counts)),
     )
     return ClosedRunResult(traj, stop_time, stop_time is None)
@@ -431,7 +424,6 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
     slot_bagpos = []
     slot_id = [] if track_sojourns else None
     arrive_t = []
-    entry_server = []
     depart_t = {}
     for i, c in enumerate(counts):
         for _ in range(c):
@@ -512,7 +504,6 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
             if track_sojourns:
                 slot_id.append(next_id)
                 arrive_t.append(t)
-                entry_server.append(i)
                 next_id += 1
             n_live += 1
             events["arrival"] += 1
@@ -614,7 +605,6 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
         times=np.asarray(times),
         counts=np.asarray(snaps, dtype=np.int64),
         event_counts=events,
-        seed=seed,
         final=SystemState(t, tuple(counts)),
     )
     records = []
@@ -624,7 +614,6 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
                 records.append(SojournRecord(
                     client_id=cid,
                     arrive_t=arrive_t[cid],
-                    entry_server=entry_server[cid],
                     depart_t=depart_t.get(cid),
                 ))
     return traj, records
@@ -632,8 +621,7 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
 
 def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float],
                      removal_rates: Sequence[float], horizon: float = 1.0,
-                     seed: int = 0,
-                     sample_dt: Optional[float] = 0.1) -> CoupledTrajectory:
+                     seed: int = 0) -> CoupledTrajectory:
     """Run the three-colour auditing system.
 
     Every particle, whatever its colour, walks independently at rate 1 to a
@@ -645,7 +633,7 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
 
     Structurally, every removal-stream event adds exactly one particle to
     the red-plus-green pool, and the blue-plus-red total changes only
-    through blue arrivals.
+    through blue arrivals. Only the state at the horizon is kept.
     """
     m = len(initial_blue)
     blue = [int(c) for c in initial_blue]
@@ -666,41 +654,16 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
     green = [0] * m
     rng = Random(seed)
     t = 0.0
-    arrivals = 0
     events = {"walk": 0, "walk_self": 0, "arrival": 0,
               "removal_hit": 0, "removal_miss": 0}
-    times = [0.0]
-    snaps_b = [tuple(blue)]
-    snaps_r = [tuple(red)]
-    snaps_g = [tuple(green)]
-    snaps_a = [0]
-    sample_idx = 1
-    next_sample = sample_dt if sample_dt else math.inf
-
-    def _emit(upto: float) -> None:
-        nonlocal sample_idx, next_sample
-        while next_sample <= upto:
-            times.append(next_sample)
-            snaps_b.append(tuple(blue))
-            snaps_r.append(tuple(red))
-            snaps_g.append(tuple(green))
-            snaps_a.append(arrivals)
-            sample_idx += 1
-            next_sample = sample_idx * sample_dt
 
     while True:
         walk_total = sum(blue) + sum(red) + sum(green)  # each walks at rate 1
         total = walk_total + total_ell + total_rho
-        if total <= 0.0:
-            _emit(horizon)
-            t = horizon
-            break
-        t_next = t + rng.expovariate(total)
+        t_next = t + rng.expovariate(total) if total > 0.0 else math.inf
         if t_next > horizon:
-            _emit(horizon)
             t = horizon
             break
-        _emit(t_next)
         t = t_next
         w = rng.random() * total
 
@@ -735,7 +698,6 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
         if w < total_ell:
             i = bisect_right(cum_ell, w)
             blue[i] += 1
-            arrivals += 1
             events["arrival"] += 1
             continue
 
@@ -749,20 +711,8 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
             green[i] += 1
             events["removal_miss"] += 1
 
-    if times[-1] < t:  # the horizon may already sit on the sample grid
-        times.append(t)
-        snaps_b.append(tuple(blue))
-        snaps_r.append(tuple(red))
-        snaps_g.append(tuple(green))
-        snaps_a.append(arrivals)
     return CoupledTrajectory(
-        times=np.asarray(times),
-        blue=np.asarray(snaps_b, dtype=np.int64),
-        red=np.asarray(snaps_r, dtype=np.int64),
-        green=np.asarray(snaps_g, dtype=np.int64),
-        arrivals_so_far=np.asarray(snaps_a, dtype=np.int64),
         event_counts=events,
-        seed=seed,
         final=CoupledState(t, tuple(blue), tuple(red), tuple(green)),
     )
 

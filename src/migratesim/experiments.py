@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,11 @@ from .stats import cell_seed, map_replications, normal_ci, ols_slope
 # ---------------------------------------------------------------------------
 # stability probe
 
+# samples per population trace: a probe over horizon T reads the population
+# every T / PROBE_SAMPLES
+PROBE_SAMPLES = 500
+
+
 @dataclass
 class StabilityReport:
     """Statistical verdict on positive recurrence from finite traces."""
@@ -47,8 +52,6 @@ class StabilityReport:
     tail_means: tuple  # population means over the 3rd and 4th quarter windows
     per_seed_slopes: tuple
     seeds: tuple
-    horizon: float
-    sample_dt: float
 
 
 def _population_path(args):
@@ -59,8 +62,7 @@ def _population_path(args):
 
 
 def stability_probe(config: SystemConfig, horizon: float,
-                    seed_set: Sequence[int], sample_dt: Optional[float] = None,
-                    jobs: int = 1) -> StabilityReport:
+                    seed_set: Sequence[int], jobs: int = 1) -> StabilityReport:
     """Classify an open system as stable, unstable, or inconclusive.
 
     Each seed contributes one total-population trace. The least-squares
@@ -81,10 +83,8 @@ def stability_probe(config: SystemConfig, horizon: float,
     seeds = tuple(int(s) for s in seed_set)
     if len(seeds) < 2:
         raise ValueError("need at least two seeds")
-    if sample_dt is None:
-        sample_dt = horizon / 500.0
 
-    work = [(config, horizon, sample_dt, s) for s in seeds]
+    work = [(config, horizon, horizon / PROBE_SAMPLES, s) for s in seeds]
     paths = map_replications(_population_path, work, jobs)
 
     times = paths[0][0]
@@ -92,9 +92,6 @@ def stability_probe(config: SystemConfig, horizon: float,
     half = times >= horizon / 2.0
     q3 = half & (times < 0.75 * horizon)
     q4 = times >= 0.75 * horizon
-    if int(half.sum()) < 3 or not q3.any() or not q4.any():
-        raise ValueError("too few samples for the window statistics; "
-                         "shrink sample_dt")
     t_half = times[half]
     slopes = tuple(ols_slope(t_half, pop[half]) for pop in pops)
     mean_pop = pops.mean(axis=0)
@@ -115,7 +112,6 @@ def stability_probe(config: SystemConfig, horizon: float,
     return StabilityReport(
         verdict=verdict, growth_slope=slope, slope_ci=ci,
         tail_means=(m3, m4), per_seed_slopes=slopes, seeds=seeds,
-        horizon=float(horizon), sample_dt=float(sample_dt),
     )
 
 
@@ -267,7 +263,7 @@ def kurtz_deviation(config: SystemConfig, x0, t_end: float, seed: int,
             raise RuntimeError(
                 f"sample grids diverged at t={t_sim!r} vs {t_ode!r}"
             )
-        emp = empirical_measure(row, b_cap).x
+        emp = empirical_measure(row, b_cap)
         worst = max(worst, float(np.abs(emp - xs.x).sum()))
     return worst
 
@@ -283,7 +279,6 @@ class ThroughputRow:
     lam: float
     beta: float
     policy: str
-    single_entry: bool
     reps: int
     seeds: tuple  # (first, last)
     clients: int
@@ -291,8 +286,8 @@ class ThroughputRow:
     mean_sojourn: float
     throughput: float
     ci95: Optional[tuple]  # over per-replication throughputs
-    prediction: Optional[float]  # m = infinity mean-field value
-    rel_error: Optional[float]
+    prediction: float  # m = infinity mean-field value
+    rel_error: float
 
 
 def _sojourn_rep(args):
@@ -315,10 +310,6 @@ def _sojourn_rep(args):
 class SojournSummary:
     """Pooled sojourn statistics for one configuration over many seeds."""
 
-    config: SystemConfig
-    horizon: float
-    warmup: float
-    cutoff: float
     reps: int
     seeds: tuple  # (first, last)
     clients: int
@@ -356,11 +347,14 @@ def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
     else:
         pooled = thr = ci = None
     return SojournSummary(
-        config=config, horizon=float(horizon), warmup=float(warmup),
-        cutoff=float(cutoff), reps=reps, seeds=(seeds[0], seeds[-1]),
+        reps=reps, seeds=(seeds[0], seeds[-1]),
         clients=clients, censored=censored, mean_sojourn=pooled,
         throughput=thr, ci95=ci, per_rep=tuple(reps_out),
     )
+
+
+# the comparison runs every policy, in this order, in each cell
+POLICIES = (Policy.RLS, Policy.RLO)
 
 
 def _predict(policy: Policy, lam: float, beta: float, cap: int):
@@ -375,43 +369,32 @@ def throughput_comparison(
     m_list: Sequence[int],
     lambda_grid: Sequence[float],
     beta: float,
-    policy_set: Sequence[Union[Policy, str]] = (Policy.RLS, Policy.RLO),
     horizon: float = 2000.0,
     reps: int = 20,
-    warmup: Optional[float] = None,
     base_seed: int = 0,
     include_self: bool = True,
-    single_entry: bool = False,
     prediction_cap: int = 120,
     jobs: int = 1,
 ) -> List[ThroughputRow]:
     """Mean throughput per (m, lambda, policy), with the mean-field column.
 
-    lambda is the offered load per server; with single_entry the whole
-    stream m*lambda enters at server 1 and the prediction column is left
-    empty (the homogeneous fixed point does not apply). Sojourns are
-    measured over clients arriving in [warmup, horizon - 12/(1-lambda)]:
-    the leading margin discards the transient (default one fifth of the
-    horizon), the trailing margin keeps right-censoring negligible.
-    Throughput is the inverse of the pooled mean sojourn; the interval is
-    over per-replication throughputs.
+    lambda is the offered load on every server, and both policies run,
+    rls then rlo, in each (m, lambda) cell. Sojourns are measured over
+    clients arriving in [horizon/5, horizon - 12/(1-lambda)]: the leading
+    margin discards the transient, the trailing margin keeps
+    right-censoring negligible. Throughput is the inverse of the pooled
+    mean sojourn; the interval is over per-replication throughputs.
     """
-    policies = tuple(Policy(p) for p in policy_set)
     for lam in lambda_grid:
         if not 0 < lam < 1:
             raise ValueError(
                 f"offered load {lam!r} outside (0, 1): sojourn estimation "
                 "needs a stable system"
             )
-    if warmup is None:
-        warmup = 0.2 * horizon
+    warmup = 0.2 * horizon
 
-    predictions: Dict[tuple, float] = {}
-    if not single_entry:
-        for lam in lambda_grid:
-            for pol in policies:
-                predictions[(lam, pol)] = _predict(pol, lam, beta,
-                                                   prediction_cap)
+    predictions = {(lam, pol): _predict(pol, lam, beta, prediction_cap)
+                   for lam in lambda_grid for pol in POLICIES}
 
     rows: List[ThroughputRow] = []
     cell = 0
@@ -423,13 +406,9 @@ def throughput_comparison(
                     f"horizon {horizon!r} too short for load {lam!r}: the "
                     "measurement window is empty"
                 )
-            for pol in policies:
-                if single_entry:
-                    arrivals: Union[float, tuple] = (m * lam,) + (0.0,) * (m - 1)
-                else:
-                    arrivals = lam
+            for pol in POLICIES:
                 config = SystemConfig(
-                    m=m, policy=pol, arrival_rates=arrivals,
+                    m=m, policy=pol, arrival_rates=lam,
                     service_rates=1.0, resample_rate=beta,
                     include_self=include_self,
                 )
@@ -443,17 +422,15 @@ def throughput_comparison(
                         f"no completed sojourns in cell m={m}, lam={lam!r}, "
                         f"policy={pol.value}; lengthen the horizon"
                     )
-                pred = predictions.get((lam, pol))
+                pred = predictions[(lam, pol)]
                 rows.append(ThroughputRow(
-                    m=m, lam=lam, beta=beta, policy=pol.value,
-                    single_entry=single_entry, reps=reps,
+                    m=m, lam=lam, beta=beta, policy=pol.value, reps=reps,
                     seeds=summary.seeds, clients=summary.clients,
                     censored=summary.censored,
                     mean_sojourn=summary.mean_sojourn,
                     throughput=summary.throughput, ci95=summary.ci95,
                     prediction=pred,
-                    rel_error=None if pred is None
-                    else abs(summary.throughput - pred) / pred,
+                    rel_error=abs(summary.throughput - pred) / pred,
                 ))
                 cell += 1
     return rows

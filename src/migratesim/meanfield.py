@@ -286,25 +286,23 @@ def _advance(rhs: Callable, x: np.ndarray, dt: float, t: float) -> np.ndarray:
 
 
 def integrate(
-    rhs,
+    policy: Union[Policy, str],
     x0,
     t_end: float,
     dt: float = 1e-3,
     sample_dt: Optional[float] = None,
-    lam: Optional[float] = None,
-    beta: Optional[float] = None,
+    *,
+    lam: float,
+    beta: float,
 ) -> List[Tuple[float, OdeState]]:
     """Classical fourth-order fixed-step integration of either flow.
 
-    ``rhs`` is a one-argument callable, or a policy name ("rlo"/"rls") in
-    which case ``lam`` and ``beta`` must be supplied. Samples are recorded
-    at t=0, then whenever the running time crosses a multiple of
-    ``sample_dt`` (every step if it is None), and always at t_end.
+    ``policy`` ("rlo"/"rls") picks the flow, at rates ``lam`` and ``beta``.
+    Samples are recorded at t=0, then whenever the running time crosses a
+    multiple of ``sample_dt`` (every step if it is None), and always at
+    t_end.
     """
-    if isinstance(rhs, (str, Policy)):
-        if lam is None or beta is None:
-            raise ValueError("a policy-name rhs needs explicit lam and beta")
-        rhs = make_rhs(rhs, lam, beta)
+    rhs = make_rhs(policy, lam, beta)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     if t_end < 0:
@@ -328,7 +326,7 @@ def integrate(
     if remainder > 1e-12 * max(1.0, dt):
         x = _advance(rhs, x, remainder, t_end)
         samples.append((t_end, OdeState(x.copy(), b_cap)))
-    elif samples[-1][0] < t_end - 1e-12 or not samples:
+    elif samples[-1][0] < t_end - 1e-12:
         samples.append((t_end, OdeState(x.copy(), b_cap)))
     return samples
 

@@ -135,25 +135,6 @@ class SystemState:
         return sum(self.counts)
 
 
-@dataclass
-class EmpiricalMeasure:
-    """Fraction of servers holding exactly k clients, k = 0 .. b_cap."""
-
-    x: np.ndarray
-    b_cap: int
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.x.shape != (self.b_cap + 1,):
-            raise ValueError(
-                f"measure has shape {self.x.shape}, expected ({self.b_cap + 1},)"
-            )
-        if np.any(self.x < -1e-12):
-            raise ValueError("measure has a negative entry")
-        if abs(float(self.x.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"measure sums to {self.x.sum()!r}, expected 1")
-
-
 def exact_fraction(value) -> Fraction:
     """Read a tolerance or rate as an exact rational.
 
@@ -201,8 +182,8 @@ def rls_accepts(service_from, count_from, service_to, count_to) -> bool:
     return service_to * count_from > service_from * (count_to + 1)
 
 
-def empirical_measure(state: Union[SystemState, Sequence[int]], b_cap: int) -> EmpiricalMeasure:
-    """Histogram of per-server occupancies, normalized by the server count.
+def empirical_measure(state: Union[SystemState, Sequence[int]], b_cap: int) -> np.ndarray:
+    """Fraction of servers holding exactly k clients, k = 0 .. b_cap.
 
     Raises if any server exceeds b_cap: truncation is never silent.
     """
@@ -217,13 +198,11 @@ def empirical_measure(state: Union[SystemState, Sequence[int]], b_cap: int) -> E
             "raise b_cap instead of truncating"
         )
     hist = np.bincount(np.asarray(counts, dtype=np.int64), minlength=b_cap + 1)
-    return EmpiricalMeasure(hist / m, b_cap)
+    return hist / m
 
 
 def tail_sums(x) -> np.ndarray:
     """s_k = sum of x_j over j >= k. s_0 is the total mass, s_{B+1} would be 0."""
-    if isinstance(x, EmpiricalMeasure):
-        x = x.x
     x = np.asarray(x, dtype=float)
     return np.cumsum(x[::-1])[::-1]
 

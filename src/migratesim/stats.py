@@ -15,6 +15,12 @@ MIN_REPS_FOR_CI = 20
 
 SEED_STRIDE = 10 ** 6  # seed = base + cell_index * SEED_STRIDE + rep_index
 
+# two-sided 95% normal quantile for the replication intervals
+Z95 = float(sps.norm.ppf(0.975))
+
+# chi-square bins are pooled until each expects at least this many counts
+MIN_EXPECTED = 5.0
+
 
 def cell_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
     if rep_index >= SEED_STRIDE:
@@ -46,14 +52,13 @@ def mean_sd(values) -> tuple:
     return mean, sd
 
 
-def normal_ci(values, level: float = 0.95):
-    """Normal-approximation CI over replication values, or None if too few."""
+def normal_ci(values):
+    """Normal-approximation 95% CI over replication values, or None if too few."""
     v = np.asarray(values, dtype=float)
     if v.size < MIN_REPS_FOR_CI:
         return None
     mean, sd = mean_sd(v)
-    z = float(sps.norm.ppf(0.5 + level / 2))
-    half = z * sd / math.sqrt(v.size)
+    half = Z95 * sd / math.sqrt(v.size)
     return (mean - half, mean + half)
 
 
@@ -76,22 +81,22 @@ def ols_slope(t, y) -> float:
     return float(np.dot(tc, y - y.mean()) / denom)
 
 
-def chi_square_gof(observed, expected, min_expected: float = 5.0) -> tuple:
+def chi_square_gof(observed, expected) -> tuple:
     """Pearson goodness-of-fit with tail pooling.
 
     observed and expected are aligned count/expectation vectors over ordered
     bins. Adjacent bins are pooled from the right, then from the left, until
-    every pooled expectation reaches min_expected. Returns (stat, df, p).
+    every pooled expectation reaches MIN_EXPECTED. Returns (stat, df, p).
     Probabilities are taken as known, so df = bins - 1.
     """
     obs = [float(o) for o in observed]
     exp = [float(e) for e in expected]
     if len(obs) != len(exp):
         raise ValueError("observed and expected lengths differ")
-    while len(exp) > 2 and exp[-1] < min_expected:
+    while len(exp) > 2 and exp[-1] < MIN_EXPECTED:
         exp[-2] += exp.pop()
         obs[-2] += obs.pop()
-    while len(exp) > 2 and exp[0] < min_expected:
+    while len(exp) > 2 and exp[0] < MIN_EXPECTED:
         exp[1] += exp.pop(0)
         obs[1] += obs.pop(0)
     if any(e <= 0 for e in exp):

@@ -32,6 +32,7 @@ def test_balance_run_and_artifacts(tmp_path, capsys):
     assert manifest["seeds"] == {"first": 1, "last": 30, "count": 30}
     assert manifest["finished"] is not None
     assert manifest["version"]
+    assert "warnings" not in manifest  # a clean run keeps the plain schema
 
 
 def test_balance_refuses_overwrite_without_force(tmp_path, capsys):
@@ -127,11 +128,16 @@ def test_open_rate_length_mismatch(tmp_path, capsys):
 
 
 def test_open_overloaded_warns_and_exits_two(tmp_path, capsys):
+    out = tmp_path / "o"
     code = run(["open", "--m", 2, "--policy", "rlo", "--lambda", "1.2",
-                "--beta", "0.2", "--horizon", 40, "--reps", 2,
-                "--out", tmp_path / "o"])
+                "--beta", "0.2", "--horizon", 40, "--reps", 2, "--out", out])
     assert code == 2
-    assert "--probe" in capsys.readouterr().out
+    printed = [ln[len("warning: "):] for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("warning: ")]
+    assert any("--probe" in w for w in printed)
+    # the manifest says why the run exited 2, in the words it printed
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == printed
 
 
 def test_open_probe_small_sample_inconclusive(tmp_path, capsys):
@@ -206,8 +212,9 @@ def test_meanfield_rls_flagged_equilibrium_warns(tmp_path, capsys,
     assert code == 2
     assert "two starts disagree" in capsys.readouterr().out
     check_equilibrium_csv(out, 60)
-    solver = json.loads((out / "manifest.json").read_text())["solver"]
-    assert solver["flagged"] is True
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["solver"]["flagged"] is True
+    assert manifest["warnings"] == ["the two starts disagree beyond 10x tol"]
 
 
 def test_meanfield_rls_reruns_byte_identical(tmp_path):

@@ -332,8 +332,7 @@ def test_throughput_comparison_small_cell():
                                  base_seed=0)
     assert len(rows) == 2 and {r.policy for r in rows} == {"rls", "rlo"}
     for row in rows:
-        assert row.m == 2 and row.lam == 0.5 and not row.single_entry
-        assert row.prediction is not None
+        assert row.m == 2 and row.lam == 0.5
         assert row.rel_error == pytest.approx(
             abs(row.throughput - row.prediction) / row.prediction)
         assert row.clients > 0
@@ -342,21 +341,13 @@ def test_throughput_comparison_small_cell():
     assert rows[0].seeds != rows[1].seeds
 
 
-def test_throughput_comparison_single_entry_has_no_prediction():
-    rows = throughput_comparison([2], [0.5], beta=0.5, horizon=250.0, reps=2,
-                                 single_entry=True)
-    for row in rows:
-        assert row.single_entry
-        assert row.prediction is None and row.rel_error is None
-
-
 def test_throughput_comparison_domain():
     with pytest.raises(ValueError, match="outside"):
         throughput_comparison([2], [1.0], beta=0.5)
     with pytest.raises(ValueError, match="outside"):
         throughput_comparison([2], [0.0], beta=0.5)
     with pytest.raises(ValueError, match="too short"):
-        throughput_comparison([2], [0.5], beta=0.5, horizon=30.0, warmup=10.0)
+        throughput_comparison([2], [0.5], beta=0.5, horizon=30.0)
 
 
 # --- artifacts ----------------------------------------------------------------------------
@@ -388,10 +379,13 @@ def test_write_manifest_schema(tmp_path):
     assert data["started"] == 1.5 and data["finished"] is None
     assert data["version"]
     assert "solver" not in data  # written only when a solver reports
+    assert "warnings" not in data  # written only when the run warns
     RunManifest("demo", {}, (), (), started=1.5).write(path)
     assert json.loads(path.read_text())["seeds"] == {
         "first": None, "last": None, "count": 0}
     RunManifest("demo", {}, (), (), started=1.5,
-                solver={"iterations": 4, "residual": 1e-16}).write(path)
-    assert json.loads(path.read_text())["solver"] == {
-        "iterations": 4, "residual": 1e-16}
+                solver={"iterations": 4, "residual": 1e-16},
+                warnings=["2 replication(s) censored"]).write(path)
+    data = json.loads(path.read_text())
+    assert data["solver"] == {"iterations": 4, "residual": 1e-16}
+    assert data["warnings"] == ["2 replication(s) censored"]

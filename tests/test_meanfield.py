@@ -353,7 +353,7 @@ def test_integrate_rejects_unstable_step():
 
 
 def test_integrate_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         integrate("rlo", point_mass(0, 5).x, 1.0)  # lam and beta missing
     with pytest.raises(ValueError):
         integrate("rlo", point_mass(0, 5).x, -1.0, lam=0.5, beta=0.1)

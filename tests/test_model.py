@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from migratesim.model import (
     ConfigError,
-    EmpiricalMeasure,
     Policy,
     SystemConfig,
     SystemState,
@@ -102,20 +101,11 @@ def test_rls_accept_matches_exact_share_comparison(mu_a, n_a, mu_b, n_b):
 
 def test_empirical_measure_from_counts():
     em = empirical_measure((0, 2, 2, 5), b_cap=5)
-    np.testing.assert_allclose(em.x, [0.25, 0.0, 0.5, 0.0, 0.0, 0.25])
+    np.testing.assert_allclose(em, [0.25, 0.0, 0.5, 0.0, 0.0, 0.25])
     em2 = empirical_measure(SystemState(1.0, (0, 2, 2, 5)), b_cap=5)
-    np.testing.assert_allclose(em2.x, em.x)
+    np.testing.assert_allclose(em2, em)
     with pytest.raises(ValueError):
         empirical_measure((0, 6), b_cap=5)
-
-
-def test_measure_validation():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([0.5, 0.6]), b_cap=1)
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([1.1, -0.1]), b_cap=1)
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([0.5, 0.5, 0.0]), b_cap=1)
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12))
@@ -181,29 +171,77 @@ def test_no_unused_imports():
 
 
 # definitions whose only callers are tests, on purpose: the tail form of the
-# rlo flow is the independent reference that rhs_rlo is checked against
-TEST_ONLY_REFERENCES = {"rhs_rlo_tail"}
+# rlo flow is the independent reference that rhs_rlo is checked against, and
+# step is the one-event reference that the loop tests compare the event loops
+# against bit for bit
+TEST_ONLY_REFERENCES = {"rhs_rlo_tail", "step"}
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _package_modules():
+    return sorted(p for p in ROOT.glob("src/migratesim/*.py")
+                  if p.name != "__init__.py")
+
+
+def _caller_files():
+    # the package itself, the demos and the benchmarks: everything but tests
+    return sorted(p for d in ("src", "demos", "benchmarks")
+                  for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _own_bindings(func):
+    """Names a function binds itself: its arguments and assignment targets,
+    outside nested functions, less those it declares global or nonlocal."""
+    a = func.args
+    bound = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                 a.vararg, a.kwarg) if arg is not None}
+    declared = set()
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # a nested function binds in its own scope
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def _module_reads(node, shadowed=frozenset()):
+    """Names read from module scope: a load inside a function that binds the
+    name itself (or inside one nested in such a function) reads the local."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        shadowed = shadowed | _own_bindings(node)
+    reads = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in shadowed:
+            reads.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        reads.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        reads |= _module_reads(child, shadowed)
+    return reads
 
 
 def test_every_definition_has_a_caller():
     # a top-level function, class or constant that nothing in the package,
     # the demos or the benchmarks reads is code whose only caller is a test
-    root = Path(__file__).resolve().parent.parent
-    modules = sorted(p for p in root.glob("src/migratesim/*.py")
-                     if p.name != "__init__.py")
-    readers = sorted(p for d in ("src", "demos", "benchmarks")
-                     for p in (root / d).rglob("*.py") if p.name != "__init__.py")
+    modules = _package_modules()
+    readers = _caller_files()
     assert modules and readers
     used = set()
     for path in readers:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
+        used |= _module_reads(_parse(path))
     unused = []
     for path in modules:
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in _parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -215,3 +253,54 @@ def test_every_definition_has_a_caller():
                        if not name.startswith("__") and name not in used
                        and name not in TEST_ONLY_REFERENCES]
     assert not unused, f"defined but never read outside tests: {unused}"
+
+
+# defaulted parameters that no caller outside the tests sets, on purpose:
+# step is the test reference (closed selects its closed-system law), and
+# kurtz_deviation's dt is the step of the caller's precomputed ode, which
+# the grid check also uses as its tolerance
+UNSET_BY_CALLERS = {"ctmc.step.closed", "experiments.kurtz_deviation.dt"}
+
+
+def test_every_parameter_is_set_by_a_caller():
+    # a defaulted parameter of a public function that no call in the package,
+    # the demos or the benchmarks sets is an option only the tests use
+    positions = {}  # callee name -> most positional arguments in one call
+    keywords = {}  # callee name -> keyword names set by some call
+    for path in _caller_files():
+        tree = _parse(path)
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        # a **mapping call may set any keyword the file names anywhere
+        file_keywords = {k.arg for c in calls for k in c.keywords if k.arg}
+        for call in calls:
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            n_pos = (math.inf if any(isinstance(a, ast.Starred) for a in call.args)
+                     else len(call.args))
+            positions[name] = max(positions.get(name, 0), n_pos)
+            kw = keywords.setdefault(name, set())
+            for k in call.keywords:
+                kw.update([k.arg] if k.arg else file_keywords)
+    unset = []
+    for path in _package_modules():
+        for node in _parse(path).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            a = node.args
+            ordered = [*a.posonlyargs, *a.args]
+            defaulted = [(i, arg.arg) for i, arg in
+                         enumerate(ordered[len(ordered) - len(a.defaults):],
+                                   start=len(ordered) - len(a.defaults))]
+            defaulted += [(None, arg.arg) for arg, d in
+                          zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for index, param in defaulted:
+                by_position = (index is not None
+                               and positions.get(node.name, 0) > index)
+                by_keyword = param in keywords.get(node.name, ())
+                tag = f"{path.stem}.{node.name}.{param}"
+                if not (by_position or by_keyword) and tag not in UNSET_BY_CALLERS:
+                    unset.append(tag)
+    assert not unset, f"defaulted parameters only the tests set: {unset}"
