@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ctmc import simulate_closed
-from .model import SystemConfig, exact_fraction
+from .model import SystemConfig
 from .stats import map_replications, mean_sd, normal_ci
 
 
@@ -86,7 +86,6 @@ def initial_from_file(path, m: int) -> tuple:
 class BalanceTimeResult:
     """Replicated time-to-balance measurement for one (config, start, stop) cell."""
 
-    eps: Optional[float]
     seeds: tuple
     horizon: float
     times: tuple  # per replication; None where censored
@@ -143,7 +142,6 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
         mean = sd = ci = None
     lower = lower_bound_estimates(m, n) if m >= 1 and n >= 1 else None
     return BalanceTimeResult(
-        eps=None if eps is None else float(exact_fraction(eps)),
         seeds=seeds, horizon=horizon, times=tuple(times),
         censored=len(times) - len(done),
         mean=mean, sd=sd, ci95=ci, bound=bound, lower_bounds=lower,

@@ -6,12 +6,15 @@ statistics (or, with --probe, runs the stability probe), ``meanfield``
 integrates the occupancy flow or solves for its equilibrium, and
 ``verify`` runs the built-in consistency suites.
 
-Every run writes a JSON manifest before any results, refuses to reuse an
-existing output directory unless --force is given, and keeps timestamps
-out of the CSV files so a repeated command with the same seed reproduces
-them byte for byte. Exit codes: 0 success, 1 configuration or usage
-error, 2 completed with warnings (censoring, inconclusive or failed
-checks, an rls equilibrium whose two starts disagree).
+Every subcommand returns through one run protocol, ``_run``: it refuses to
+reuse an existing output directory unless --force is given, writes a JSON
+manifest before any results, and keeps timestamps out of the CSV files so
+a repeated command with the same seed reproduces them byte for byte. This
+module is the only one that writes files, so the CSV and manifest formats
+live here. Exit codes: 0 success, 1 configuration or usage error, 2
+completed with warnings (censoring, inconclusive or failed checks, an rls
+equilibrium whose two starts disagree), each printed as a ``warning:``
+line and listed in the manifest.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .balance import (
     initial_uniform,
     measure_balance_time,
 )
-from .ctmc import config_echo, simulate_coupled
+from .ctmc import simulate_coupled
 from .meanfield import (
     SolverError,
     equilibrium_rls,
@@ -98,6 +101,41 @@ class RunManifest:
             fh.write("\n")
 
 
+def config_echo(config: SystemConfig) -> str:
+    """Deterministic one-line JSON echo of a config, for CSV comment headers."""
+    data = {
+        "m": config.m,
+        "policy": config.policy.value,
+        "arrival_rates": list(config.arrival_rates),
+        "service_rates": list(config.service_rates),
+        "resample_rate": config.resample_rate,
+        "cap": config.cap,
+        "include_self": config.include_self,
+    }
+    return json.dumps(data, sort_keys=True)
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))  # np.float64 would repr as np.float64(...)
+    if isinstance(value, bool):
+        return str(int(value))
+    return str(value)
+
+
+def write_results_csv(path, columns: Sequence[str],
+                      rows: Sequence[dict], comments: Sequence[str]) -> None:
+    """Generic results table: '#' comment lines, header row, repr floats."""
+    with open(path, "w", newline="\n") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(row.get(c)) for c in columns) + "\n")
+
+
 class _Parser(argparse.ArgumentParser):
     # usage mistakes are configuration errors, not the default argparse 2
     def error(self, message):
@@ -119,17 +157,37 @@ def _resolve_seed(args) -> int:
     return args.seed if args.seed is not None else _env_seed()
 
 
-def _prepare_outdir(path, force: bool) -> Path:
-    out = Path(path)
-    if out.exists():
-        if not force:
+def _run(args, config: dict, seeds, csv_name: str,
+         body: Callable[[RunManifest], tuple]) -> int:
+    """The run protocol that every subcommand returns through.
+
+    Refuses an existing --out without --force and writes the manifest
+    before any work. body then prints its report, fills in the manifest's
+    warnings and solver, and returns the CSV as (columns, rows, comments).
+    The CSV and the finished manifest follow, then one "warning:" line per
+    warning; the exit code is 2 exactly when there is a warning. Without
+    --out (verify only) nothing is written.
+    """
+    out = None if args.out is None else Path(args.out)
+    manifest = RunManifest(args.command, config, tuple(seeds),
+                           () if out is None else (str(out / csv_name),),
+                           started=time.time())
+    if out is not None:
+        if out.exists() and not args.force:
             raise ConfigError(
                 f"output directory {out} already exists; pass --force to "
                 "write into it"
             )
-    else:
-        out.mkdir(parents=True)
-    return out
+        out.mkdir(parents=True, exist_ok=True)
+        manifest.write(out / "manifest.json")
+    columns, rows, comments = body(manifest)
+    if out is not None:
+        write_results_csv(out / csv_name, columns, rows, comments)
+        manifest.finished = time.time()
+        manifest.write(out / "manifest.json")
+    for w in manifest.warnings:
+        print(f"warning: {w}")
+    return 2 if manifest.warnings else 0
 
 
 def _parse_rates(text: str):
@@ -147,7 +205,7 @@ def _parse_stop(text: str):
         return "balanced", None
     if text.startswith("eps="):
         try:
-            return "eps", float(Fraction(text[4:]))
+            return "eps", Fraction(text[4:])
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"bad tolerance in {text!r}")
     raise ConfigError(f'--stop must be "exact" or "eps=<value>", got {text!r}')
@@ -175,45 +233,32 @@ def cmd_balance(args) -> int:
     config = SystemConfig(m=m, policy=Policy.RLS, arrival_rates=0.0,
                           service_rates=1.0, resample_rate=args.beta)
 
-    outdir = _prepare_outdir(args.out, args.force)
-    csv_path = outdir / "balance_times.csv"
-    manifest = RunManifest(
-        subcommand="balance",
-        config={"m": m, "n": n, "initial": args.initial, "stop": args.stop,
-                "beta": args.beta, "reps": args.reps, "horizon": args.horizon},
-        seeds=tuple(seed + k for k in range(args.reps)),
-        outputs=(str(csv_path),), started=time.time(),
-    )
-    manifest.write(outdir / "manifest.json")
+    def body(manifest):
+        res = measure_balance_time(config, initial, stop=stop, eps=eps,
+                                   reps=args.reps, base_seed=seed,
+                                   horizon=args.horizon, jobs=args.jobs)
+        print(f"balance time over {args.reps} runs: mean={res.mean!r} sd={res.sd!r}")
+        print(f"ci95={res.ci95!r}")
+        print(f"analytic bound: {res.bound!r}")
+        print(f"lower bounds: {res.lower_bounds!r}")
+        if res.censored:
+            manifest.warnings.append(
+                f"{res.censored} replication(s) censored at the horizon")
+        rows = [{"rep": k, "seed": s, "balance_time": t}
+                for k, (s, t) in enumerate(zip(res.seeds, res.times))]
+        comments = [
+            f"config={config_echo(config)}",
+            f"initial={','.join(str(c) for c in initial)} stop={args.stop}",
+            f"mean={res.mean!r} sd={res.sd!r} ci95={res.ci95!r}",
+            f"bound={res.bound!r} lower_bounds={res.lower_bounds!r}",
+            f"censored={res.censored} horizon={res.horizon!r}",
+        ]
+        return ("rep", "seed", "balance_time"), rows, comments
 
-    res = measure_balance_time(config, initial, stop=stop, eps=eps,
-                               reps=args.reps, base_seed=seed,
-                               horizon=args.horizon, jobs=args.jobs)
-
-    comments = [
-        f"config={config_echo(config)}",
-        f"initial={','.join(str(c) for c in initial)} stop={args.stop}",
-        f"mean={res.mean!r} sd={res.sd!r} ci95={res.ci95!r}",
-        f"bound={res.bound!r} lower_bounds={res.lower_bounds!r}",
-        f"censored={res.censored} horizon={res.horizon!r}",
-    ]
-    rows = [{"rep": k, "seed": s, "balance_time": t}
-            for k, (s, t) in enumerate(zip(res.seeds, res.times))]
-    exp.write_results_csv(csv_path, ("rep", "seed", "balance_time"), rows,
-                          comments)
-    if res.censored:
-        manifest.warnings.append(
-            f"{res.censored} replication(s) censored at the horizon")
-    manifest.finished = time.time()
-    manifest.write(outdir / "manifest.json")
-
-    print(f"balance time over {args.reps} runs: mean={res.mean!r} sd={res.sd!r}")
-    print(f"ci95={res.ci95!r}")
-    print(f"analytic bound: {res.bound!r}")
-    print(f"lower bounds: {res.lower_bounds!r}")
-    for w in manifest.warnings:
-        print(f"warning: {w}")
-    return 2 if manifest.warnings else 0
+    return _run(args, {"m": m, "n": n, "initial": args.initial,
+                       "stop": args.stop, "beta": args.beta, "reps": args.reps,
+                       "horizon": args.horizon},
+                range(seed, seed + args.reps), "balance_times.csv", body)
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +281,15 @@ def cmd_open(args) -> int:
                           include_self=not args.exclude_self)
     warmup = 0.2 * args.horizon if args.warmup is None else args.warmup
 
-    outdir = _prepare_outdir(args.out, args.force)
-    csv_path = outdir / ("probe.csv" if args.probe else "sojourns.csv")
-    manifest = RunManifest(
-        subcommand="open",
-        config={"config": json.loads(config_echo(config)),
-                "horizon": args.horizon, "warmup": warmup,
-                "reps": args.reps, "probe": bool(args.probe)},
-        seeds=tuple(seed + k for k in range(args.reps)),
-        outputs=(str(csv_path),), started=time.time(),
-    )
-    manifest.write(outdir / "manifest.json")
-
-    if args.probe:
+    def probe(manifest):
         report = exp.stability_probe(config, args.horizon,
                                      seed_set=range(seed, seed + args.reps),
                                      jobs=args.jobs)
+        print(f"verdict: {report.verdict}")
+        print(f"growth slope: {report.growth_slope!r} ci95={report.slope_ci!r}")
+        print(f"quarter-window means: {report.tail_means!r}")
+        if report.verdict == "inconclusive":
+            manifest.warnings.append("stability probe inconclusive")
         rows = [{"seed": s, "slope": sl}
                 for s, sl in zip(report.seeds, report.per_seed_slopes)]
         comments = [
@@ -259,64 +297,56 @@ def cmd_open(args) -> int:
             f"verdict={report.verdict} growth_slope={report.growth_slope!r}",
             f"slope_ci={report.slope_ci!r} tail_means={report.tail_means!r}",
         ]
-        exp.write_results_csv(csv_path, ("seed", "slope"), rows, comments)
-        if report.verdict == "inconclusive":
-            manifest.warnings.append("stability probe inconclusive")
-        manifest.finished = time.time()
-        manifest.write(outdir / "manifest.json")
-        print(f"verdict: {report.verdict}")
-        print(f"growth slope: {report.growth_slope!r} ci95={report.slope_ci!r}")
-        print(f"quarter-window means: {report.tail_means!r}")
-        return 2 if manifest.warnings else 0
+        return ("seed", "slope"), rows, comments
 
-    load = config.total_arrival_rate / config.total_service_rate
-    if load >= 1.0:
-        manifest.warnings.append(
-            f"offered load {load!r} >= 1: sojourn statistics are "
-            "unreliable; rerun with --probe for a stability verdict"
-        )
-        cutoff = args.horizon
-    else:
-        cutoff = args.horizon - 12.0 / (1.0 - load)
-        if cutoff <= warmup:
-            manifest.warnings.append("horizon too short for a censoring margin")
+    def sojourns(manifest):
+        load = config.total_arrival_rate / config.total_service_rate
+        if load >= 1.0:
+            manifest.warnings.append(
+                f"offered load {load!r} >= 1: sojourn statistics are "
+                "unreliable; rerun with --probe for a stability verdict"
+            )
             cutoff = args.horizon
+        else:
+            cutoff = args.horizon - 12.0 / (1.0 - load)
+            if cutoff <= warmup:
+                manifest.warnings.append("horizon too short for a censoring margin")
+                cutoff = args.horizon
 
-    summary = exp.measure_sojourns(config, args.horizon, warmup, args.reps,
-                                   base_seed=seed, cutoff=cutoff,
-                                   jobs=args.jobs)
-    rows = []
-    for k, (total, done, cens) in enumerate(summary.per_rep):
-        rows.append({
-            "rep": k, "seed": seed + k, "clients": done, "censored": cens,
-            "mean_sojourn": total / done if done else None,
-            "throughput": done / total if done else None,
-        })
-    comments = [
-        f"config={config_echo(config)}",
-        f"horizon={args.horizon!r} warmup={warmup!r} cutoff={cutoff!r}",
-        f"pooled mean_sojourn={summary.mean_sojourn!r} "
-        f"throughput={summary.throughput!r} ci95={summary.ci95!r}",
-        f"clients={summary.clients} censored={summary.censored}",
-    ]
-    exp.write_results_csv(
-        csv_path,
-        ("rep", "seed", "clients", "censored", "mean_sojourn", "throughput"),
-        rows, comments)
-    total_seen = summary.clients + summary.censored
-    if total_seen and summary.censored / total_seen > CENSOR_WARN_FRACTION:
-        manifest.warnings.append(
-            f"{summary.censored} of {total_seen} in-window clients censored"
-        )
-    manifest.finished = time.time()
-    manifest.write(outdir / "manifest.json")
+        summary = exp.measure_sojourns(config, args.horizon, warmup, args.reps,
+                                       base_seed=seed, cutoff=cutoff,
+                                       jobs=args.jobs)
+        print(f"clients: {summary.clients} (censored in window: {summary.censored})")
+        print(f"mean sojourn: {summary.mean_sojourn!r}")
+        print(f"throughput: {summary.throughput!r} ci95={summary.ci95!r}")
+        total_seen = summary.clients + summary.censored
+        if total_seen and summary.censored / total_seen > CENSOR_WARN_FRACTION:
+            manifest.warnings.append(
+                f"{summary.censored} of {total_seen} in-window clients censored"
+            )
+        rows = []
+        for k, (total, done, cens) in enumerate(summary.per_rep):
+            rows.append({
+                "rep": k, "seed": seed + k, "clients": done, "censored": cens,
+                "mean_sojourn": total / done if done else None,
+                "throughput": done / total if done else None,
+            })
+        comments = [
+            f"config={config_echo(config)}",
+            f"horizon={args.horizon!r} warmup={warmup!r} cutoff={cutoff!r}",
+            f"pooled mean_sojourn={summary.mean_sojourn!r} "
+            f"throughput={summary.throughput!r} ci95={summary.ci95!r}",
+            f"clients={summary.clients} censored={summary.censored}",
+        ]
+        return (("rep", "seed", "clients", "censored", "mean_sojourn",
+                 "throughput"), rows, comments)
 
-    print(f"clients: {summary.clients} (censored in window: {summary.censored})")
-    print(f"mean sojourn: {summary.mean_sojourn!r}")
-    print(f"throughput: {summary.throughput!r} ci95={summary.ci95!r}")
-    for w in manifest.warnings:
-        print(f"warning: {w}")
-    return 2 if manifest.warnings else 0
+    return _run(args, {"config": json.loads(config_echo(config)),
+                       "horizon": args.horizon, "warmup": warmup,
+                       "reps": args.reps, "probe": bool(args.probe)},
+                range(seed, seed + args.reps),
+                "probe.csv" if args.probe else "sojourns.csv",
+                probe if args.probe else sojourns)
 
 
 # ---------------------------------------------------------------------------
@@ -324,47 +354,25 @@ def cmd_open(args) -> int:
 
 def cmd_meanfield(args) -> int:
     lam, beta, cap = args.lam, args.beta, args.bcap
-    outdir = _prepare_outdir(args.out, args.force)
-    params = {"policy": args.policy, "lambda": lam, "beta": beta,
-              "bcap": cap, "mode": args.mode, "t_end": args.t_end,
-              "dt": args.dt, "tol": args.tol}
 
-    if args.mode == "integrate":
-        csv_path = outdir / "trajectory.csv"
-        manifest = RunManifest("meanfield", params, (), (str(csv_path),),
-                               started=time.time())
-        manifest.write(outdir / "manifest.json")
+    def trajectory(manifest):
         sample_dt = args.sample_dt if args.sample_dt else args.t_end / 100.0
         samples = integrate(args.policy, point_mass(0, cap), args.t_end,
                             dt=args.dt or 1e-3, sample_dt=sample_dt,
                             lam=lam, beta=beta)
-        comments = [f"policy={args.policy} lambda={lam!r} beta={beta!r} "
-                    f"B={cap} dt={args.dt or 1e-3!r}"]
-        columns = ("t",) + tuple(f"x_{k}" for k in range(cap + 1))
-        rows = [dict(zip(columns, (t, *state.x))) for t, state in samples]
-        exp.write_results_csv(csv_path, columns, rows, comments)
-        manifest.finished = time.time()
-        manifest.write(outdir / "manifest.json")
         final = samples[-1][1]
         rhs = make_rhs(args.policy, lam, beta)
         print(f"integrated to t={samples[-1][0]!r} ({len(samples)} samples)")
         print(f"mean occupancy: {mean_occupancy(final)!r}")
         print(f"residual: {float(np.max(np.abs(rhs(final.x))))!r}")
-        return 0
+        columns = ("t",) + tuple(f"x_{k}" for k in range(cap + 1))
+        rows = [dict(zip(columns, (t, *state.x))) for t, state in samples]
+        return columns, rows, [f"policy={args.policy} lambda={lam!r} "
+                               f"beta={beta!r} B={cap} dt={args.dt or 1e-3!r}"]
 
-    # fixed-point mode
-    csv_path = outdir / ("fixed_point.csv" if args.policy == "rlo"
-                         else "equilibrium.csv")
-    manifest = RunManifest("meanfield", params, (), (str(csv_path),),
-                           started=time.time())
-    manifest.write(outdir / "manifest.json")
-    if args.policy == "rlo":
+    def fixed_point(manifest):
         fp = solve_fixed_point_rlo(lam, beta, cap, tol=args.tol)
-        comments = [f"lambda={lam!r} beta={beta!r} B={cap}",
-                    f"y={fp.y!r} z={fp.z!r} residual={fp.residual!r}"]
-        rows = [{"k": k, "xi_k": v} for k, v in enumerate(fp.xi)]
         manifest.solver = {"residual": fp.residual}
-        exp.write_results_csv(csv_path, ("k", "xi_k"), rows, comments)
         print(f"y (mean occupancy): {fp.y!r}")
         print(f"z: {fp.z!r} residual: {fp.residual!r}")
         if lam > 0:
@@ -372,7 +380,12 @@ def cmd_meanfield(args) -> int:
                   f"throughput: {throughput(fp.y, lam)!r}")
         else:
             print("sojourn/throughput: undefined for an empty system")
-    else:
+        rows = [{"k": k, "xi_k": v} for k, v in enumerate(fp.xi)]
+        return ("k", "xi_k"), rows, [
+            f"lambda={lam!r} beta={beta!r} B={cap}",
+            f"y={fp.y!r} z={fp.z!r} residual={fp.residual!r}"]
+
+    def equilibrium(manifest):
         with warnings.catch_warnings():
             # the flagged field is reported below; skip the noisy banner
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -382,11 +395,6 @@ def cmd_meanfield(args) -> int:
                            "residual": eq.residual,
                            "two_start_gap": eq.two_start_gap,
                            "flagged": eq.flagged}
-        comments = [f"lambda={lam!r} beta={beta!r} B={cap}",
-                    f"y={y!r} residual={eq.residual!r} "
-                    f"two_start_gap={eq.two_start_gap!r}"]
-        rows = [{"k": k, "x_k": v} for k, v in enumerate(eq.state.x)]
-        exp.write_results_csv(csv_path, ("k", "x_k"), rows, comments)
         print(f"y (mean occupancy): {y!r}")
         print(f"residual: {eq.residual!r}")
         print(f"two-start agreement (L1): {eq.two_start_gap!r}")
@@ -395,11 +403,22 @@ def cmd_meanfield(args) -> int:
                   f"throughput: {throughput(y, lam)!r}")
         if eq.flagged:
             manifest.warnings.append("the two starts disagree beyond 10x tol")
-    manifest.finished = time.time()
-    manifest.write(outdir / "manifest.json")
-    for w in manifest.warnings:
-        print(f"warning: {w}")
-    return 2 if manifest.warnings else 0
+        rows = [{"k": k, "x_k": v} for k, v in enumerate(eq.state.x)]
+        return ("k", "x_k"), rows, [
+            f"lambda={lam!r} beta={beta!r} B={cap}",
+            f"y={y!r} residual={eq.residual!r} "
+            f"two_start_gap={eq.two_start_gap!r}"]
+
+    if args.mode == "integrate":
+        csv_name, body = "trajectory.csv", trajectory
+    elif args.policy == "rlo":
+        csv_name, body = "fixed_point.csv", fixed_point
+    else:
+        csv_name, body = "equilibrium.csv", equilibrium
+    return _run(args, {"policy": args.policy, "lambda": lam, "beta": beta,
+                       "bcap": cap, "mode": args.mode, "t_end": args.t_end,
+                       "dt": args.dt, "tol": args.tol},
+                (), csv_name, body)
 
 
 # ---------------------------------------------------------------------------
@@ -493,39 +512,27 @@ def check_monotone(seed: int):
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
-    suites = (("coupling", "kurtz", "lyapunov", "monotone")
-              if args.suite == "all" else (args.suite,))
-    results = []
-    for name in suites:
-        if name == "coupling":
-            ok, detail = check_coupling(seed, args.reps)
-        elif name == "kurtz":
-            ok, detail = check_kurtz(seed)
-        elif name == "lyapunov":
-            ok, detail = check_lyapunov(args.m, args.max_n)
-        else:
-            ok, detail = check_monotone(seed)
-        results.append((name, ok, detail))
-        print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
+    checks = {
+        "coupling": lambda: check_coupling(seed, args.reps),
+        "kurtz": lambda: check_kurtz(seed),
+        "lyapunov": lambda: check_lyapunov(args.m, args.max_n),
+        "monotone": lambda: check_monotone(seed),
+    }
 
-    if args.out is not None:
-        outdir = _prepare_outdir(args.out, args.force)
-        csv_path = outdir / "verify.csv"
-        manifest = RunManifest(
-            "verify",
-            {"suite": args.suite, "seed": seed, "reps": args.reps,
-             "m": args.m, "max_n": args.max_n},
-            (seed,), (str(csv_path),), started=time.time(),
-            warnings=[f"{n} check failed" for n, ok, _ in results if not ok],
-        )
-        manifest.write(outdir / "manifest.json")
-        rows = [{"check": n, "passed": int(ok), "detail": d.replace(",", ";")}
-                for n, ok, d in results]
-        exp.write_results_csv(csv_path, ("check", "passed", "detail"), rows)
-        manifest.finished = time.time()
-        manifest.write(outdir / "manifest.json")
+    def body(manifest):
+        rows = []
+        for name in checks if args.suite == "all" else (args.suite,):
+            ok, detail = checks[name]()
+            print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
+            if not ok:
+                manifest.warnings.append(f"{name} check failed")
+            rows.append({"check": name, "passed": int(ok),
+                         "detail": detail.replace(",", ";")})
+        return ("check", "passed", "detail"), rows, ()
 
-    return 0 if all(ok for _, ok, _ in results) else 2
+    return _run(args, {"suite": args.suite, "seed": seed, "reps": args.reps,
+                       "m": args.m, "max_n": args.max_n},
+                (seed,), "verify.csv", body)
 
 
 # ---------------------------------------------------------------------------

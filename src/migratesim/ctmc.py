@@ -35,7 +35,6 @@ first loop event under the same seed.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -79,19 +78,12 @@ class SojournRecord:
 
 @dataclass
 class Trajectory:
-    """Sampled occupancy path plus event tallies for one run."""
+    """Sampled occupancy path plus event tallies for one open run."""
 
     times: np.ndarray  # (k,)
     counts: np.ndarray  # (k, m) occupancies, left-limits at the sample times
     event_counts: dict
     final: SystemState
-
-
-@dataclass
-class ClosedRunResult:
-    trajectory: Trajectory
-    stop_time: Optional[float]  # None when censored at the horizon
-    censored: bool
 
 
 @dataclass(frozen=True)
@@ -103,11 +95,18 @@ class CoupledState:
 
 
 @dataclass
-class CoupledTrajectory:
-    """End state of one three-colour run plus its event tallies."""
+class RunEnd:
+    """Event tallies and end state of a run that keeps no sampled path."""
 
     event_counts: dict
-    final: CoupledState
+    final: SystemState | CoupledState  # closed runs | three-colour runs
+
+
+@dataclass
+class ClosedRunResult:
+    trajectory: RunEnd
+    stop_time: Optional[float]  # None when censored at the horizon
+    censored: bool
 
 
 def _cumulative(seq) -> list:
@@ -250,8 +249,8 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     at which the predicate first held; if the horizon hits first the
     result is flagged censored. After every accepted move the running
     maximum is checked to be non-increasing, and the number of servers at
-    the maximum non-increasing while the maximum is flat. The trajectory
-    holds the start and end rows only.
+    the maximum non-increasing while the maximum is flat. Only the event
+    tallies and the end state are kept.
     """
     if any(r != 0.0 for r in config.arrival_rates):
         raise SimulationError("closed runs require all arrival rates to be zero")
@@ -302,7 +301,6 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
         slots.extend([i] * c)
 
     events = {"migration": 0, "resample_rejected": 0}
-    initial_row = tuple(counts)
     t = 0.0
     stop_time = None
     if stopped(cur_min, cur_max):
@@ -361,17 +359,8 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
                 stop_time = t
                 break
 
-    times, snaps = [0.0], [initial_row]
-    if t > 0.0:
-        times.append(t)
-        snaps.append(tuple(counts))
-    traj = Trajectory(
-        times=np.asarray(times),
-        counts=np.asarray(snaps, dtype=np.int64),
-        event_counts=events,
-        final=SystemState(t, tuple(counts)),
-    )
-    return ClosedRunResult(traj, stop_time, stop_time is None)
+    return ClosedRunResult(RunEnd(events, SystemState(t, tuple(counts))),
+                           stop_time, stop_time is None)
 
 
 def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
@@ -621,7 +610,7 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
 
 def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float],
                      removal_rates: Sequence[float], horizon: float = 1.0,
-                     seed: int = 0) -> CoupledTrajectory:
+                     seed: int = 0) -> RunEnd:
     """Run the three-colour auditing system.
 
     Every particle, whatever its colour, walks independently at rate 1 to a
@@ -711,23 +700,4 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
             green[i] += 1
             events["removal_miss"] += 1
 
-    return CoupledTrajectory(
-        event_counts=events,
-        final=CoupledState(t, tuple(blue), tuple(red), tuple(green)),
-    )
-
-
-# --- CSV comment headers ---------------------------------------------------
-
-def config_echo(config: SystemConfig) -> str:
-    """Deterministic one-line JSON echo of a config, for CSV comment headers."""
-    data = {
-        "m": config.m,
-        "policy": config.policy.value,
-        "arrival_rates": list(config.arrival_rates),
-        "service_rates": list(config.service_rates),
-        "resample_rate": config.resample_rate,
-        "cap": config.cap,
-        "include_self": config.include_self,
-    }
-    return json.dumps(data, sort_keys=True)
+    return RunEnd(events, CoupledState(t, tuple(blue), tuple(red), tuple(green)))

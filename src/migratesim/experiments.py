@@ -27,7 +27,6 @@ from .model import (
     ConfigError,
     Policy,
     SystemConfig,
-    SystemState,
     empirical_measure,
     rls_accepts,
 )
@@ -151,8 +150,7 @@ def lyapunov_drift(state, config: SystemConfig, eps, gamma_check):
             f"{lhs!r} >= {rhs!r}"
         )
 
-    counts = state.counts if isinstance(state, SystemState) else tuple(
-        int(c) for c in state)
+    counts = tuple(int(c) for c in state)
     if len(counts) != config.m or any(c < 0 for c in counts):
         raise ValueError(f"state must be {config.m} non-negative occupancies")
     m = config.m
@@ -321,19 +319,17 @@ class SojournSummary:
 
 
 def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
-                     reps: int, base_seed: int = 0, cutoff: Optional[float] = None,
+                     reps: int, cutoff: float, base_seed: int = 0,
                      jobs: int = 1) -> SojournSummary:
     """Replicate one open run and pool the in-window sojourns.
 
-    The window keeps clients arriving in [warmup, cutoff]; cutoff defaults
-    to the horizon itself, in which case late arrivals are counted censored
-    rather than excluded. Throughput is the inverse of the pooled mean
-    sojourn, its interval the normal one over per-replication throughputs.
+    The window keeps clients arriving in [warmup, cutoff]; with cutoff at
+    the horizon itself, late arrivals are counted censored rather than
+    excluded. Throughput is the inverse of the pooled mean sojourn, its
+    interval the normal one over per-replication throughputs.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
-    if cutoff is None:
-        cutoff = horizon
     seeds = [base_seed + r for r in range(reps)]
     work = [(config, horizon, warmup, cutoff, s) for s in seeds]
     reps_out = map_replications(_sojourn_rep, work, jobs)
@@ -434,27 +430,3 @@ def throughput_comparison(
                 ))
                 cell += 1
     return rows
-
-
-# ---------------------------------------------------------------------------
-# artifact writers
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # np.float64 would repr as np.float64(...)
-    if isinstance(value, bool):
-        return str(int(value))
-    return str(value)
-
-
-def write_results_csv(path, columns: Sequence[str],
-                      rows: Sequence[dict], comments: Sequence[str] = ()) -> None:
-    """Generic results table: '#' comment lines, header row, repr floats."""
-    with open(path, "w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(row.get(c)) for c in columns) + "\n")

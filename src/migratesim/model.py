@@ -23,7 +23,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -152,8 +152,10 @@ def eps_band(m: int, n: int, eps) -> tuple:
 
     The target level is the exact rational n/m; a server occupancy N is in
     the band iff (1 - eps) n/m <= N <= (1 + eps) n/m, endpoints included.
-    Raises if no integer satisfies that, since a predicate over integer
-    occupancies could then never hold.
+    Raises unless some placement of the n clients keeps all m occupancies
+    in the band, that is unless m*lo <= n <= m*hi, since the predicate
+    could then never hold: eps_band(4, 7, 0.3) would be (2, 2), and 7
+    clients cannot all sit at level 2 on 4 servers.
     """
     eps = exact_fraction(eps)
     if not 0 < eps < 1:
@@ -161,10 +163,11 @@ def eps_band(m: int, n: int, eps) -> tuple:
     p = Fraction(n, m)
     lo = math.ceil((1 - eps) * p)
     hi = math.floor((1 + eps) * p)
-    if lo > hi:
+    if not m * lo <= n <= m * hi:
         raise ValueError(
-            f"no integer occupancy lies within a factor 1 +- {float(eps)} of "
-            f"n/m = {n}/{m}; the predicate is unsatisfiable"
+            f"no placement of {n} clients on {m} servers keeps every "
+            f"occupancy within a factor 1 +- {float(eps)} of n/m; the "
+            "predicate is unsatisfiable"
         )
     return lo, hi
 
@@ -182,12 +185,12 @@ def rls_accepts(service_from, count_from, service_to, count_to) -> bool:
     return service_to * count_from > service_from * (count_to + 1)
 
 
-def empirical_measure(state: Union[SystemState, Sequence[int]], b_cap: int) -> np.ndarray:
+def empirical_measure(counts: Sequence[int], b_cap: int) -> np.ndarray:
     """Fraction of servers holding exactly k clients, k = 0 .. b_cap.
 
     Raises if any server exceeds b_cap: truncation is never silent.
     """
-    counts = state.counts if isinstance(state, SystemState) else tuple(int(c) for c in state)
+    counts = tuple(int(c) for c in counts)
     m = len(counts)
     if m == 0:
         raise ValueError("empty system has no empirical measure")

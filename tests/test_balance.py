@@ -132,7 +132,6 @@ def test_balance_time_eps_stop():
     cfg = SystemConfig(m=4, policy="rls", resample_rate=1.0)
     res = measure_balance_time(cfg, initial_all_at_one(4, 8), stop="eps",
                                eps=0.5, reps=4, base_seed=1)
-    assert res.eps == 0.5
     assert res.censored == 0
     assert all(t is not None and t >= 0 for t in res.times)
 

@@ -71,6 +71,30 @@ def test_balance_eps_stop_and_initial_file(tmp_path):
     assert "stop=eps" in body
 
 
+def test_balance_eps_stop_is_exact_rational(tmp_path):
+    # eps=1/3 at m=2, n=9 is the band [3, 6] exactly, so (6, 3) is already
+    # balanced; read through a float it would be [4, 5]
+    counts = tmp_path / "start.txt"
+    counts.write_text("6 3\n")
+    out = tmp_path / "bal"
+    code = run(["balance", "--m", 2, "--n", 9, "--initial", "file",
+                "--initial-file", counts, "--stop", "eps=1/3", "--reps", 2,
+                "--jobs", 1, "--out", out])
+    assert code == 0
+    lines = (out / "balance_times.csv").read_text().splitlines()
+    rows = [ln for ln in lines if not ln.startswith("#")][1:]
+    assert [r.split(",")[2] for r in rows] == ["0.0", "0.0"]
+
+
+def test_balance_unsatisfiable_eps_band_exits_one(tmp_path, capsys):
+    # the band at n/m = 7/4 and eps=0.3 is the single level 2, which 7
+    # clients on 4 servers can never all reach
+    code = run(["balance", "--m", 4, "--n", 7, "--stop", "eps=0.3",
+                "--reps", 2, "--jobs", 1, "--out", tmp_path / "bal"])
+    assert code == 1
+    assert "no placement of 7 clients on 4 servers" in capsys.readouterr().err
+
+
 def test_balance_bad_initial_file_sum(tmp_path, capsys):
     counts = tmp_path / "start.txt"
     counts.write_text("1 1 0 0\n")
@@ -145,10 +169,16 @@ def test_open_probe_small_sample_inconclusive(tmp_path, capsys):
     code = run(["open", "--m", 2, "--policy", "rls", "--lambda", "0.5",
                 "--horizon", 80, "--reps", 5, "--probe", "--out", out])
     assert code == 2  # inconclusive is a warning, not a failure
-    assert "inconclusive" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "verdict: inconclusive" in text
     lines = (out / "probe.csv").read_text().splitlines()
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == "seed,slope"
+    printed = [ln[len("warning: "):] for ln in text.splitlines()
+               if ln.startswith("warning: ")]
+    assert printed == ["stability probe inconclusive"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == printed
 
 
 # --- meanfield ------------------------------------------------------------------
@@ -259,6 +289,11 @@ def test_verify_lyapunov_suite(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "lyapunov: PASS" in text
     assert (out / "verify.csv").exists()
+    # an existing --out is refused before any check runs
+    assert run(["verify", "lyapunov", "--m", 2, "--max-n", 4, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert "--force" in captured.err
+    assert "lyapunov:" not in captured.out
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -8,9 +8,9 @@ from random import Random
 import numpy as np
 import pytest
 
+from migratesim.cli import config_echo
 from migratesim.ctmc import (
     SimulationError,
-    config_echo,
     simulate_closed,
     simulate_coupled,
     simulate_open,

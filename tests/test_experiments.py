@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from migratesim.cli import RunManifest
+from migratesim.cli import RunManifest, write_results_csv
 from migratesim.experiments import (
     counts_from_measure,
     drift_exclusion_threshold,
@@ -20,7 +20,6 @@ from migratesim.experiments import (
     measure_sojourns,
     stability_probe,
     throughput_comparison,
-    write_results_csv,
 )
 from migratesim.meanfield import point_mass
 from migratesim.model import ConfigError, SystemConfig, rls_accepts
@@ -114,7 +113,8 @@ def test_single_server_sojourn_matches_the_sharing_queue():
 
 def test_measure_sojourns_plumbing():
     cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.5, resample_rate=0.5)
-    out = measure_sojourns(cfg, horizon=120.0, warmup=30.0, reps=3, base_seed=5)
+    out = measure_sojourns(cfg, horizon=120.0, warmup=30.0, reps=3,
+                           cutoff=120.0, base_seed=5)
     assert out.seeds == (5, 7)
     assert out.reps == 3 and len(out.per_rep) == 3
     assert out.clients == sum(c for _, c, _ in out.per_rep)
@@ -123,15 +123,16 @@ def test_measure_sojourns_plumbing():
     assert out.throughput == pytest.approx(1.0 / out.mean_sojourn)
     assert out.ci95 is None  # below the interval threshold
     with pytest.raises(ValueError):
-        measure_sojourns(cfg, horizon=10.0, warmup=0.0, reps=0)
+        measure_sojourns(cfg, horizon=10.0, warmup=0.0, reps=0, cutoff=10.0)
 
 
 def test_measure_sojourns_jobs_parity():
     # 24 reps over 2 workers hand each pool round trip a chunk of 3
     cfg = SystemConfig(m=2, policy="rlo", arrival_rates=0.4, resample_rate=0.3)
-    a = measure_sojourns(cfg, horizon=60.0, warmup=10.0, reps=24, base_seed=2)
-    b = measure_sojourns(cfg, horizon=60.0, warmup=10.0, reps=24, base_seed=2,
-                         jobs=2)
+    a = measure_sojourns(cfg, horizon=60.0, warmup=10.0, reps=24, cutoff=60.0,
+                         base_seed=2)
+    b = measure_sojourns(cfg, horizon=60.0, warmup=10.0, reps=24, cutoff=60.0,
+                         base_seed=2, jobs=2)
     assert a.per_rep == b.per_rep
 
 

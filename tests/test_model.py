@@ -102,8 +102,6 @@ def test_rls_accept_matches_exact_share_comparison(mu_a, n_a, mu_b, n_b):
 def test_empirical_measure_from_counts():
     em = empirical_measure((0, 2, 2, 5), b_cap=5)
     np.testing.assert_allclose(em, [0.25, 0.0, 0.5, 0.0, 0.0, 0.25])
-    em2 = empirical_measure(SystemState(1.0, (0, 2, 2, 5)), b_cap=5)
-    np.testing.assert_allclose(em2, em)
     with pytest.raises(ValueError):
         empirical_measure((0, 6), b_cap=5)
 
@@ -126,6 +124,13 @@ def test_eps_band_exact_edges():
     assert eps_band(10, 10, 0.1) == (1, 1)
     with pytest.raises(ValueError):
         eps_band(3, 1, 0.1)
+    # the band (2, 2) holds an integer, but 7 clients cannot all sit at
+    # level 2 on 4 servers
+    with pytest.raises(ValueError, match="no placement of 7 clients on 4"):
+        eps_band(4, 7, 0.3)
+    # test 02's cells stay satisfiable at every tolerance it measures
+    assert [eps_band(16, 256, eps) for eps in (0.4, 0.2, 0.1)] == [
+        (10, 22), (13, 19), (15, 17)]
     with pytest.raises(ValueError):
         eps_band(4, 8, 0.0)
     with pytest.raises(ValueError):
@@ -304,3 +309,30 @@ def test_every_parameter_is_set_by_a_caller():
                 if not (by_position or by_keyword) and tag not in UNSET_BY_CALLERS:
                     unset.append(tag)
     assert not unset, f"defaulted parameters only the tests set: {unset}"
+
+
+def _write_mode(text) -> bool:
+    # an open() mode string that creates, truncates, appends or updates
+    return (isinstance(text, str) and 0 < len(text) <= 3
+            and set(text) <= set("rwxabt+") and bool(set(text) & set("wxa+")))
+
+
+def test_only_cli_writes_files():
+    # cli owns the CSV and manifest formats; an open() for writing or a JSON
+    # dump anywhere else in the package is a second artifact writer
+    hits = []
+    for path in sorted(ROOT.glob("src/migratesim/*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if (name == "open" and any(isinstance(a, ast.Constant)
+                                       and _write_mode(a.value) for a in args)
+                    or name in ("dump", "write_text", "write_bytes")):
+                hits.append(f"{path.name}:{node.lineno} {name}")
+    assert not hits, f"files written outside cli.py: {hits}"
