@@ -77,6 +77,8 @@ class RunManifest:
     solver: Optional[dict] = None
     # why the run exits 2; written only when there is one
     warnings: List[str] = field(default_factory=list)
+    # why the run exits 1 after the manifest was first written; ditto
+    error: Optional[str] = None
 
     def write(self, path) -> None:
         data = {
@@ -96,6 +98,8 @@ class RunManifest:
             data["solver"] = self.solver
         if self.warnings:
             data["warnings"] = list(self.warnings)
+        if self.error is not None:
+            data["error"] = self.error
         with open(path, "w", newline="\n") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -165,8 +169,9 @@ def _run(args, config: dict, seeds, csv_name: str,
     before any work. body then prints its report, fills in the manifest's
     warnings and solver, and returns the CSV as (columns, rows, comments).
     The CSV and the finished manifest follow, then one "warning:" line per
-    warning; the exit code is 2 exactly when there is a warning. Without
-    --out (verify only) nothing is written.
+    warning; the exit code is 2 exactly when there is a warning. If body
+    raises, the manifest is finished with the error and the exception
+    propagates. Without --out (verify only) nothing is written.
     """
     out = None if args.out is None else Path(args.out)
     manifest = RunManifest(args.command, config, tuple(seeds),
@@ -180,7 +185,14 @@ def _run(args, config: dict, seeds, csv_name: str,
             )
         out.mkdir(parents=True, exist_ok=True)
         manifest.write(out / "manifest.json")
-    columns, rows, comments = body(manifest)
+    try:
+        columns, rows, comments = body(manifest)
+    except Exception as exc:
+        if out is not None:
+            manifest.error = f"{type(exc).__name__}: {exc}"
+            manifest.finished = time.time()
+            manifest.write(out / "manifest.json")
+        raise
     if out is not None:
         write_results_csv(out / csv_name, columns, rows, comments)
         manifest.finished = time.time()

@@ -3,13 +3,15 @@
 Three drivers share one transition law:
 
 * ``simulate_closed``: a fixed client population moving between servers,
-  arrivals and service completions switched off. Only the per-client
-  resampling clocks run, so the total event rate is resample_rate * n.
-  Its domain is the balance question alone: the rls policy on servers with
-  equal, positive service rates, stopped at exact or eps balance. On that
-  domain an accepted move is a plain occupancy comparison and the maximum
+  arrivals and service completions switched off. Its domain is the balance
+  question alone: the rls policy on servers with equal, positive service
+  rates, stopped at exact or eps balance. On that domain a client at level
+  k moves to a server at level l exactly when l <= k - 2, at rate
+  resample_rate / m per (client, destination) pair, and the maximum
   occupancy never rises, which the loop audits; other configs raise
-  ConfigError.
+  ConfigError. The loop samples accepted moves only (the n-fold way of
+  Bortz, Kalos and Lebowitz on Gillespie's direct method), so no rejected
+  resample is ever simulated.
 * ``simulate_open``: arrivals, processor-sharing service completions and
   resampling all active. Optionally tracks individual clients through
   migrations to produce sojourn records.
@@ -19,18 +21,28 @@ Three drivers share one transition law:
   second stream marks a blue particle red where possible, otherwise
   deposits a green one.
 
-``step`` is the single-transition reference implementation. The loop
-drivers are written for speed but consume random draws in exactly the same
+``step`` is the single-transition reference implementation. The open
+loop is written for speed but consumes random draws in exactly the same
 order, one event at a time:
 
-    closed:  dt ~ expovariate(total) ; slot = randrange(n) ; dest = randrange(m)
     open:    dt ~ expovariate(total) ; u = random() picks the event category
              and, within arrivals/departures/resampling, the server or slot;
              resampling destination and (when tracking) the departing
              resident need further draws
 
 so a single step from a freshly constructed state is bit-identical to the
-first loop event under the same seed.
+first open-loop event under the same seed. The closed loop matches
+``step(closed=True)`` in law, not draw for draw. Each of its steps draws,
+in this order:
+
+    closed:  dt = -log(1 - random()) / R, R the total accepted-move rate ;
+             r = _randbelow(pairs) picks one accepted (client, destination)
+             pair uniformly, decoded into the source level, the destination
+             among the servers at least two levels below, and the source
+             server within its level
+
+Because the waiting time is drawn before the move, a run cut at horizon h
+ends in the state its uncut path holds at h.
 """
 
 from __future__ import annotations
@@ -134,6 +146,9 @@ def step(state: SystemState, config: SystemConfig, rng: Random,
     In closed mode only the resampling clocks run; the caller guarantees
     all arrival rates are zero. A zero total event rate means nothing can
     ever happen, which is reported as a deadlock instead of hanging.
+    ``simulate_open`` draws exactly like this function; ``simulate_closed``
+    samples only the accepted moves, so it matches closed steps in law but
+    not bit for bit.
     """
     m = config.m
     counts = list(state.counts)
@@ -240,9 +255,10 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     The domain is the one the balance question asks about: the rls policy
     with equal, positive service rates. There an accepted move is exactly
     ``counts[i] > counts[j] + 1`` and the running maximum occupancy cannot
-    rise, so one comparison decides each resample and the audits below
-    hold. Any other config is rejected with ConfigError before the first
-    event; ``step`` with closed=True still covers every policy.
+    rise, so the accepted moves can be sampled directly, rejected resamples
+    never being simulated, and the audits below hold. Any other config is
+    rejected with ConfigError before the first event; ``step`` with
+    closed=True still covers every policy.
 
     stop is "balanced" (max - min <= 1) or "eps" (every occupancy within a
     factor 1 +- eps of n/m). The returned stop_time is the exact event time
@@ -250,7 +266,7 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     result is flagged censored. After every accepted move the running
     maximum is checked to be non-increasing, and the number of servers at
     the maximum non-increasing while the maximum is flat. Only the event
-    tallies and the end state are kept.
+    tallies (accepted moves, as "migration") and the end state are kept.
     """
     if any(r != 0.0 for r in config.arrival_rates):
         raise SimulationError("closed runs require all arrival rates to be zero")
@@ -286,85 +302,124 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
         raise ValueError(f'stop must be "balanced" or "eps", got {stop!r}')
 
     rng = Random(seed)
-    total = config.resample_rate * n
+    random = rng.random
+    randbelow = rng._randbelow  # randrange(x) for x > 0, without its checks
+    log = math.log
+    pair_rate = config.resample_rate / m
 
-    # occupancy histogram with tracked extremes gives O(1) predicate checks
-    hist = [0] * (n + 2)
+    # order holds the servers sorted by occupancy and where[s] is server
+    # s's position in it; below[v] counts the servers holding fewer than v
+    # clients. So level v fills order[below[v]:below[v + 1]] and the servers
+    # at level v - 2 or lower are order[:below[v - 1]]. The last entry of
+    # below stays 0, so below[-1] counts nobody under level 0.
+    top = max(counts)
+    order = sorted(range(m), key=counts.__getitem__)
+    where = [0] * m
+    for p, s in enumerate(order):
+        where[s] = p
+    below = [0] * (top + 3)
     for c in counts:
-        hist[c] += 1
-    cur_max = max(counts)
-    cur_min = min(counts)
+        below[c + 1] += 1
+    for v in range(1, top + 2):
+        below[v] += below[v - 1]
 
-    # one entry per client; entry value = its current server
-    slots = []
-    for i, c in enumerate(counts):
-        slots.extend([i] * c)
-
-    events = {"migration": 0, "resample_rejected": 0}
+    moves = 0
     t = 0.0
     stop_time = None
-    if stopped(cur_min, cur_max):
+    cur_max = top
+    if stopped(counts[order[0]], cur_max):
         stop_time = 0.0
-    elif total == 0.0:
+    elif pair_rate == 0.0:
         raise SimulationError(
             "total event rate is zero and the stopping predicate does not "
             f"hold (n={n}, resample_rate={config.resample_rate})"
         )
     else:
-        prev_cmax_count = hist[cur_max]
+        max_count = m - below[cur_max]
         while True:
-            t_next = t + rng.expovariate(total)
+            # A client at level v moves to a server at level v - 2 or lower,
+            # at rate beta/m per (client, destination) pair, so level v
+            # sends v * h_v * H_{<=v-2} pairs. The scan runs down the
+            # occupied levels while some server sits two below. pairs > 0
+            # here, as max - min <= 1 satisfies either stop.
+            pairs = 0
+            v = cur_max
+            while below[v - 1]:
+                lo = below[v]
+                pairs += v * (below[v + 1] - lo) * below[v - 1]
+                v = counts[order[lo - 1]]
+            t_next = t - log(1.0 - random()) / (pair_rate * pairs)
             if t_next > horizon:
                 t = horizon
                 break
             t = t_next
 
-            slot = rng.randrange(n)
-            i = slots[slot]
-            ci = counts[i]
-            j = rng.randrange(m)
-            cj = counts[j]
-            if ci <= cj + 1:
-                events["resample_rejected"] += 1
-                continue
-            counts[i] = ci - 1
-            counts[j] = cj + 1
-            slots[slot] = j
-            events["migration"] += 1
-            hist[ci] -= 1
-            hist[ci - 1] += 1
-            hist[cj] -= 1
-            hist[cj + 1] += 1
+            # one uniform accepted pair: its source level k, then within
+            # the level's pairs a (destination, source server, client)
+            # index; which client moves does not matter
+            r = randbelow(pairs)
+            k = cur_max
+            while True:
+                lo = below[k]
+                hk = below[k + 1] - lo
+                w = k * hk * below[k - 1]
+                if r < w:
+                    break
+                r -= w
+                k = counts[order[lo - 1]]
+            q = r // k
+            i = order[lo + q % hk]
+            j = order[q // hk]
+            low = counts[j]
+
+            # i drops to level k - 1: swap it to the front of level k, then
+            # start level k after it
+            p = where[i]
+            s = order[lo]
+            order[p] = s
+            where[s] = p
+            order[lo] = i
+            where[i] = lo
+            below[k] = lo + 1
+            # j rises to level low + 1: swap it to the back of level low,
+            # then start level low + 1 at it
+            e = below[low + 1] - 1
+            p = where[j]
+            s = order[e]
+            order[p] = s
+            where[s] = p
+            order[e] = j
+            where[j] = e
+            below[low + 1] = e
+            counts[i] = k - 1
+            counts[j] = low + 1
+            moves += 1
+
             prev_max = cur_max
-            if cj + 1 > cur_max:
-                cur_max = cj + 1
-            elif ci == cur_max and hist[ci] == 0:
-                cur_max = ci - 1
-            if ci - 1 < cur_min:
-                cur_min = ci - 1
-            elif cj == cur_min and hist[cj] == 0:
-                cur_min = cj + 1
+            prev_max_count = max_count
+            cur_max = counts[order[-1]]
+            max_count = m - below[cur_max]
             if cur_max > prev_max:
                 raise SimulationError(
                     f"maximum occupancy rose from {prev_max} to {cur_max} "
                     "during a closed rls run"
                 )
-            if cur_max == prev_max and hist[cur_max] > prev_cmax_count:
+            if cur_max == prev_max and max_count > prev_max_count:
                 raise SimulationError(
                     "server count at the maximum level rose while the "
                     "maximum was flat during a closed rls run"
                 )
-            prev_cmax_count = hist[cur_max]
-            if stopped(cur_min, cur_max):
+            if stopped(counts[order[0]], cur_max):
                 stop_time = t
                 break
 
-    return ClosedRunResult(RunEnd(events, SystemState(t, tuple(counts))),
-                           stop_time, stop_time is None)
+    return ClosedRunResult(
+        RunEnd({"migration": moves}, SystemState(t, tuple(counts))),
+        stop_time, stop_time is None)
 
 
 def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
-                  seed: int = 0, sample_dt: Optional[float] = 0.1,
+                  seed: int = 0, *, sample_dt: Optional[float],
                   initial: Optional[Sequence[int]] = None,
                   track_sojourns: bool = True) -> tuple:
     """Run the open system to the horizon. Returns (trajectory, sojourns).
@@ -389,6 +444,11 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
         raise ValueError("initial occupancy exceeds the configured cap")
 
     rng = Random(seed)
+    # expovariate(x) is -log(1.0 - random()) / x and randrange(x) is
+    # _randbelow(x) for x > 0: inlined, they draw the same numbers faster
+    random = rng.random
+    randbelow = rng._randbelow
+    log = math.log
     beta = config.resample_rate
     svc = list(config.service_rates)
     arr = list(config.arrival_rates)
@@ -459,7 +519,7 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
     refresh = 0
     while True:
         total = total_arr + busy_svc + beta * n_live
-        t_next = t + rng.expovariate(total) if total > 0.0 else math.inf
+        t_next = t - log(1.0 - random()) / total if total > 0.0 else math.inf
         if t_next > horizon:
             while next_sample <= horizon:
                 times.append(next_sample)
@@ -474,7 +534,7 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
             sample_idx += 1
             next_sample = sample_idx * sample_dt
         t = t_next
-        w = rng.random() * total
+        w = random() * total
 
         if w < total_arr:
             i = bisect_right(cum_arr, w)
@@ -512,7 +572,7 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
                         break
             if track_sojourns:
                 # the departing client is uniform among the residents
-                r = rng.randrange(counts[i])
+                r = randbelow(counts[i])
                 s = bags[i][r]
                 cid = slot_id[s]
                 if cid >= 0:
@@ -542,7 +602,7 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
         ci = counts[i]
         moved = False
         if rls:
-            j = rng.randrange(m)
+            j = randbelow(m)
             if svc[j] * ci > svc[i] * (counts[j] + 1):
                 if cap is not None and counts[j] >= cap:
                     events["migration_blocked"] += 1
@@ -552,9 +612,9 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
                 events["resample_rejected"] += 1
         else:
             if include_self:
-                j = rng.randrange(m)
+                j = randbelow(m)
             else:
-                k = rng.randrange(m - 1)
+                k = randbelow(m - 1)
                 j = k if k < i else k + 1
             if j == i:
                 events["resample_self"] += 1

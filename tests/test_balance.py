@@ -2,8 +2,12 @@
 time-to-balance runs."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from migratesim.balance import (
     balance_time_bound,
@@ -108,6 +112,64 @@ def test_two_client_balance_time_is_exponential():
     lo, hi = res.ci95
     assert lo <= res.mean <= hi
     assert res.bound == pytest.approx(balance_time_bound(2, 2))
+
+
+def _exact_mean_balance_time(m: int, n: int) -> float:
+    """Exact E[tau] from the all-at-one start at unit resample rate.
+
+    Servers are exchangeable, so the chain lumps onto the partitions of n
+    into at most m parts. From a partition with h_a servers at level a, a
+    client moves to a server at level b <= a - 2 at rate a * h_a * h_b / m.
+    Balanced partitions absorb; for every other one, q_x E[tau_x] minus
+    the sum of q_xy E[tau_y] over the unbalanced successors y equals 1.
+    """
+    start = (n,) + (0,) * (m - 1)
+    index = {start: 0}
+    states = [start]
+    rows, cols, vals = [], [], []
+    for x, state in enumerate(states):  # grows while it is walked
+        levels = Counter(state)
+        out = 0.0
+        for a, h_a in levels.items():
+            for b, h_b in levels.items():
+                if b > a - 2:
+                    continue
+                rate = a * h_a * h_b / m
+                out += rate
+                nxt = list(state)
+                nxt[nxt.index(a)] -= 1
+                nxt[nxt.index(b)] += 1
+                nxt = tuple(sorted(nxt, reverse=True))
+                if nxt[0] - nxt[-1] <= 1:
+                    continue
+                if nxt not in index:
+                    index[nxt] = len(states)
+                    states.append(nxt)
+                rows.append(x)
+                cols.append(index[nxt])
+                vals.append(-rate)
+        rows.append(x)
+        cols.append(x)
+        vals.append(out)
+    size = len(states)
+    q = sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    return float(spsolve(q, np.ones(size))[0])
+
+
+def test_balance_time_matches_exact_lumped_chain():
+    """The replicated mean from the all-at-one start lies within four
+    standard errors of the exact answer; (8, 32) lumps 32 clients on 8
+    servers onto 3319 partitions."""
+    exact = {(2, 2): 1.0, (4, 8): 2.7625, (4, 16): 2.4625, (8, 32): 4.1835}
+    reps = 2000
+    for (m, n), expected in exact.items():
+        tau = _exact_mean_balance_time(m, n)
+        assert tau == pytest.approx(expected, abs=5e-5)
+        cfg = SystemConfig(m=m, policy="rls", resample_rate=1.0)
+        res = measure_balance_time(cfg, initial_all_at_one(m, n), reps=reps,
+                                   base_seed=5000)
+        assert res.censored == 0
+        assert abs(res.mean - tau) < 4.0 * res.sd / math.sqrt(reps)
 
 
 def test_balance_time_censoring():

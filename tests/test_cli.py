@@ -93,6 +93,10 @@ def test_balance_unsatisfiable_eps_band_exits_one(tmp_path, capsys):
                 "--reps", 2, "--jobs", 1, "--out", tmp_path / "bal"])
     assert code == 1
     assert "no placement of 7 clients on 4 servers" in capsys.readouterr().err
+    # the run fails after its manifest was written, which records why
+    manifest = json.loads((tmp_path / "bal" / "manifest.json").read_text())
+    assert manifest["error"].startswith("ValueError: no placement of 7")
+    assert manifest["finished"] >= manifest["started"]
 
 
 def test_balance_bad_initial_file_sum(tmp_path, capsys):

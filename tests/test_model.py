@@ -177,8 +177,8 @@ def test_no_unused_imports():
 
 # definitions whose only callers are tests, on purpose: the tail form of the
 # rlo flow is the independent reference that rhs_rlo is checked against, and
-# step is the one-event reference that the loop tests compare the event loops
-# against bit for bit
+# step is the one-event reference that the loop tests compare the open loop
+# against bit for bit and the closed loop against in law
 TEST_ONLY_REFERENCES = {"rhs_rlo_tail", "step"}
 
 ROOT = Path(__file__).resolve().parent.parent
