@@ -4,7 +4,11 @@ Four subcommands cover the toolkit: ``balance`` replicates closed
 time-to-balance runs against the analytic bound, ``open`` measures sojourn
 statistics (or, with --probe, runs the stability probe), ``meanfield``
 integrates the occupancy flow or solves for its equilibrium, and
-``verify`` runs the built-in consistency suites.
+``verify`` re-runs the acceptance claims on the proof devices.
+
+``verify coupling``, ``kurtz``, ``lyapunov`` and ``ode`` are claims 09, 06,
+10 and 11: each ``check_*`` below is the claim's measurement and verdict at
+its own fixed sizes, seeds and thresholds, and the acceptance tests call it.
 
 Every subcommand returns through one run protocol, ``_run``: it refuses to
 reuse an existing output directory unless --force is given, writes a JSON
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -49,6 +52,9 @@ from .meanfield import (
     make_rhs,
     mean_occupancy,
     point_mass,
+    rhs_rlo,
+    rhs_rlo_tail,
+    rhs_rls,
     sojourn_time,
     solve_fixed_point_rlo,
     st_leq,
@@ -434,14 +440,15 @@ def cmd_meanfield(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites: each check returns (ok, detail); the acceptance tests reuse them
+# verify suites: one acceptance claim each, returning (ok, detail)
 
-def check_coupling(seed: int, reps: int):
+def check_coupling():
+    # claim 09: red+green ~ Poisson(4), blue+red mean 14 within 3 SE
     rg = []
     br = []
-    for k in range(reps):
+    for seed in range(9000, 19000):
         tr = simulate_coupled((5, 5), (1.0, 1.0), (1.0, 1.0), horizon=2.0,
-                              seed=seed + k)
+                              seed=seed)
         rg.append(sum(tr.final.red) + sum(tr.final.green))
         br.append(sum(tr.final.blue) + sum(tr.final.red))
     stat, df, p = poisson_gof(rg, 4.0)
@@ -453,83 +460,97 @@ def check_coupling(seed: int, reps: int):
     return ok, detail
 
 
-def check_kurtz(seed: int):
-    b_cap, lam, beta, t_end = 40, 0.8, 0.5, 10.0
-    x0 = np.zeros(b_cap + 1)
-    x0[0] = 1.0
-    ode = integrate("rlo", x0, t_end, dt=1e-3, sample_dt=0.5, lam=lam, beta=beta)
-    means = {}
-    for m in (100, 400):
-        cfg = SystemConfig(m=m, policy=Policy.RLO, arrival_rates=lam,
-                           service_rates=1.0, resample_rate=beta, cap=b_cap)
-        devs = [exp.kurtz_deviation(cfg, x0, t_end, seed=seed + k,
-                                    sample_dt=0.5, ode=ode)
-                for k in range(5)]
-        means[m] = float(np.mean(devs))
-    budget = 6.0 / math.sqrt(400)
-    ok = means[400] < means[100] and means[400] <= budget
-    detail = (f"sup-L1 mean: m=100 {means[100]:.4f}, m=400 {means[400]:.4f} "
-              f"(budget {budget:.4f})")
+def check_kurtz():
+    # claim 06: the sup-L1 gap to the ode shrinks from m=100 to m=1000 and
+    # ends under 0.05
+    lam, beta, b_cap, t_end = 0.8, 0.5, 60, 20.0
+    x0 = point_mass(0, b_cap)
+    ode = integrate("rlo", x0, t_end, dt=1e-3, sample_dt=1.0,
+                    lam=lam, beta=beta)
+    sup_mean = {}
+    for m in (100, 1000):
+        cfg = SystemConfig(m=m, policy="rlo", arrival_rates=lam,
+                           resample_rate=beta, cap=b_cap)
+        devs = [exp.kurtz_deviation(cfg, x0, t_end, seed=6000 + s,
+                                    sample_dt=1.0, ode=ode) for s in range(20)]
+        sup_mean[m] = sum(devs) / len(devs)
+    shrinks = sup_mean[1000] < sup_mean[100]
+    small = sup_mean[1000] < 0.05
+    ok = shrinks and small
+    detail = (f"mean sup-L1 gap: m=100 {sup_mean[100]:.3f}, m=1000 "
+              f"{sup_mean[1000]:.3f}; shrinks with m "
+              f"{'ok' if shrinks else 'FAIL'}; under 0.05 "
+              f"{'ok' if small else 'FAIL'}")
     return ok, detail
 
 
-def check_lyapunov(m: int, max_n: int):
-    lam = Fraction(1, 5)
-    eps = Fraction(1, 10)
-    gamma = Fraction(1, 20)
-    cfg = SystemConfig(m=m, policy=Policy.RLS, arrival_rates=lam,
+def check_lyapunov():
+    # claim 10: the exact drift on the 13^3 grid at m=3 is negative outside
+    # the finite set the proof carves out
+    eps, gamma = Fraction(1, 10), Fraction(1, 20)
+    cfg = SystemConfig(m=3, policy="rls", arrival_rates=Fraction(1, 5),
                        service_rates=Fraction(1), resample_rate=Fraction(1))
-    k_threshold = exp.drift_exclusion_threshold(cfg, eps, gamma)
-    checked = 0
-    inside = 0
-    bad = []
-    for state in product(range(max_n + 1), repeat=m):
-        drift = exp.lyapunov_drift(state, cfg, eps, gamma)
-        k0 = sum(1 for c in state if c == 0)
-        if k0 > 0 and sum(state) < k_threshold:
-            inside += 1  # the finite set the proof carves out
-            continue
-        checked += 1
-        if drift >= 0:
-            bad.append(state)
-    ok = not bad
-    detail = (f"{checked} states outside the excluded set all drift down; "
-              f"{inside} excluded (population < {k_threshold} with an empty "
-              f"server)")
-    if bad:
-        detail = f"non-negative drift at {bad[:5]}"
+    k_star = exp.drift_exclusion_threshold(cfg, eps, gamma)
+    non_negative = [state for state in product(range(13), repeat=3)
+                    if exp.lyapunov_drift(state, cfg, eps, gamma) >= 0]
+    # the excluded set (an empty server, population < k_star) is the origin
+    ok = k_star == 1 and non_negative == [(0, 0, 0)]
+    detail = (f"2197 states: drift < 0 everywhere but {non_negative} "
+              f"(threshold {k_star})" if ok
+              else f"threshold {k_star}, non-negative at {non_negative[:4]}")
     return ok, detail
 
 
-def check_monotone(seed: int):
-    b_cap, lam, beta, t_end, pairs = 30, 0.8, 0.5, 5.0, 20
-    rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(pairs):
-        xa = rng.dirichlet(np.ones(b_cap + 1))
-        xb = rng.dirichlet(np.ones(b_cap + 1))
-        upper = measure_from_tails(np.maximum(tail_sums(xa), tail_sums(xb)))
-        lo = integrate("rlo", xa, t_end, dt=1e-3, sample_dt=1.0,
-                       lam=lam, beta=beta)
-        hi = integrate("rlo", upper, t_end, dt=1e-3, sample_dt=1.0,
-                       lam=lam, beta=beta)
-        for (_, a), (_, b) in zip(lo, hi):
-            if not st_leq(a, b, slack=1e-9):
-                failures += 1
-                break
-    ok = failures == 0
-    detail = f"{pairs - failures}/{pairs} ordered pairs stayed ordered"
+def check_ode():
+    # claim 11: mass conservation, the tail form, order preservation and
+    # convergence of the rlo flow
+    lam, beta = 0.8, 0.5
+    rng = np.random.default_rng(110)
+    states = rng.dirichlet(np.ones(41), size=1000)
+    mass = max(max(abs(float(rhs_rlo(x, lam, beta).sum())),
+                   abs(float(rhs_rls(x, lam, beta).sum()))) for x in states)
+    mass_ok = mass < 1e-12
+
+    h = 1e-6
+    tail_gap = 0.0
+    for x in states[:50]:
+        stepped = tail_sums(x + h * rhs_rlo(x, lam, beta))
+        fd = (stepped - tail_sums(x)) / h
+        tail_gap = max(tail_gap, float(np.max(np.abs(
+            fd - rhs_rlo_tail(tail_sums(x), lam, beta)))))
+    tail_ok = tail_gap < 1e-6
+
+    def end(x0, t_end):
+        return integrate("rlo", x0, t_end, dt=5e-3, sample_dt=t_end,
+                         lam=lam, beta=beta)[-1][1].x
+
+    order_rng = np.random.default_rng(111)
+    violations = 0
+    for _ in range(100):
+        pair = order_rng.dirichlet(np.ones(31), size=2)
+        tails = np.stack([tail_sums(p) for p in pair])
+        lo = measure_from_tails(tails.min(axis=0))
+        hi = measure_from_tails(tails.max(axis=0))
+        if not (st_leq(lo, hi)
+                and st_leq(end(lo, 2.0), end(hi, 2.0), slack=1e-9)):
+            violations += 1
+    order_ok = violations == 0
+
+    # the full start drains at rate 1 - lam, so the meeting point is far out
+    l1 = float(np.sum(np.abs(end(point_mass(0, 60), 400.0)
+                             - end(point_mass(60, 60), 400.0))))
+    converge_ok = l1 < 1e-6
+
+    ok = mass_ok and tail_ok and order_ok and converge_ok
+    detail = (f"mass drift {mass:.1e}; tail-form gap {tail_gap:.1e}; "
+              f"{violations} order violations in 100 pairs; "
+              f"empty/full start gap {l1:.1e}")
     return ok, detail
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
-    checks = {
-        "coupling": lambda: check_coupling(seed, args.reps),
-        "kurtz": lambda: check_kurtz(seed),
-        "lyapunov": lambda: check_lyapunov(args.m, args.max_n),
-        "monotone": lambda: check_monotone(seed),
-    }
+    checks = {"coupling": check_coupling, "kurtz": check_kurtz,
+              "lyapunov": check_lyapunov, "ode": check_ode}
 
     def body(manifest):
         rows = []
@@ -542,9 +563,7 @@ def cmd_verify(args) -> int:
                          "detail": detail.replace(",", ";")})
         return ("check", "passed", "detail"), rows, ()
 
-    return _run(args, {"suite": args.suite, "seed": seed, "reps": args.reps,
-                       "m": args.m, "max_n": args.max_n},
-                (seed,), "verify.csv", body)
+    return _run(args, {"suite": args.suite}, (), "verify.csv", body)
 
 
 # ---------------------------------------------------------------------------
@@ -616,15 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--force", action="store_true")
     f.set_defaults(func=cmd_meanfield)
 
-    v = sub.add_parser("verify", help="built-in consistency suites")
-    v.add_argument("suite", choices=("coupling", "kurtz", "lyapunov",
-                                     "monotone", "all"))
-    v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--reps", type=int, default=10000,
-                   help="replications for the coupling check")
-    v.add_argument("--m", type=int, default=3, help="servers for lyapunov")
-    v.add_argument("--max-n", type=int, default=6,
-                   help="per-server enumeration bound for lyapunov")
+    v = sub.add_parser("verify", help="re-run acceptance claims 06, 09-11")
+    v.add_argument("suite", choices=("coupling", "kurtz", "lyapunov", "ode",
+                                     "all"),
+                   help="acceptance claim 09, 06, 10 or 11, or all four")
     v.add_argument("--out", default=None,
                    help="also write the results as CSV + manifest")
     v.add_argument("--force", action="store_true")

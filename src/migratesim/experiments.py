@@ -18,7 +18,6 @@ import numpy as np
 from .ctmc import simulate_open
 from .meanfield import (
     equilibrium_rls,
-    integrate,
     mean_occupancy,
     solve_fixed_point_rlo,
     throughput,
@@ -221,14 +220,14 @@ def counts_from_measure(x0, m: int) -> tuple:
 
 
 def kurtz_deviation(config: SystemConfig, x0, t_end: float, seed: int,
-                    sample_dt: float = 0.1, dt: float = 1e-3,
-                    ode: Optional[list] = None) -> float:
+                    ode: list, sample_dt: float = 0.1,
+                    dt: float = 1e-3) -> float:
     """Sup over sample times of the L1 gap between one run and the ODE.
 
-    The simulation starts from counts that realize x0 exactly, the ODE from
-    x0 itself; both are sampled on the same grid and compared pairwise.
-    Pass a precomputed ``ode`` (the integrate output for matching
-    parameters) to share one integration across many seeds.
+    The simulation starts from counts that realize x0 exactly. ``ode`` is
+    the integrate output from x0 for matching parameters, sampled every
+    ``sample_dt`` with step ``dt``, so one integration serves many seeds;
+    the two are compared pairwise on the sample grid.
     """
     x = np.asarray(getattr(x0, "x", x0), dtype=float)
     b_cap = x.size - 1
@@ -242,14 +241,10 @@ def kurtz_deviation(config: SystemConfig, x0, t_end: float, seed: int,
             f"config.cap={config.cap!r} must equal the measure's top level "
             f"{b_cap} so both sides live on the same support"
         )
-    lam = config.arrival_rates[0]
     initial = counts_from_measure(x, config.m)
     traj, _ = simulate_open(config, horizon=t_end, seed=seed,
                             sample_dt=sample_dt, initial=initial,
                             track_sojourns=False)
-    if ode is None:
-        ode = integrate(config.policy, x, t_end, dt=dt, sample_dt=sample_dt,
-                        lam=lam, beta=config.resample_rate)
     if len(ode) != len(traj.times):
         raise RuntimeError(
             f"sample grids diverged: {len(traj.times)} simulation rows vs "

@@ -407,8 +407,9 @@ def solve_fixed_point_rlo(lam: float, beta: float, b_cap: int,
     Bisects g_of_z on [lam, z_hi], growing z_hi geometrically until the
     sign flips; g is negative at lam and eventually positive because every
     product term gains the factor (z - lam - beta*i) once z clears
-    lam + beta*b_cap. Requires lam < 1: at or above unit load no stationary
-    regime exists, matching the stability threshold of the finite system.
+    lam + beta*b_cap; at lam = 0 or beta = 0 the root is z = lam. Requires
+    lam < 1: at or above unit load no stationary regime exists, matching
+    the stability threshold of the finite system.
     """
     _check_rates(lam, beta, b_cap)
     if not tol > 0:
@@ -418,42 +419,29 @@ def solve_fixed_point_rlo(lam: float, beta: float, b_cap: int,
             f"no stationary law at per-server load lam={lam!r}: the fixed "
             f"point requires lam < 1 (unit service rate)"
         )
-    if lam == 0.0:
-        xi = np.zeros(b_cap + 1)
-        xi[0] = 1.0
-        return FixedPoint(xi=xi, y=0.0, z=0.0, residual=0.0)
-    if beta == 0.0:
-        # Plain birth-death truncation: xi_k proportional to lam**k.
-        xi = np.empty(b_cap + 1)
-        xi[0] = 1.0
-        for i in range(1, b_cap + 1):
-            xi[i] = xi[i - 1] * lam
-        xi /= math.fsum(xi)
-        y = float(np.arange(b_cap + 1) @ xi)
-        residual = float(np.max(np.abs(rhs_rlo(xi, lam, beta))))
-        if residual >= tol:
-            raise SolverError(f"degenerate fixed point residual {residual!r} >= tol")
-        return FixedPoint(xi=xi, y=y, z=lam, residual=residual)
-
-    lo = lam
-    hi = max(1.0, 2.0 * lam)
-    for _ in range(400):
-        if g_of_z(hi, lam, beta, b_cap) > 0.0:
-            break
-        hi *= 2.0
+    if lam == 0.0 or beta == 0.0:
+        # an empty system, or no hops: the plain birth-death truncation
+        z = float(lam)
     else:
-        raise SolverError(f"could not bracket the root above z={hi!r}")
-    for _ in range(400):
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if g_of_z(mid, lam, beta, b_cap) > 0.0:
-            hi = mid
+        lo = lam
+        hi = max(1.0, 2.0 * lam)
+        for _ in range(400):
+            if g_of_z(hi, lam, beta, b_cap) > 0.0:
+                break
+            hi *= 2.0
         else:
-            lo = mid
-    z = 0.5 * (lo + hi)
+            raise SolverError(f"could not bracket the root above z={hi!r}")
+        for _ in range(400):
+            if hi - lo <= 1e-15 * max(1.0, hi):
+                break
+            mid = 0.5 * (lo + hi)
+            if g_of_z(mid, lam, beta, b_cap) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        z = 0.5 * (lo + hi)
     xi = _xi_from_z(z, lam, beta, b_cap)
-    y = (z - lam) / beta
+    y = float(np.arange(b_cap + 1) @ xi) if beta == 0.0 else (z - lam) / beta
     residual = float(np.max(np.abs(rhs_rlo(xi, lam, beta))))
     if residual >= tol:
         raise SolverError(

@@ -2,6 +2,7 @@
 
 import json
 
+from migratesim import cli
 from migratesim.cli import main
 from migratesim.meanfield import integrate, point_mass, solve_fixed_point_rlo
 
@@ -288,16 +289,34 @@ def test_meanfield_overload_rejected(tmp_path, capsys):
 
 def test_verify_lyapunov_suite(tmp_path, capsys):
     out = tmp_path / "ver"
-    code = run(["verify", "lyapunov", "--m", 2, "--max-n", 4, "--out", out])
+    code = run(["verify", "lyapunov", "--out", out])
     assert code == 0
     text = capsys.readouterr().out
     assert "lyapunov: PASS" in text
     assert (out / "verify.csv").exists()
     # an existing --out is refused before any check runs
-    assert run(["verify", "lyapunov", "--m", 2, "--max-n", 4, "--out", out]) == 1
+    assert run(["verify", "lyapunov", "--out", out]) == 1
     captured = capsys.readouterr()
     assert "--force" in captured.err
     assert "lyapunov:" not in captured.out
+
+
+def test_verify_takes_no_size_options(capsys):
+    assert run(["verify", "lyapunov", "--m", 2]) == 1
+    assert "lyapunov:" not in capsys.readouterr().out
+
+
+def test_verify_failed_check_exits_two(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "check_kurtz", lambda: (False, "gap 0.1, bound 0.05"))
+    out = tmp_path / "ver"
+    assert run(["verify", "kurtz", "--out", out]) == 2
+    text = capsys.readouterr().out
+    assert "kurtz: FAIL (gap 0.1, bound 0.05)" in text
+    assert "warning: kurtz check failed" in text
+    lines = (out / "verify.csv").read_text().splitlines()
+    assert lines == ["check,passed,detail", "kurtz,0,gap 0.1; bound 0.05"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == ["kurtz check failed"]
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -21,7 +21,7 @@ from migratesim.experiments import (
     stability_probe,
     throughput_comparison,
 )
-from migratesim.meanfield import point_mass
+from migratesim.meanfield import integrate, point_mass
 from migratesim.model import ConfigError, SystemConfig, rls_accepts
 from migratesim.stats import mean_sd
 
@@ -240,7 +240,9 @@ def test_counts_from_measure_round_trip():
 def test_kurtz_deviation_zero_for_a_frozen_system():
     cfg = SystemConfig(m=10, policy="rlo", arrival_rates=0.0,
                        resample_rate=0.5, cap=8)
-    dev = kurtz_deviation(cfg, point_mass(0, 8), t_end=2.0, seed=0,
+    ode = integrate("rlo", point_mass(0, 8), 2.0, sample_dt=0.5,
+                    lam=0.0, beta=0.5)
+    dev = kurtz_deviation(cfg, point_mass(0, 8), t_end=2.0, seed=0, ode=ode,
                           sample_dt=0.5)
     assert dev == 0.0
 
@@ -248,24 +250,27 @@ def test_kurtz_deviation_zero_for_a_frozen_system():
 def test_kurtz_deviation_small_system_is_positive_and_bounded():
     cfg = SystemConfig(m=50, policy="rlo", arrival_rates=0.8,
                        resample_rate=0.5, cap=20)
-    dev = kurtz_deviation(cfg, point_mass(0, 20), t_end=2.0, seed=1,
+    ode = integrate("rlo", point_mass(0, 20), 2.0, dt=2e-3, sample_dt=0.5,
+                    lam=0.8, beta=0.5)
+    dev = kurtz_deviation(cfg, point_mass(0, 20), t_end=2.0, seed=1, ode=ode,
                           sample_dt=0.5, dt=2e-3)
     assert 0.0 < dev < 1.0
 
 
 def test_kurtz_deviation_guards():
+    ode = []  # every guard raises before the ode is read
     hetero = SystemConfig(m=2, policy="rlo", arrival_rates=(0.5, 0.1),
                           resample_rate=0.5, cap=5)
     with pytest.raises(ConfigError):
-        kurtz_deviation(hetero, point_mass(0, 5), 1.0, 0)
+        kurtz_deviation(hetero, point_mass(0, 5), 1.0, 0, ode)
     uncapped = SystemConfig(m=2, policy="rlo", arrival_rates=0.5,
                             resample_rate=0.5)
     with pytest.raises(ConfigError):
-        kurtz_deviation(uncapped, point_mass(0, 5), 1.0, 0)
+        kurtz_deviation(uncapped, point_mass(0, 5), 1.0, 0, ode)
     slow = SystemConfig(m=2, policy="rlo", arrival_rates=0.5,
                         service_rates=2.0, resample_rate=0.5, cap=5)
     with pytest.raises(ConfigError):
-        kurtz_deviation(slow, point_mass(0, 5), 1.0, 0)
+        kurtz_deviation(slow, point_mass(0, 5), 1.0, 0, ode)
 
 
 # --- stability probe ------------------------------------------------------------------

@@ -175,11 +175,10 @@ def test_no_unused_imports():
     assert not unused, f"unused imports: {unused}"
 
 
-# definitions whose only callers are tests, on purpose: the tail form of the
-# rlo flow is the independent reference that rhs_rlo is checked against, and
-# step is the one-event reference that the loop tests compare the open loop
-# against bit for bit and the closed loop against in law
-TEST_ONLY_REFERENCES = {"rhs_rlo_tail", "step"}
+# definitions whose only callers are tests, on purpose: step is the
+# one-event reference that the loop tests compare the open loop against bit
+# for bit and the closed loop against in law
+TEST_ONLY_REFERENCES = {"step"}
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -258,6 +257,20 @@ def test_every_definition_has_a_caller():
                        if not name.startswith("__") and name not in used
                        and name not in TEST_ONLY_REFERENCES]
     assert not unused, f"defined but never read outside tests: {unused}"
+
+
+def test_every_verify_check_is_an_acceptance_claim():
+    # a check_* in cli that the acceptance suite does not call is a second
+    # home for a claim, measured at sizes of its own
+    checks = [node.name for node in _parse(ROOT / "src/migratesim/cli.py").body
+              if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("check_")]
+    acceptance = _parse(ROOT / "tests" / "test_acceptance.py")
+    called = {node.func.id for node in ast.walk(acceptance)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert checks, "cli defines no verify checks"
+    missing = [name for name in checks if name not in called]
+    assert not missing, f"verify checks no acceptance test calls: {missing}"
 
 
 # defaulted parameters that no caller outside the tests sets, on purpose:
