@@ -2,6 +2,7 @@
 first-event laws, conservation identities, sampling grids, and the
 three-colour audit chain."""
 
+import hashlib
 import math
 from collections import Counter
 from random import Random
@@ -94,6 +95,61 @@ def test_first_open_event_matches_step():
                 kinds.add(ev.kind)
     # every event kind the open loop counts was compared at least once
     assert kinds == set(traj.event_counts)
+
+
+# sha256 of every open run below, recorded before the loop was last rewritten
+OPEN_STREAM_SHA256 = (
+    "af5b095afb1857db671eb928b21bef1d6d88ac06166d5ce51021ab833da01a39")
+
+
+def test_open_streams_are_pinned():
+    """Whole runs, not just first events: each branch config in both
+    tracking modes, on a sample grid and without one, from empty and from
+    a seeded state, plus m=1 and m=17 for other bounded-draw widths. The
+    times, occupancies, event tallies in key order, end state and sojourn
+    records must hash to the recorded digest, so a faster loop has to
+    consume the same draws in the same order."""
+    configs = OPEN_BRANCH_CONFIGS + (
+        SystemConfig(m=1, policy="rls", arrival_rates=0.6, resample_rate=0.7),
+        SystemConfig(m=17, policy="rlo", arrival_rates=0.6, resample_rate=0.7,
+                     include_self=False),
+    )
+    digest = hashlib.sha256()
+    for c, cfg in enumerate(configs):
+        for track in (False, True):
+            for k in range(4):
+                initial = None if k < 2 else (2,) + (0, 1) * (cfg.m // 2)
+                traj, recs = simulate_open(
+                    cfg, horizon=300.0, warmup=30.0, seed=10 * c + k,
+                    sample_dt=0.7 if k % 2 else None, initial=initial,
+                    track_sojourns=track)
+                digest.update(traj.times.tobytes())
+                digest.update(traj.counts.tobytes())
+                digest.update(repr(list(traj.event_counts.items())).encode())
+                digest.update(repr(traj.final).encode())
+                digest.update(repr([(r.client_id, r.arrive_t, r.depart_t)
+                                    for r in recs]).encode())
+    assert digest.hexdigest() == OPEN_STREAM_SHA256
+
+
+def test_inline_bounded_draw_is_randbelow():
+    """simulate_open draws randrange(n) as CPython's _randbelow does: a
+    getrandbits(n.bit_length()) rejection loop, n = 1 included. Should an
+    interpreter draw otherwise, this fails rather than the open streams
+    shifting unnoticed."""
+    widths = set(range(1, 71))
+    for e in range(1, 21):
+        widths.update((2 ** e - 1, 2 ** e, 2 ** e + 1))
+    for seed in (0, 1, 7, 12345):
+        ref = Random(seed)
+        rng = Random(seed)
+        getrandbits = rng.getrandbits
+        for n in sorted(widths) * 3:
+            bits = n.bit_length()
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            assert r == ref._randbelow(n)
 
 
 def test_step_advances_time_and_total():
