@@ -31,9 +31,12 @@ order, one event at a time:
              resident need further draws
 
 so a single step from a freshly constructed state is bit-identical to the
-first open-loop event under the same seed. The closed loop matches
-``step(closed=True)`` in law, not draw for draw. Each of its steps draws,
-in this order:
+first open-loop event under the same seed. The open loop inlines each
+randrange(n) as CPython's _randbelow draws it, getrandbits(n.bit_length())
+until below n (n = 1 too): on an interpreter that draws otherwise its
+streams shift, and test_inline_bounded_draw_is_randbelow fails. The
+closed loop matches ``step(closed=True)`` in law, not draw for draw. Each
+of its steps draws, in this order:
 
     closed:  dt = -log(1 - random()) / R, R the total accepted-move rate ;
              r = _randbelow(pairs) picks one accepted (client, destination)
@@ -444,21 +447,24 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
         raise ValueError("initial occupancy exceeds the configured cap")
 
     rng = Random(seed)
-    # expovariate(x) is -log(1.0 - random()) / x and randrange(x) is
-    # _randbelow(x) for x > 0: inlined, they draw the same numbers faster
+    # expovariate(x) is -log(1.0 - random()) / x and randrange(x > 0) is
+    # _randbelow(x), getrandbits(x.bit_length()) until below x: inlined,
+    # they draw the same numbers with fewer calls. Tallies stay local ints.
     random = rng.random
-    randbelow = rng._randbelow
+    getrandbits = rng.getrandbits
     log = math.log
     beta = config.resample_rate
     svc = list(config.service_rates)
-    arr = list(config.arrival_rates)
-    cum_arr = _cumulative(arr)
+    cum_arr = _cumulative(config.arrival_rates)
     total_arr = cum_arr[-1] if m else 0.0
     homogeneous_svc = len(set(svc)) == 1
     svc0 = svc[0]
     rls = config.policy is Policy.RLS
-    include_self = config.include_self
     cap = config.cap
+    capped = cap is not None
+    # a resample aims at randrange(dests), skipping its origin when dests < m
+    dests = m if rls or config.include_self else m - 1
+    dest_bits = dests.bit_length()
 
     # busy list with positions for O(1) homogeneous departure picks
     busy = [i for i in range(m) if counts[i] > 0]
@@ -485,83 +491,56 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
 
     n_live = len(slot_server)
     next_id = 0
-    events = {"arrival": 0, "departure": 0, "migration": 0,
-              "resample_rejected": 0, "resample_self": 0,
-              "arrival_dropped": 0, "migration_blocked": 0}
+    n_arrival = n_departure = n_migration = n_rejected = n_self = 0
+    n_dropped = n_blocked = 0
     times = [0.0]
     snaps = [tuple(counts)]
     sample_idx = 1
     next_sample = sample_dt if sample_dt else math.inf
-
-    def _remove_slot(s: int) -> None:
-        nonlocal n_live
-        last = n_live - 1
-        i = slot_server[s]
-        bag = bags[i]
-        p = slot_bagpos[s]
-        moved = bag[-1]
-        bag[p] = moved
-        slot_bagpos[moved] = p
-        bag.pop()
-        if s != last:
-            slot_server[s] = slot_server[last]
-            slot_bagpos[s] = slot_bagpos[last]
-            bags[slot_server[s]][slot_bagpos[s]] = s
-            if track_sojourns:
-                slot_id[s] = slot_id[last]
-        slot_server.pop()
-        slot_bagpos.pop()
-        if track_sojourns:
-            slot_id.pop()
-        n_live = last
 
     t = 0.0
     refresh = 0
     while True:
         total = total_arr + busy_svc + beta * n_live
         t_next = t - log(1.0 - random()) / total if total > 0.0 else math.inf
-        if t_next > horizon:
-            while next_sample <= horizon:
-                times.append(next_sample)
-                snaps.append(tuple(counts))
-                sample_idx += 1
-                next_sample = sample_idx * sample_dt
-            t = horizon
-            break
-        while next_sample <= t_next:
+        while next_sample <= t_next and next_sample <= horizon:
             times.append(next_sample)
             snaps.append(tuple(counts))
             sample_idx += 1
             next_sample = sample_idx * sample_dt
+        if t_next > horizon:
+            t = horizon
+            break
         t = t_next
         w = random() * total
 
         if w < total_arr:
             i = bisect_right(cum_arr, w)
-            if cap is not None and counts[i] >= cap:
-                events["arrival_dropped"] += 1
+            ci = counts[i]
+            if capped and ci >= cap:
+                n_dropped += 1
                 continue
-            counts[i] += 1
-            if counts[i] == 1:
+            counts[i] = ci + 1
+            if ci == 0:
                 busy_pos[i] = len(busy)
                 busy.append(i)
                 busy_svc += svc[i]
-            s = len(slot_server)
             slot_server.append(i)
             slot_bagpos.append(len(bags[i]))
-            bags[i].append(s)
+            bags[i].append(n_live)
             if track_sojourns:
                 slot_id.append(next_id)
                 arrive_t.append(t)
                 next_id += 1
             n_live += 1
-            events["arrival"] += 1
+            n_arrival += 1
             continue
 
         w -= total_arr
         if w < busy_svc:
             if homogeneous_svc:
-                i = busy[min(int(w / svc0), len(busy) - 1)]
+                k = int(w / svc0)
+                i = busy[k] if k < len(busy) else busy[-1]
             else:
                 acc = 0.0
                 i = busy[-1]
@@ -570,26 +549,47 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
                     if w < acc:
                         i = j
                         break
+            ci = counts[i]
+            bag = bags[i]
             if track_sojourns:
-                # the departing client is uniform among the residents
-                r = randbelow(counts[i])
-                s = bags[i][r]
+                # the departing client is uniform among the residents, at
+                # bag position r = randrange(ci); the bag's last entry moves in
+                bits = ci.bit_length()
+                r = getrandbits(bits)
+                while r >= ci:
+                    r = getrandbits(bits)
+                s = bag[r]
                 cid = slot_id[s]
                 if cid >= 0:
                     depart_t[cid] = t
+                mv = bag.pop()
+                if r < ci - 1:
+                    bag[r] = mv
+                    slot_bagpos[mv] = r
             else:
                 # counts do not depend on which resident leaves
-                s = bags[i][-1]
-            counts[i] -= 1
-            if counts[i] == 0:
+                s = bag.pop()
+            counts[i] = ci - 1
+            if ci == 1:
                 p = busy_pos[i]
-                moved = busy[-1]
-                busy[p] = moved
-                busy_pos[moved] = p
+                mv = busy[-1]
+                busy[p] = mv
+                busy_pos[mv] = p
                 busy.pop()
                 busy_svc -= svc[i]
-            _remove_slot(s)
-            events["departure"] += 1
+            # the last slot takes the departed slot's index
+            n_live -= 1
+            i = slot_server.pop()
+            p = slot_bagpos.pop()
+            if s != n_live:
+                slot_server[s] = i
+                slot_bagpos[s] = p
+                bags[i][p] = s
+                if track_sojourns:
+                    slot_id[s] = slot_id[n_live]
+            if track_sojourns:
+                slot_id.pop()
+            n_departure += 1
             refresh += 1
             if refresh >= 65536 and not homogeneous_svc:
                 busy_svc = math.fsum(svc[j] for j in busy)  # stop float drift
@@ -597,55 +597,52 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
             continue
 
         w -= busy_svc
-        s = min(int(w / beta), n_live - 1)
+        s = int(w / beta)  # rounding can reach n_live: clamp it
+        if s >= n_live:
+            s = n_live - 1
         i = slot_server[s]
         ci = counts[i]
-        moved = False
+        j = getrandbits(dest_bits)
+        while j >= dests:
+            j = getrandbits(dest_bits)
         if rls:
-            j = randbelow(m)
-            if svc[j] * ci > svc[i] * (counts[j] + 1):
-                if cap is not None and counts[j] >= cap:
-                    events["migration_blocked"] += 1
-                else:
-                    moved = True
-            else:
-                events["resample_rejected"] += 1
+            cj = counts[j]
+            if not svc[j] * ci > svc[i] * (cj + 1):  # rls_accepts, inlined
+                n_rejected += 1
+                continue
         else:
-            if include_self:
-                j = randbelow(m)
-            else:
-                k = randbelow(m - 1)
-                j = k if k < i else k + 1
+            if j >= i and dests < m:
+                j += 1  # skip the origin
             if j == i:
-                events["resample_self"] += 1
-            elif cap is not None and counts[j] >= cap:
-                events["migration_blocked"] += 1
-            else:
-                moved = True
-        if moved:
-            counts[i] = ci - 1
-            counts[j] += 1
-            if counts[i] == 0:
-                p = busy_pos[i]
-                mv = busy[-1]
-                busy[p] = mv
-                busy_pos[mv] = p
-                busy.pop()
-                busy_svc -= svc[i]
-            if counts[j] == 1:
-                busy_pos[j] = len(busy)
-                busy.append(j)
-                busy_svc += svc[j]
-            slot_server[s] = j
-            bag = bags[i]
-            p = slot_bagpos[s]
-            mv = bag[-1]
+                n_self += 1
+                continue
+            cj = counts[j]
+        if capped and cj >= cap:
+            n_blocked += 1
+            continue
+        counts[i] = ci - 1
+        counts[j] = cj + 1
+        if ci == 1:
+            p = busy_pos[i]
+            mv = busy[-1]
+            busy[p] = mv
+            busy_pos[mv] = p
+            busy.pop()
+            busy_svc -= svc[i]
+        if cj == 0:
+            busy_pos[j] = len(busy)
+            busy.append(j)
+            busy_svc += svc[j]
+        slot_server[s] = j
+        bag = bags[i]
+        p = slot_bagpos[s]
+        mv = bag.pop()
+        if mv != s:
             bag[p] = mv
             slot_bagpos[mv] = p
-            bag.pop()
-            slot_bagpos[s] = len(bags[j])
-            bags[j].append(s)
-            events["migration"] += 1
+        slot_bagpos[s] = len(bags[j])
+        bags[j].append(s)
+        n_migration += 1
 
     if times[-1] < t:  # the horizon may already sit on the sample grid
         times.append(t)
@@ -653,7 +650,10 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
     traj = Trajectory(
         times=np.asarray(times),
         counts=np.asarray(snaps, dtype=np.int64),
-        event_counts=events,
+        event_counts={"arrival": n_arrival, "departure": n_departure,
+                      "migration": n_migration, "resample_rejected": n_rejected,
+                      "resample_self": n_self, "arrival_dropped": n_dropped,
+                      "migration_blocked": n_blocked},
         final=SystemState(t, tuple(counts)),
     )
     records = []
