@@ -67,6 +67,10 @@ from . import experiments as exp
 # in-window censoring above this fraction marks the estimate unreliable
 CENSOR_WARN_FRACTION = 0.01
 
+# open-loop event kinds that leave the occupancies as they were
+NULL_EVENTS = ("resample_rejected", "resample_self", "arrival_dropped",
+               "migration_blocked")
+
 
 @dataclass
 class RunManifest:
@@ -85,6 +89,9 @@ class RunManifest:
     warnings: List[str] = field(default_factory=list)
     # why the run exits 1 after the manifest was first written; ditto
     error: Optional[str] = None
+    # event tallies by kind summed over the replications; ditto, with the
+    # share of null events beside them
+    events: Optional[dict] = None
 
     def write(self, path) -> None:
         data = {
@@ -106,6 +113,12 @@ class RunManifest:
             data["warnings"] = list(self.warnings)
         if self.error is not None:
             data["error"] = self.error
+        if self.events is not None:
+            data["events"] = self.events
+            total = sum(self.events.values())
+            data["null_fraction"] = (
+                sum(self.events[k] for k in NULL_EVENTS) / total
+                if total else None)
         with open(path, "w", newline="\n") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -303,6 +316,7 @@ def cmd_open(args) -> int:
         report = exp.stability_probe(config, args.horizon,
                                      seed_set=range(seed, seed + args.reps),
                                      jobs=args.jobs)
+        manifest.events = report.events
         print(f"verdict: {report.verdict}")
         print(f"growth slope: {report.growth_slope!r} ci95={report.slope_ci!r}")
         print(f"quarter-window means: {report.tail_means!r}")
@@ -334,6 +348,7 @@ def cmd_open(args) -> int:
         summary = exp.measure_sojourns(config, args.horizon, warmup, args.reps,
                                        base_seed=seed, cutoff=cutoff,
                                        jobs=args.jobs)
+        manifest.events = summary.events
         print(f"clients: {summary.clients} (censored in window: {summary.censored})")
         print(f"mean sojourn: {summary.mean_sojourn!r}")
         print(f"throughput: {summary.throughput!r} ci95={summary.ci95!r}")

@@ -50,13 +50,24 @@ class StabilityReport:
     tail_means: tuple  # population means over the 3rd and 4th quarter windows
     per_seed_slopes: tuple
     seeds: tuple
+    events: dict  # event tallies by kind, summed over the seeds
+
+
+def _summed_events(tallies) -> dict:
+    """Per-replication event tallies summed by kind, in the loop's key order."""
+    total = dict.fromkeys(tallies[0], 0)
+    for tally in tallies:
+        for kind, n in tally.items():
+            total[kind] += n
+    return total
 
 
 def _population_path(args):
     config, horizon, sample_dt, seed = args
     traj, _ = simulate_open(config, horizon, seed=seed, sample_dt=sample_dt,
                             track_sojourns=False)
-    return np.asarray(traj.times), traj.counts.sum(axis=1).astype(float)
+    return (np.asarray(traj.times), traj.counts.sum(axis=1).astype(float),
+            traj.event_counts)
 
 
 def stability_probe(config: SystemConfig, horizon: float,
@@ -86,7 +97,7 @@ def stability_probe(config: SystemConfig, horizon: float,
     paths = map_replications(_population_path, work, jobs)
 
     times = paths[0][0]
-    pops = np.stack([p for _, p in paths])
+    pops = np.stack([p for _, p, _ in paths])
     half = times >= horizon / 2.0
     q3 = half & (times < 0.75 * horizon)
     q4 = times >= 0.75 * horizon
@@ -110,6 +121,7 @@ def stability_probe(config: SystemConfig, horizon: float,
     return StabilityReport(
         verdict=verdict, growth_slope=slope, slope_ci=ci,
         tail_means=(m3, m4), per_seed_slopes=slopes, seeds=seeds,
+        events=_summed_events([ev for _, _, ev in paths]),
     )
 
 
@@ -285,8 +297,8 @@ class ThroughputRow:
 
 def _sojourn_rep(args):
     config, horizon, warmup, cutoff, seed = args
-    _, records = simulate_open(config, horizon, warmup=warmup, seed=seed,
-                               sample_dt=None)
+    traj, records = simulate_open(config, horizon, warmup=warmup, seed=seed,
+                                  sample_dt=None)
     censored = 0
     parts = []
     for rec in records:
@@ -296,7 +308,7 @@ def _sojourn_rep(args):
             censored += 1
         else:
             parts.append(rec.sojourn)
-    return math.fsum(parts), len(parts), censored
+    return (math.fsum(parts), len(parts), censored), traj.event_counts
 
 
 @dataclass
@@ -311,6 +323,7 @@ class SojournSummary:
     throughput: Optional[float]
     ci95: Optional[tuple]  # over per-replication throughputs
     per_rep: tuple  # (total_sojourn, completed, censored) per seed
+    events: dict  # event tallies by kind, summed over the seeds
 
 
 def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
@@ -327,7 +340,8 @@ def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
         raise ValueError("need at least one replication")
     seeds = [base_seed + r for r in range(reps)]
     work = [(config, horizon, warmup, cutoff, s) for s in seeds]
-    reps_out = map_replications(_sojourn_rep, work, jobs)
+    outs = map_replications(_sojourn_rep, work, jobs)
+    reps_out = [rep for rep, _ in outs]
 
     clients = sum(r[1] for r in reps_out)
     censored = sum(r[2] for r in reps_out)
@@ -341,6 +355,7 @@ def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
         reps=reps, seeds=(seeds[0], seeds[-1]),
         clients=clients, censored=censored, mean_sojourn=pooled,
         throughput=thr, ci95=ci, per_rep=tuple(reps_out),
+        events=_summed_events([ev for _, ev in outs]),
     )
 
 

@@ -4,7 +4,9 @@ import json
 
 from migratesim import cli
 from migratesim.cli import main
+from migratesim.ctmc import simulate_open
 from migratesim.meanfield import integrate, point_mass, solve_fixed_point_rlo
+from migratesim.model import SystemConfig
 
 
 def run(argv):
@@ -184,6 +186,36 @@ def test_open_probe_small_sample_inconclusive(tmp_path, capsys):
     assert printed == ["stability probe inconclusive"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["warnings"] == printed
+
+
+def test_open_manifest_counts_events(tmp_path):
+    """The probe's manifest tells how much of the run was null events: the
+    loop's tallies summed over the seeds, and their null share."""
+    cfg = SystemConfig(m=3, policy="rls", arrival_rates=0.8, resample_rate=0.5)
+    out = tmp_path / "probe"
+    run(["open", "--m", 3, "--policy", "rls", "--lambda", "0.8", "--beta", 0.5,
+         "--horizon", 100, "--reps", 4, "--seed", 2, "--jobs", 1, "--probe",
+         "--out", out])
+    manifest = json.loads((out / "manifest.json").read_text())
+    expected = dict.fromkeys(manifest["events"], 0)
+    for seed in range(2, 6):
+        traj, _ = simulate_open(cfg, 100.0, seed=seed, sample_dt=100.0 / 500,
+                                track_sojourns=False)
+        assert set(traj.event_counts) == set(expected)
+        for kind, n in traj.event_counts.items():
+            expected[kind] += n
+    assert manifest["events"] == expected
+    null = (expected["resample_rejected"] + expected["resample_self"]
+            + expected["arrival_dropped"] + expected["migration_blocked"])
+    assert 0 < null < expected["resample_rejected"] + expected["migration"]
+    assert manifest["null_fraction"] == null / sum(expected.values())
+    # sojourn runs write the same two keys
+    out = tmp_path / "open"
+    run(["open", "--m", 3, "--policy", "rlo", "--lambda", "0.8", "--beta", 0.5,
+         "--horizon", 100, "--reps", 2, "--jobs", 1, "--out", out])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["events"]["migration"] > 0
+    assert 0 < manifest["null_fraction"] < 1
 
 
 # --- meanfield ------------------------------------------------------------------
