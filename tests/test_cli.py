@@ -207,7 +207,7 @@ def test_open_manifest_counts_events(tmp_path):
     assert manifest["events"] == expected
     null = (expected["resample_rejected"] + expected["resample_self"]
             + expected["arrival_dropped"] + expected["migration_blocked"])
-    assert 0 < null < expected["resample_rejected"] + expected["migration"]
+    assert null > 0 and expected["migration"] > 0
     assert manifest["null_fraction"] == null / sum(expected.values())
     # sojourn runs write the same two keys
     out = tmp_path / "open"
