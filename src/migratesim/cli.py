@@ -24,13 +24,16 @@ line and listed in the manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import platform
 import sys
 import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import metadata
 from itertools import product
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
@@ -72,6 +75,14 @@ NULL_EVENTS = ("resample_rejected", "resample_self", "arrival_dropped",
                "migration_blocked")
 
 
+@functools.cache
+def _environment() -> dict:
+    # scipy's version comes from its package metadata: importing scipy here
+    # would load it on every run, though only p-values need it
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": metadata.version("scipy"), "nproc": os.cpu_count()}
+
+
 @dataclass
 class RunManifest:
     """Provenance record, the only artifact carrying wall-clock times."""
@@ -106,6 +117,7 @@ class RunManifest:
             "outputs": list(self.outputs),
             "started": self.started,
             "finished": self.finished,
+            "environment": _environment(),
         }
         if self.solver is not None:
             data["solver"] = self.solver
@@ -145,16 +157,22 @@ def _cell(value) -> str:
         return repr(float(value))  # np.float64 would repr as np.float64(...)
     if isinstance(value, bool):
         return str(int(value))
-    return str(value)
+    text = str(value)
+    # RFC 4180 minimal quoting: only a cell holding a comma, a quote or a
+    # line break is quoted, so every other cell is written as it stands
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_results_csv(path, columns: Sequence[str],
                       rows: Sequence[dict], comments: Sequence[str]) -> None:
-    """Generic results table: '#' comment lines, header row, repr floats."""
+    """Generic results table: '#' comment lines, header row, repr floats,
+    text cells quoted only where they must be."""
     with open(path, "w", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
+        fh.write(",".join(_cell(c) for c in columns) + "\n")
         for row in rows:
             fh.write(",".join(_cell(row.get(c)) for c in columns) + "\n")
 
@@ -574,8 +592,7 @@ def cmd_verify(args) -> int:
             print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
             if not ok:
                 manifest.warnings.append(f"{name} check failed")
-            rows.append({"check": name, "passed": int(ok),
-                         "detail": detail.replace(",", ";")})
+            rows.append({"check": name, "passed": int(ok), "detail": detail})
         return ("check", "passed", "detail"), rows, ()
 
     return _run(args, {"suite": args.suite}, (), "verify.csv", body)

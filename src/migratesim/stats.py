@@ -1,5 +1,10 @@
 """Seeds, the replication fan-out, and small statistical helpers shared by the
-measurement and experiment layers."""
+measurement and experiment layers.
+
+Only the two goodness-of-fit helpers compute a p-value, and only they import
+scipy, inside the call: ``verify coupling`` and the tests reach them, and no
+other command loads scipy, so importing the package stays cheap.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy import stats as sps
 
 # Replication counts below this produce no confidence interval: the normal
 # approximation over replication means is not trusted for tiny samples.
@@ -15,8 +19,10 @@ MIN_REPS_FOR_CI = 20
 
 SEED_STRIDE = 10 ** 6  # seed = base + cell_index * SEED_STRIDE + rep_index
 
-# two-sided 95% normal quantile for the replication intervals
-Z95 = float(sps.norm.ppf(0.975))
+# two-sided 95% normal quantile for the replication intervals, the float
+# scipy.stats.norm.ppf(0.975) returns; statistics.NormalDist().inv_cdf(0.975)
+# is one ulp below it (1.9599639845400536) and would move every interval
+Z95 = 1.959963984540054
 
 # chi-square bins are pooled until each expects at least this many counts
 MIN_EXPECTED = 5.0
@@ -89,6 +95,8 @@ def chi_square_gof(observed, expected) -> tuple:
     every pooled expectation reaches MIN_EXPECTED. Returns (stat, df, p).
     Probabilities are taken as known, so df = bins - 1.
     """
+    from scipy.stats import chi2
+
     obs = [float(o) for o in observed]
     exp = [float(e) for e in expected]
     if len(obs) != len(exp):
@@ -103,7 +111,7 @@ def chi_square_gof(observed, expected) -> tuple:
         raise ValueError("pooled expected counts must be positive")
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
     df = len(obs) - 1
-    p = float(sps.chi2.sf(stat, df))
+    p = float(chi2.sf(stat, df))
     return stat, df, p
 
 
@@ -113,15 +121,17 @@ def poisson_gof(samples, mean: float) -> tuple:
     Bins run from 0 to the sample maximum, with everything beyond collected
     in one overflow bin. Returns (stat, df, p).
     """
+    from scipy.stats import poisson
+
     samples = np.asarray(samples, dtype=np.int64)
     if np.any(samples < 0):
         raise ValueError("Poisson samples must be non-negative")
     n = samples.size
     top = int(samples.max()) if n else 0
     observed = np.bincount(samples, minlength=top + 1).astype(float)
-    probs = sps.poisson.pmf(np.arange(top + 1), mean)
+    probs = poisson.pmf(np.arange(top + 1), mean)
     expected = probs * n
     # overflow bin keeps the expectations summing to n
     observed = np.append(observed, 0.0)
-    expected = np.append(expected, n * float(sps.poisson.sf(top, mean)))
+    expected = np.append(expected, n * float(poisson.sf(top, mean)))
     return chi_square_gof(observed, expected)

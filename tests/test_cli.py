@@ -1,6 +1,13 @@
-"""Command-line driver tests, run in-process through main(argv)."""
+"""Command-line driver tests, run in-process through main(argv), but for the
+scipy guard, which needs an interpreter that has not loaded scipy yet."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from importlib import metadata
+from pathlib import Path
 
 from migratesim import cli
 from migratesim.cli import main
@@ -333,6 +340,19 @@ def test_verify_lyapunov_suite(tmp_path, capsys):
     assert "lyapunov:" not in captured.out
 
 
+def test_verify_csv_keeps_the_detail_verbatim(tmp_path, capsys):
+    out = tmp_path / "ver"
+    assert run(["verify", "lyapunov", "--out", out]) == 0
+    printed = capsys.readouterr().out.strip()
+    detail = printed[len("lyapunov: PASS ("):-1]
+    assert "," in detail  # "[(0, 0, 0)]"
+    lines = (out / "verify.csv").read_text().splitlines()
+    assert lines[1] == f'lyapunov,1,"{detail}"'
+    with open(out / "verify.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["check", "passed", "detail"],
+                                        ["lyapunov", "1", detail]]
+
+
 def test_verify_takes_no_size_options(capsys):
     assert run(["verify", "lyapunov", "--m", 2]) == 1
     assert "lyapunov:" not in capsys.readouterr().out
@@ -346,7 +366,7 @@ def test_verify_failed_check_exits_two(monkeypatch, tmp_path, capsys):
     assert "kurtz: FAIL (gap 0.1, bound 0.05)" in text
     assert "warning: kurtz check failed" in text
     lines = (out / "verify.csv").read_text().splitlines()
-    assert lines == ["check,passed,detail", "kurtz,0,gap 0.1; bound 0.05"]
+    assert lines == ["check,passed,detail", 'kurtz,0,"gap 0.1, bound 0.05"']
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["warnings"] == ["kurtz check failed"]
 
@@ -356,6 +376,36 @@ def test_verify_rejects_unknown_suite(capsys):
 
 
 # --- top level ------------------------------------------------------------------------
+
+def test_cli_runs_leave_scipy_unloaded(tmp_path):
+    """Only the p-value helpers import scipy, so importing the CLI and
+    running a balance and a stability probe must not load it. This process
+    holds scipy already, through the tests that import it, so a fresh
+    interpreter runs the commands."""
+    script = f"""
+import json, sys
+from migratesim import cli
+codes = [
+    cli.main(["balance", "--m", "2", "--n", "4", "--reps", "3", "--jobs", "1",
+              "--out", {str(tmp_path / "bal")!r}]),
+    cli.main(["open", "--m", "2", "--policy", "rls", "--lambda", "0.5",
+              "--horizon", "80", "--reps", "5", "--jobs", "1", "--probe",
+              "--out", {str(tmp_path / "probe")!r}]),
+]
+print(json.dumps({{"codes": codes, "scipy": sorted(
+    k for k in sys.modules if k == "scipy" or k.startswith("scipy."))}}))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 2]  # five seeds leave the probe inconclusive
+    assert result["scipy"] == []
+    # the manifests name scipy's version all the same, read from its metadata
+    for name in ("bal", "probe"):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["environment"]["scipy"] == metadata.version("scipy")
+
 
 def test_unknown_subcommand_exits_one(capsys):
     assert run(["frobnicate"]) == 1

@@ -1,14 +1,20 @@
 """Experiment-layer tests: the sojourn pipeline against an exactly solvable
 two-server chain, drift enumeration against a hand transcription of the
-generator, the deviation metric, the stability probe, and artifact writers."""
+generator, the deviation metric, the stability probe, artifact writers, and
+the normal quantile behind every interval."""
 
+import csv
 import json
 import math
+import os
+import platform
 from fractions import Fraction
+from importlib import metadata
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.stats
 from scipy.sparse.linalg import spsolve
 
 from migratesim.cli import RunManifest, write_results_csv
@@ -23,6 +29,7 @@ from migratesim.experiments import (
 )
 from migratesim.meanfield import integrate, point_mass
 from migratesim.model import ConfigError, SystemConfig, rls_accepts
+from migratesim import stats
 from migratesim.stats import mean_sd
 
 
@@ -373,12 +380,30 @@ def test_write_results_csv_formatting(tmp_path):
     assert lines[4] == "3,0.1,,"  # numpy floats write like plain floats
 
 
+def test_write_results_csv_quotes_only_where_needed(tmp_path):
+    path = tmp_path / "table.csv"
+    cells = ["plain", "a, b", 'say "hi"', "two\nlines", "semi; colon"]
+    write_results_csv(path, ("i", "text"),
+                      [{"i": i, "text": c} for i, c in enumerate(cells)],
+                      comments=())
+    raw = path.read_text()
+    assert raw.splitlines()[:4] == ["i,text", "0,plain", '1,"a, b"',
+                                    '2,"say ""hi"""']
+    assert '4,semi; colon\n' in raw
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [[str(i), c]
+                                            for i, c in enumerate(cells)]
+
+
 def test_write_manifest_schema(tmp_path):
     # the CLI's RunManifest is the package's one manifest writer
     path = tmp_path / "manifest.json"
     RunManifest("demo", {"m": 2}, (5, 3, 4), ("a.csv",), started=1.5).write(path)
     data = json.loads(path.read_text())
     assert data["subcommand"] == "demo"
+    assert data["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": metadata.version("scipy"), "nproc": os.cpu_count()}
     assert data["config"] == {"m": 2}
     assert data["seeds"] == {"first": 3, "last": 5, "count": 3}
     assert data["outputs"] == ["a.csv"]
@@ -395,3 +420,11 @@ def test_write_manifest_schema(tmp_path):
     data = json.loads(path.read_text())
     assert data["solver"] == {"iterations": 4, "residual": 1e-16}
     assert data["warnings"] == ["2 replication(s) censored"]
+
+
+# --- statistics --------------------------------------------------------------------------
+
+def test_z95_is_scipys_normal_quantile():
+    # the literal stands in for scipy's quantile so that no run loads scipy;
+    # it must be the same float, since every interval is built from it
+    assert stats.Z95.hex() == float(scipy.stats.norm.ppf(0.975)).hex()
