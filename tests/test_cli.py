@@ -331,26 +331,20 @@ def test_verify_lyapunov_suite(tmp_path, capsys):
     code = run(["verify", "lyapunov", "--out", out])
     assert code == 0
     text = capsys.readouterr().out
-    assert "lyapunov: PASS" in text
-    assert (out / "verify.csv").exists()
+    assert text.startswith("lyapunov: PASS (")
+    # verify.csv holds the printed detail verbatim, commas and all
+    detail = text.strip()[len("lyapunov: PASS ("):-1]
+    assert "," in detail
+    lines = (out / "verify.csv").read_text().splitlines()
+    assert lines == ["check,passed,detail", f'lyapunov,1,"{detail}"']
+    with open(out / "verify.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["check", "passed", "detail"],
+                                        ["lyapunov", "1", detail]]
     # an existing --out is refused before any check runs
     assert run(["verify", "lyapunov", "--out", out]) == 1
     captured = capsys.readouterr()
     assert "--force" in captured.err
     assert "lyapunov:" not in captured.out
-
-
-def test_verify_csv_keeps_the_detail_verbatim(tmp_path, capsys):
-    out = tmp_path / "ver"
-    assert run(["verify", "lyapunov", "--out", out]) == 0
-    printed = capsys.readouterr().out.strip()
-    detail = printed[len("lyapunov: PASS ("):-1]
-    assert "," in detail  # "[(0, 0, 0)]"
-    lines = (out / "verify.csv").read_text().splitlines()
-    assert lines[1] == f'lyapunov,1,"{detail}"'
-    with open(out / "verify.csv", newline="") as fh:
-        assert list(csv.reader(fh)) == [["check", "passed", "detail"],
-                                        ["lyapunov", "1", detail]]
 
 
 def test_verify_takes_no_size_options(capsys):

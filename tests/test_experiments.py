@@ -29,8 +29,7 @@ from migratesim.experiments import (
 )
 from migratesim.meanfield import integrate, point_mass
 from migratesim.model import ConfigError, SystemConfig, rls_accepts
-from migratesim import stats
-from migratesim.stats import mean_sd
+from migratesim.stats import Z95, mean_sd
 
 
 # --- exact two-server oracle for the sojourn pipeline --------------------------
@@ -370,7 +369,9 @@ def test_write_results_csv_formatting(tmp_path):
     write_results_csv(path, ("a", "b", "c", "flag"),
                       [{"a": 1, "b": 0.25, "c": None, "flag": True},
                        {"a": 2, "b": float("inf"), "c": "x", "flag": False},
-                       {"a": 3, "b": np.float64(0.1), "c": None, "flag": None}],
+                       {"a": 3, "b": np.float64(0.1), "c": None, "flag": None},
+                       {"a": 4, "b": None, "c": 'say "hi", twice'},
+                       {"a": 5, "b": None, "c": "two\nlines"}],
                       comments=["hello"])
     lines = path.read_text().splitlines()
     assert lines[0] == "# hello"
@@ -378,21 +379,12 @@ def test_write_results_csv_formatting(tmp_path):
     assert lines[2] == "1,0.25,,1"
     assert lines[3] == "2,inf,x,0"
     assert lines[4] == "3,0.1,,"  # numpy floats write like plain floats
-
-
-def test_write_results_csv_quotes_only_where_needed(tmp_path):
-    path = tmp_path / "table.csv"
-    cells = ["plain", "a, b", 'say "hi"', "two\nlines", "semi; colon"]
-    write_results_csv(path, ("i", "text"),
-                      [{"i": i, "text": c} for i, c in enumerate(cells)],
-                      comments=())
-    raw = path.read_text()
-    assert raw.splitlines()[:4] == ["i,text", "0,plain", '1,"a, b"',
-                                    '2,"say ""hi"""']
-    assert '4,semi; colon\n' in raw
+    # only a cell holding a comma, a quote or a line break is quoted
+    assert lines[5] == '4,,"say ""hi"", twice",'
     with open(path, newline="") as fh:
-        assert list(csv.reader(fh))[1:] == [[str(i), c]
-                                            for i, c in enumerate(cells)]
+        rows = list(csv.reader(fh))[2:]
+    assert [r[2] for r in rows] == ["", "x", "", 'say "hi", twice',
+                                    "two\nlines"]
 
 
 def test_write_manifest_schema(tmp_path):
@@ -427,4 +419,4 @@ def test_write_manifest_schema(tmp_path):
 def test_z95_is_scipys_normal_quantile():
     # the literal stands in for scipy's quantile so that no run loads scipy;
     # it must be the same float, since every interval is built from it
-    assert stats.Z95.hex() == float(scipy.stats.norm.ppf(0.975)).hex()
+    assert Z95.hex() == float(scipy.stats.norm.ppf(0.975)).hex()
