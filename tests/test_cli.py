@@ -2,6 +2,7 @@
 scipy guard, which needs an interpreter that has not loaded scipy yet."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -132,6 +133,47 @@ def test_seed_env_malformed(tmp_path, monkeypatch, capsys):
     assert run(["balance", "--m", 2, "--n", 2, "--reps", 2,
                 "--out", tmp_path / "bal"]) == 1
     assert "MIGRATE_SIM_SEED" in capsys.readouterr().err
+
+
+# (argv, CSV name, sha256 of the CSV) for one run of each CSV writer path
+PINNED_CSVS = [
+    (["balance", "--m", 4, "--n", 16, "--reps", 20, "--seed", 5],
+     "balance_times.csv",
+     "cd2e98f8f11115e639782be3466d6832a525caf3564fd248840a09f19f70be2a"),
+    (["balance", "--m", 16, "--n", 256, "--stop", "eps=0.2", "--reps", 20,
+      "--seed", 7],
+     "balance_times.csv",
+     "b288337bf9bea76eebfd50536a46212bc6638ebfb0a283b7e1ee9db22da1dc1a"),
+    (["balance", "--m", 4, "--n", 8, "--initial", "file",
+      "--initial-file", "start.txt", "--stop", "eps=0.5", "--reps", 5,
+      "--seed", 2],
+     "balance_times.csv",
+     "eed9f9bb9f19099093256122eb4a3f063f9c97e6f64234d7a605bd7be535a353"),
+    (["open", "--m", 4, "--policy", "rls", "--lambda", 0.6, "--beta", 0.5,
+      "--horizon", 200, "--reps", 3, "--seed", 3],
+     "sojourns.csv",
+     "436b8c3144b51707c50eb89cc9e6df29b9b423071072c4eab6e11b026573e53e"),
+    (["meanfield", "--mode", "integrate", "--policy", "rlo", "--lambda", 0.8,
+      "--beta", 0.5, "--bcap", 30, "--t-end", 5],
+     "trajectory.csv",
+     "976e098f21ce989f67cfda2be7ebd22d8121d77bc9c1ba85c96e48a5c68a16f8"),
+    (["meanfield", "--policy", "rls", "--lambda", 0.8, "--beta", 0.5,
+      "--bcap", 60],
+     "equilibrium.csv",
+     "1e9104d5f90795330ca0cad2fc9f0217fcf171133a8b520b2b6be348d9e0dbd9"),
+]
+
+
+def test_cli_csv_bodies_are_pinned(tmp_path, monkeypatch):
+    # a change to option handling must leave every CSV byte for byte as it was
+    monkeypatch.chdir(tmp_path)
+    Path("start.txt").write_text("6 2 0 0\n")
+    for k, (argv, name, digest) in enumerate(PINNED_CSVS):
+        out = tmp_path / f"run{k}"
+        jobs = [] if argv[0] == "meanfield" else ["--jobs", 1]
+        assert run(argv + jobs + ["--out", out]) == 0
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == digest, f"{' '.join(map(str, argv))}: {name} changed"
 
 
 # --- open ---------------------------------------------------------------------
