@@ -56,14 +56,6 @@ def initial_all_at_one(m: int, n: int) -> tuple:
     return (n,) + (0,) * (m - 1)
 
 
-def initial_uniform(m: int, n: int) -> tuple:
-    """As even as integers allow: floor(n/m) each, remainder on the lowest indices."""
-    if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
-    base, rem = divmod(n, m)
-    return tuple(base + (1 if i < rem else 0) for i in range(m))
-
-
 def initial_from_file(path, m: int) -> tuple:
     """Read an occupancy vector: one non-negative integer per line or comma-separated."""
     with open(path) as fh:
@@ -102,22 +94,22 @@ class BalanceTimeResult:
 
 
 def _balance_rep(args) -> Optional[float]:
-    config, initial, stop, eps, horizon, seed = args
-    res = simulate_closed(config, initial, horizon=horizon, stop=stop, eps=eps,
-                          seed=seed)
-    return res.stop_time if not res.censored else None
+    config, initial, eps, horizon, seed = args
+    return simulate_closed(config, initial, horizon=horizon, eps=eps,
+                           seed=seed).stop_time
 
 
 def measure_balance_time(config: SystemConfig, initial: Sequence[int],
-                         stop: str = "balanced", eps=None, reps: int = 2,
-                         base_seed: int = 0, horizon: Optional[float] = None,
+                         eps=None, reps: int = 2, base_seed: int = 0,
+                         horizon: Optional[float] = None,
                          jobs: int = 1) -> BalanceTimeResult:
     """Replicate a closed run over seeds base_seed .. base_seed + reps - 1.
 
-    The default horizon is 100 times the analytic bound on the expected
-    balance time, so an uncensored run is overwhelmingly likely whenever
-    the dynamics does balance. Censored replications are excluded from the
-    mean but counted and reported. A confidence interval (normal
+    Each run stops at exact balance when eps is None, and at eps balance
+    otherwise. The default horizon is 100 times the analytic bound on the
+    expected balance time, so an uncensored run is overwhelmingly likely
+    whenever the dynamics does balance. Censored replications are excluded
+    from the mean but counted and reported. A confidence interval (normal
     approximation) is attached only when at least 20 replications finished.
     """
     if reps < 2:
@@ -131,7 +123,7 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
             raise ValueError("horizon required when the analytic bound is undefined")
         horizon = 100.0 * bound
     seeds = tuple(base_seed + k for k in range(reps))
-    work = [(config, initial, stop, eps, horizon, s) for s in seeds]
+    work = [(config, initial, eps, horizon, s) for s in seeds]
     times = map_replications(_balance_rep, work, jobs)
 
     done = [t for t in times if t is not None]

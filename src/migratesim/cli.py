@@ -44,7 +44,6 @@ from . import __version__
 from .balance import (
     initial_all_at_one,
     initial_from_file,
-    initial_uniform,
     measure_balance_time,
 )
 from .ctmc import simulate_coupled
@@ -184,20 +183,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("MIGRATE_SIM_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"MIGRATE_SIM_SEED must be an integer, got {raw!r}")
-
-
-def _resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else _env_seed()
-
-
 def _run(args, config: dict, seeds, csv_name: str,
          body: Callable[[RunManifest], tuple]) -> int:
     """The run protocol that every subcommand returns through.
@@ -250,11 +235,12 @@ def _parse_rates(text: str):
 
 
 def _parse_stop(text: str):
+    """'exact' -> None; 'eps=<value>' -> the tolerance as a Fraction."""
     if text == "exact":
-        return "balanced", None
+        return None
     if text.startswith("eps="):
         try:
-            return "eps", Fraction(text[4:])
+            return Fraction(text[4:])
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"bad tolerance in {text!r}")
     raise ConfigError(f'--stop must be "exact" or "eps=<value>", got {text!r}')
@@ -264,28 +250,24 @@ def _parse_stop(text: str):
 # balance
 
 def cmd_balance(args) -> int:
-    seed = _resolve_seed(args)
+    seed = args.seed
     m, n = args.m, args.n
-    if args.initial == "file":
-        if args.initial_file is None:
-            raise ConfigError("--initial file needs --initial-file <path>")
+    if args.initial_file is None:
+        initial = initial_all_at_one(m, n)
+    else:
         initial = initial_from_file(args.initial_file, m)
         if sum(initial) != n:
             raise ConfigError(
                 f"initial file holds {sum(initial)} clients, --n says {n}"
             )
-    elif args.initial == "uniform":
-        initial = initial_uniform(m, n)
-    else:
-        initial = initial_all_at_one(m, n)
-    stop, eps = _parse_stop(args.stop)
+    eps = _parse_stop(args.stop)
     config = SystemConfig(m=m, policy=Policy.RLS, arrival_rates=0.0,
                           service_rates=1.0, resample_rate=args.beta)
 
     def body(manifest):
-        res = measure_balance_time(config, initial, stop=stop, eps=eps,
-                                   reps=args.reps, base_seed=seed,
-                                   horizon=args.horizon, jobs=args.jobs)
+        res = measure_balance_time(config, initial, eps=eps, reps=args.reps,
+                                   base_seed=seed, horizon=args.horizon,
+                                   jobs=args.jobs)
         print(f"balance time over {args.reps} runs: mean={res.mean!r} sd={res.sd!r}")
         print(f"ci95={res.ci95!r}")
         print(f"analytic bound: {res.bound!r}")
@@ -304,7 +286,7 @@ def cmd_balance(args) -> int:
         ]
         return ("rep", "seed", "balance_time"), rows, comments
 
-    return _run(args, {"m": m, "n": n, "initial": args.initial,
+    return _run(args, {"m": m, "n": n, "initial_file": args.initial_file,
                        "stop": args.stop, "beta": args.beta, "reps": args.reps,
                        "horizon": args.horizon},
                 range(seed, seed + args.reps), "balance_times.csv", body)
@@ -314,7 +296,7 @@ def cmd_balance(args) -> int:
 # open system
 
 def cmd_open(args) -> int:
-    seed = _resolve_seed(args)
+    seed = args.seed
     lam = _parse_rates(args.lam)
     mu = _parse_rates(args.mu)
     m = args.m
@@ -328,7 +310,8 @@ def cmd_open(args) -> int:
     config = SystemConfig(m=m, policy=args.policy, arrival_rates=lam,
                           service_rates=mu, resample_rate=args.beta,
                           include_self=not args.exclude_self)
-    warmup = 0.2 * args.horizon if args.warmup is None else args.warmup
+    warmup = (exp.WARMUP_FRACTION * args.horizon if args.warmup is None
+              else args.warmup)
 
     def probe(manifest):
         report = exp.stability_probe(config, args.horizon,
@@ -358,7 +341,7 @@ def cmd_open(args) -> int:
             )
             cutoff = args.horizon
         else:
-            cutoff = args.horizon - 12.0 / (1.0 - load)
+            cutoff = args.horizon - exp.CENSOR_MARGIN / (1.0 - load)
             if cutoff <= warmup:
                 manifest.warnings.append("horizon too short for a censoring margin")
                 cutoff = args.horizon
@@ -409,7 +392,7 @@ def cmd_meanfield(args) -> int:
     def trajectory(manifest):
         sample_dt = args.sample_dt if args.sample_dt else args.t_end / 100.0
         samples = integrate(args.policy, point_mass(0, cap), args.t_end,
-                            dt=args.dt or 1e-3, sample_dt=sample_dt,
+                            dt=args.dt, sample_dt=sample_dt,
                             lam=lam, beta=beta)
         final = samples[-1][1]
         rhs = make_rhs(args.policy, lam, beta)
@@ -419,7 +402,7 @@ def cmd_meanfield(args) -> int:
         columns = ("t",) + tuple(f"x_{k}" for k in range(cap + 1))
         rows = [dict(zip(columns, (t, *state.x))) for t, state in samples]
         return columns, rows, [f"policy={args.policy} lambda={lam!r} "
-                               f"beta={beta!r} B={cap} dt={args.dt or 1e-3!r}"]
+                               f"beta={beta!r} B={cap} dt={args.dt!r}"]
 
     def fixed_point(manifest):
         fp = solve_fixed_point_rlo(lam, beta, cap, tol=args.tol)
@@ -608,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="base seed (default: $MIGRATE_SIM_SEED or 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="base seed (default: 0)")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        help="parallel worker processes")
         p.add_argument("--force", action="store_true",
@@ -618,10 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("balance", help="closed-system time to balance")
     b.add_argument("--m", type=int, required=True, help="number of servers")
     b.add_argument("--n", type=int, required=True, help="number of clients")
-    b.add_argument("--initial", choices=("all-at-one", "uniform", "file"),
-                   default="all-at-one")
     b.add_argument("--initial-file", default=None,
-                   help="occupancy file for --initial file")
+                   help="occupancy file (default: all clients on the first "
+                        "server)")
     b.add_argument("--stop", default="exact", help='"exact" or "eps=<value>"')
     b.add_argument("--reps", type=int, default=200)
     b.add_argument("--beta", type=float, default=1.0, help="resampling rate")
@@ -658,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mode", choices=("integrate", "fixedpoint"),
                    default="fixedpoint")
     f.add_argument("--t-end", type=float, default=50.0)
-    f.add_argument("--dt", type=float, default=None,
+    f.add_argument("--dt", type=float, default=1e-3,
                    help="RK4 step for --mode integrate (default 0.001); "
                         "the fixed-point solvers take no step")
     f.add_argument("--sample-dt", type=float, default=None)

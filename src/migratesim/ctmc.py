@@ -252,7 +252,7 @@ def _resample_event(config, counts, origin, rng: Random, dt: float) -> Event:
 
 
 def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float,
-                    stop: str = "balanced", eps=None, seed: int = 0) -> ClosedRunResult:
+                    eps=None, seed: int = 0) -> ClosedRunResult:
     """Run the closed rls system on identical servers until it balances.
 
     The domain is the one the balance question asks about: the rls policy
@@ -263,10 +263,11 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     rejected with ConfigError before the first event; ``step`` with
     closed=True still covers every policy.
 
-    stop is "balanced" (max - min <= 1) or "eps" (every occupancy within a
-    factor 1 +- eps of n/m). The returned stop_time is the exact event time
-    at which the predicate first held; if the horizon hits first the
-    result is flagged censored. After every accepted move the running
+    The run stops at exact balance (max - min <= 1) when eps is None, and
+    otherwise at eps balance (every occupancy within a factor 1 +- eps of
+    n/m). The returned stop_time is the exact event time at which the
+    predicate first held; if the horizon hits first the result is flagged
+    censored and stop_time is None. After every accepted move the running
     maximum is checked to be non-increasing, and the number of servers at
     the maximum non-increasing while the maximum is flat. Only the event
     tallies (accepted moves, as "migration") and the end state are kept.
@@ -291,18 +292,14 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     # most counts[i] - 2, so no server ever exceeds the starting maximum
     n = sum(counts)
 
-    if stop == "balanced":
+    if eps is None:
         def stopped(lo_v, hi_v):
             return hi_v - lo_v <= 1
-    elif stop == "eps":
-        if eps is None:
-            raise ValueError('stop="eps" needs an eps value')
+    else:
         band_lo, band_hi = eps_band(m, n, eps)
 
         def stopped(lo_v, hi_v):
             return lo_v >= band_lo and hi_v <= band_hi
-    else:
-        raise ValueError(f'stop must be "balanced" or "eps", got {stop!r}')
 
     rng = Random(seed)
     random = rng.random

@@ -29,7 +29,7 @@ from .model import (
     empirical_measure,
     rls_accepts,
 )
-from .stats import cell_seed, map_replications, normal_ci, ols_slope
+from .stats import SEED_STRIDE, map_replications, normal_ci, ols_slope
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +362,11 @@ def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
 # the comparison runs every policy, in this order, in each cell
 POLICIES = (Policy.RLS, Policy.RLO)
 
+# a sojourn window over horizon T at load rho takes the clients arriving in
+# [WARMUP_FRACTION * T, T - CENSOR_MARGIN / (1 - rho)]
+WARMUP_FRACTION = 0.2
+CENSOR_MARGIN = 12.0
+
 
 def _predict(policy: Policy, lam: float, beta: float, cap: int):
     if policy is Policy.RLO:
@@ -389,15 +394,20 @@ def throughput_comparison(
     clients arriving in [horizon/5, horizon - 12/(1-lambda)]: the leading
     margin discards the transient, the trailing margin keeps
     right-censoring negligible. Throughput is the inverse of the pooled
-    mean sojourn; the interval is over per-replication throughputs.
+    mean sojourn; the interval is over per-replication throughputs. Cell c
+    seeds its replications from base_seed + c * SEED_STRIDE, so reps may
+    not exceed SEED_STRIDE.
     """
+    if reps > SEED_STRIDE:
+        raise ValueError(f"{reps} replications overrun the seed stride "
+                         f"{SEED_STRIDE}: cells would share seeds")
     for lam in lambda_grid:
         if not 0 < lam < 1:
             raise ValueError(
                 f"offered load {lam!r} outside (0, 1): sojourn estimation "
                 "needs a stable system"
             )
-    warmup = 0.2 * horizon
+    warmup = WARMUP_FRACTION * horizon
 
     predictions = {(lam, pol): _predict(pol, lam, beta, prediction_cap)
                    for lam in lambda_grid for pol in POLICIES}
@@ -406,7 +416,7 @@ def throughput_comparison(
     cell = 0
     for m in m_list:
         for lam in lambda_grid:
-            cutoff = horizon - 12.0 / (1.0 - lam)
+            cutoff = horizon - CENSOR_MARGIN / (1.0 - lam)
             if cutoff <= warmup:
                 raise ValueError(
                     f"horizon {horizon!r} too short for load {lam!r}: the "
@@ -420,7 +430,7 @@ def throughput_comparison(
                 )
                 summary = measure_sojourns(
                     config, horizon, warmup, reps,
-                    base_seed=cell_seed(base_seed, cell, 0),
+                    base_seed=base_seed + cell * SEED_STRIDE,
                     cutoff=cutoff, jobs=jobs,
                 )
                 if summary.throughput is None:

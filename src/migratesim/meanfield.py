@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -91,18 +91,15 @@ def _vec(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OdeState:
-    """Occupancy distribution over the levels k = 0..b_cap."""
+    """Occupancy distribution over the levels k = 0..B, B = x.size - 1."""
 
     x: np.ndarray
-    b_cap: int
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         object.__setattr__(self, "x", x)
-        if x.ndim != 1 or x.size != self.b_cap + 1:
-            raise ValueError(
-                f"state has {x.size} entries, expected b_cap+1 = {self.b_cap + 1}"
-            )
+        if x.ndim != 1:
+            raise ValueError(f"state must be a vector, got shape {x.shape}")
         if abs(float(x.sum()) - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {float(x.sum())!r} is not 1 within {MASS_TOL}")
         if float(x.min()) < -NEG_TOL:
@@ -116,7 +113,7 @@ def point_mass(k: int, b_cap: int) -> OdeState:
         raise ValueError(f"level {k} outside 0..{b_cap}")
     x = np.zeros(b_cap + 1)
     x[k] = 1.0
-    return OdeState(x, b_cap)
+    return OdeState(x)
 
 
 def rhs_rlo(x, lam: float, beta: float) -> np.ndarray:
@@ -196,16 +193,8 @@ def rhs_rls(x, lam: float, beta: float) -> np.ndarray:
     can land above the cap because that would need an origin above it.
     """
     x = _vec(x)
-    b = x.size - 1
     k, t_pad, p_pad, x_prev, x_next = _rls_terms(x)
-
-    up = lam * x
-    up[b] = 0.0
-    down = x.copy()
-    down[0] = 0.0
-    dx = -(up + down)
-    dx[1:] += up[:-1]
-    dx[:-1] += down[1:]
+    dx = rhs_rlo(x, lam, 0.0)
 
     gain_hi = x_prev * t_pad[1:-1]  # migrant lands, origin held >= k+1
     loss_hi = x * t_pad[2:]  # migrant lands elsewhere on level k
@@ -290,8 +279,8 @@ def integrate(
     x0,
     t_end: float,
     dt: float = 1e-3,
-    sample_dt: Optional[float] = None,
     *,
+    sample_dt: float,
     lam: float,
     beta: float,
 ) -> List[Tuple[float, OdeState]]:
@@ -299,35 +288,33 @@ def integrate(
 
     ``policy`` ("rlo"/"rls") picks the flow, at rates ``lam`` and ``beta``.
     Samples are recorded at t=0, then whenever the running time crosses a
-    multiple of ``sample_dt`` (every step if it is None), and always at
-    t_end.
+    multiple of the positive ``sample_dt``, and always at t_end.
     """
     rhs = make_rhs(policy, lam, beta)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
+    if sample_dt <= 0:
+        raise ValueError(f"sample_dt must be positive, got {sample_dt!r}")
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end!r}")
     x = _vec(x0).copy()
-    b_cap = x.size - 1
-    OdeState(x, b_cap)  # validate the start before running
+    OdeState(x)  # validate the start before running
 
-    samples: List[Tuple[float, OdeState]] = [(0.0, OdeState(x.copy(), b_cap))]
+    samples: List[Tuple[float, OdeState]] = [(0.0, OdeState(x.copy()))]
     n_full = int(math.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
-    next_sample = sample_dt if sample_dt is not None else 0.0
+    next_sample = sample_dt
     for i in range(1, n_full + 1):
         t = i * dt
         x = _advance(rhs, x, dt, t)
-        if sample_dt is None:
-            samples.append((t, OdeState(x.copy(), b_cap)))
-        elif t + 1e-12 >= next_sample:
-            samples.append((t, OdeState(x.copy(), b_cap)))
+        if t + 1e-12 >= next_sample:
+            samples.append((t, OdeState(x.copy())))
             next_sample += sample_dt * math.ceil((t + 1e-12 - next_sample) / sample_dt + 1e-12)
     if remainder > 1e-12 * max(1.0, dt):
         x = _advance(rhs, x, remainder, t_end)
-        samples.append((t_end, OdeState(x.copy(), b_cap)))
+        samples.append((t_end, OdeState(x.copy())))
     elif samples[-1][0] < t_end - 1e-12:
-        samples.append((t_end, OdeState(x.copy(), b_cap)))
+        samples.append((t_end, OdeState(x.copy())))
     return samples
 
 
@@ -574,7 +561,7 @@ def equilibrium_rls(lam: float, beta: float, b_cap: int,
             stacklevel=2,
         )
     return RlsEquilibrium(
-        state=OdeState(x_empty, b_cap),
+        state=OdeState(x_empty),
         residual=residual,
         two_start_gap=gap,
         flagged=flagged,

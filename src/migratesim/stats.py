@@ -28,12 +28,6 @@ Z95 = 1.959963984540054
 MIN_EXPECTED = 5.0
 
 
-def cell_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
-    if rep_index >= SEED_STRIDE:
-        raise ValueError(f"rep index {rep_index} exceeds the seed stride {SEED_STRIDE}")
-    return base_seed + cell_index * SEED_STRIDE + rep_index
-
-
 def map_replications(fn, work: list, jobs: int) -> list:
     """[fn(w) for w in work], fanned out over ``jobs`` processes when jobs > 1.
 

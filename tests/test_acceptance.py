@@ -75,7 +75,7 @@ def test_02_eps_balance_time_scales_with_inverse_band_width():
     means = {}
     for eps in (0.4, 0.2, 0.1):
         res = measure_balance_time(cfg, initial_all_at_one(m, n), reps=200,
-                                   base_seed=2000, stop="eps", eps=eps)
+                                   base_seed=2000, eps=eps)
         assert res.censored == 0
         means[eps] = res.mean
     c_fit = means[0.4] * 0.4 / math.log(m)

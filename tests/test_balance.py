@@ -13,7 +13,6 @@ from migratesim.balance import (
     balance_time_bound,
     initial_all_at_one,
     initial_from_file,
-    initial_uniform,
     lower_bound_estimates,
     measure_balance_time,
 )
@@ -54,32 +53,30 @@ def test_lower_bound_estimates():
 
 # --- stop predicates -------------------------------------------------------------
 
-def _stops_at_start(counts, stop, eps=None):
+def _stops_at_start(counts, eps=None):
     cfg = SystemConfig(m=len(counts), policy="rls", resample_rate=1.0)
-    res = simulate_closed(cfg, counts, horizon=1.0, stop=stop, eps=eps, seed=0)
+    res = simulate_closed(cfg, counts, horizon=1.0, eps=eps, seed=0)
     return not res.censored and res.stop_time == 0.0
 
 
 def test_is_balanced_edges():
     # a closed run stops at t=0 exactly when the start is already balanced
-    assert _stops_at_start((2, 2, 2), "balanced")
-    assert _stops_at_start((2, 3, 2), "balanced")
-    assert not _stops_at_start((1, 3, 2), "balanced")
+    assert _stops_at_start((2, 2, 2))
+    assert _stops_at_start((2, 3, 2))
+    assert not _stops_at_start((1, 3, 2))
 
 
 def test_is_eps_balanced():
     # target 5 with a 20% band allows occupancies 4..6
-    assert _stops_at_start((4, 5, 6), "eps", 0.2)
-    assert not _stops_at_start((3, 6, 6), "eps", 0.2)
-    assert not _stops_at_start((4, 4, 7), "eps", 0.2)
+    assert _stops_at_start((4, 5, 6), 0.2)
+    assert not _stops_at_start((3, 6, 6), 0.2)
+    assert not _stops_at_start((4, 4, 7), 0.2)
 
 
 # --- initial placements ----------------------------------------------------------
 
 def test_initial_placements():
     assert initial_all_at_one(4, 7) == (7, 0, 0, 0)
-    assert initial_uniform(4, 7) == (2, 2, 2, 1)
-    assert initial_uniform(3, 9) == (3, 3, 3)
     with pytest.raises(ValueError):
         initial_all_at_one(0, 5)
 
@@ -192,8 +189,8 @@ def test_balance_time_small_sample_has_no_ci():
 
 def test_balance_time_eps_stop():
     cfg = SystemConfig(m=4, policy="rls", resample_rate=1.0)
-    res = measure_balance_time(cfg, initial_all_at_one(4, 8), stop="eps",
-                               eps=0.5, reps=4, base_seed=1)
+    res = measure_balance_time(cfg, initial_all_at_one(4, 8), eps=0.5,
+                               reps=4, base_seed=1)
     assert res.censored == 0
     assert all(t is not None and t >= 0 for t in res.times)
 

@@ -74,7 +74,7 @@ def test_balance_eps_stop_and_initial_file(tmp_path):
     counts = tmp_path / "start.txt"
     counts.write_text("6 2 0 0\n")
     out = tmp_path / "bal"
-    code = run(["balance", "--m", 4, "--n", 8, "--initial", "file",
+    code = run(["balance", "--m", 4, "--n", 8,
                 "--initial-file", counts, "--stop", "eps=0.5", "--reps", 3,
                 "--out", out])
     assert code == 0
@@ -88,7 +88,7 @@ def test_balance_eps_stop_is_exact_rational(tmp_path):
     counts = tmp_path / "start.txt"
     counts.write_text("6 3\n")
     out = tmp_path / "bal"
-    code = run(["balance", "--m", 2, "--n", 9, "--initial", "file",
+    code = run(["balance", "--m", 2, "--n", 9,
                 "--initial-file", counts, "--stop", "eps=1/3", "--reps", 2,
                 "--jobs", 1, "--out", out])
     assert code == 0
@@ -113,7 +113,7 @@ def test_balance_unsatisfiable_eps_band_exits_one(tmp_path, capsys):
 def test_balance_bad_initial_file_sum(tmp_path, capsys):
     counts = tmp_path / "start.txt"
     counts.write_text("1 1 0 0\n")
-    code = run(["balance", "--m", 4, "--n", 8, "--initial", "file",
+    code = run(["balance", "--m", 4, "--n", 8,
                 "--initial-file", counts, "--reps", 2,
                 "--out", tmp_path / "bal"])
     assert code == 1
@@ -121,18 +121,13 @@ def test_balance_bad_initial_file_sum(tmp_path, capsys):
 
 
 def test_seed_env_default(tmp_path, monkeypatch):
+    # the seed comes from --seed alone, 0 when absent; the environment
+    # does not move it
     monkeypatch.setenv("MIGRATE_SIM_SEED", "42")
     out = tmp_path / "bal"
     assert run(["balance", "--m", 2, "--n", 2, "--reps", 2, "--out", out]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seeds"]["first"] == 42
-
-
-def test_seed_env_malformed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MIGRATE_SIM_SEED", "forty-two")
-    assert run(["balance", "--m", 2, "--n", 2, "--reps", 2,
-                "--out", tmp_path / "bal"]) == 1
-    assert "MIGRATE_SIM_SEED" in capsys.readouterr().err
+    assert manifest["seeds"]["first"] == 0
 
 
 # (argv, CSV name, sha256 of the CSV) for one run of each CSV writer path
@@ -144,7 +139,7 @@ PINNED_CSVS = [
       "--seed", 7],
      "balance_times.csv",
      "b288337bf9bea76eebfd50536a46212bc6638ebfb0a283b7e1ee9db22da1dc1a"),
-    (["balance", "--m", 4, "--n", 8, "--initial", "file",
+    (["balance", "--m", 4, "--n", 8,
       "--initial-file", "start.txt", "--stop", "eps=0.5", "--reps", 5,
       "--seed", 2],
      "balance_times.csv",

@@ -240,11 +240,6 @@ def test_closed_rejects_arrivals_and_bad_input():
         simulate_closed(RLS2, (1, 1, 1), horizon=1.0)
     with pytest.raises(ValueError):
         simulate_closed(RLS2, (1, 1), horizon=0.0)
-    for stop in ("sometime", "horizon"):
-        with pytest.raises(ValueError):
-            simulate_closed(RLS2, (2, 0), horizon=1.0, stop=stop)
-    with pytest.raises(ValueError):
-        simulate_closed(RLS2, (2, 0), horizon=1.0, stop="eps")
     # the closed loop covers rls on identical servers with positive rates only
     for cfg in (SystemConfig(m=3, policy="rlo"),
                 SystemConfig(m=3, policy="rls", service_rates=(1.0, 5.0, 1.0)),
@@ -275,8 +270,8 @@ def test_eps_stop_never_later_than_exact_balance():
     cfg = SystemConfig(m=4, policy="rls", resample_rate=1.0)
     initial = (8, 0, 0, 0)
     for seed in range(20):
-        t_eps = simulate_closed(cfg, initial, horizon=500.0, stop="eps",
-                                eps=0.5, seed=seed).stop_time
+        t_eps = simulate_closed(cfg, initial, horizon=500.0, eps=0.5,
+                                seed=seed).stop_time
         t_bal = simulate_closed(cfg, initial, horizon=500.0, seed=seed).stop_time
         assert t_eps <= t_bal
 

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 import scipy.stats
 from scipy.sparse.linalg import spsolve
 
+from migratesim import experiments
 from migratesim.cli import RunManifest, write_results_csv
 from migratesim.experiments import (
     counts_from_measure,
@@ -29,7 +30,7 @@ from migratesim.experiments import (
 )
 from migratesim.meanfield import integrate, point_mass
 from migratesim.model import ConfigError, SystemConfig, rls_accepts
-from migratesim.stats import Z95, mean_sd
+from migratesim.stats import SEED_STRIDE, Z95, mean_sd
 
 
 # --- exact two-server oracle for the sojourn pipeline --------------------------
@@ -360,6 +361,21 @@ def test_throughput_comparison_domain():
         throughput_comparison([2], [0.0], beta=0.5)
     with pytest.raises(ValueError, match="too short"):
         throughput_comparison([2], [0.5], beta=0.5, horizon=30.0)
+
+
+def test_throughput_comparison_rejects_reps_over_the_seed_stride(monkeypatch):
+    # cell c seeds from base + c * SEED_STRIDE, so more reps than the stride
+    # would reuse the next cell's seeds; refused before any solve or run
+    def never(*args, **kwargs):
+        raise AssertionError("ran work before refusing the replication count")
+
+    monkeypatch.setattr(experiments, "_predict", never)
+    monkeypatch.setattr(experiments, "measure_sojourns", never)
+    with pytest.raises(ValueError, match="seed stride"):
+        throughput_comparison([2, 3], [0.5], beta=0.5, reps=SEED_STRIDE + 1)
+    # a full stride is the largest count that keeps the cells apart
+    with pytest.raises(AssertionError, match="before refusing"):
+        throughput_comparison([2, 3], [0.5], beta=0.5, reps=SEED_STRIDE)
 
 
 # --- artifacts ----------------------------------------------------------------------------

@@ -201,7 +201,8 @@ def test_fixed_point_frozen_values():
 
 def test_fixed_point_is_stationary_under_the_integrator():
     fp = solve_fixed_point_rlo(0.7, 0.3, 40)
-    moved = integrate("rlo", fp.xi, 5.0, dt=2e-3, lam=0.7, beta=0.3)[-1][1].x
+    moved = integrate("rlo", fp.xi, 5.0, dt=2e-3, sample_dt=5.0, lam=0.7,
+                      beta=0.3)[-1][1].x
     np.testing.assert_allclose(moved, fp.xi, atol=1e-11)
 
 
@@ -349,23 +350,33 @@ def test_integrate_rejects_unstable_step():
     # death rate 1 + beta B = 31 at the cap; dt = 0.5 is far beyond the
     # stability limit and must be refused, not silently wrong
     with pytest.raises(SolverError):
-        integrate("rlo", point_mass(60, 60).x, 5.0, dt=0.5, lam=0.8, beta=0.5)
+        integrate("rlo", point_mass(60, 60).x, 5.0, dt=0.5, sample_dt=5.0,
+                  lam=0.8, beta=0.5)
 
 
 def test_integrate_validation():
-    with pytest.raises(TypeError):
-        integrate("rlo", point_mass(0, 5).x, 1.0)  # lam and beta missing
+    with pytest.raises(TypeError):  # lam and beta missing
+        integrate("rlo", point_mass(0, 5).x, 1.0, sample_dt=1.0)
     with pytest.raises(ValueError):
-        integrate("rlo", point_mass(0, 5).x, -1.0, lam=0.5, beta=0.1)
+        integrate("rlo", point_mass(0, 5).x, -1.0, sample_dt=1.0, lam=0.5,
+                  beta=0.1)
     with pytest.raises(ValueError):
-        integrate("rlo", point_mass(0, 5).x, 1.0, dt=0.0, lam=0.5, beta=0.1)
+        integrate("rlo", point_mass(0, 5).x, 1.0, dt=0.0, sample_dt=1.0,
+                  lam=0.5, beta=0.1)
+    # a negative grid would record every step
+    with pytest.raises(ValueError, match="sample_dt"):
+        integrate("rlo", point_mass(0, 5).x, 1.0, sample_dt=-0.25,
+                  lam=0.5, beta=0.1)
 
 
 def test_rk4_is_fourth_order():
     x0 = point_mass(0, 30).x
-    ref = integrate("rlo", x0, 1.0, dt=1e-4, lam=0.8, beta=0.5)[-1][1].x
-    coarse = integrate("rlo", x0, 1.0, dt=8e-3, lam=0.8, beta=0.5)[-1][1].x
-    fine = integrate("rlo", x0, 1.0, dt=4e-3, lam=0.8, beta=0.5)[-1][1].x
+    ref = integrate("rlo", x0, 1.0, dt=1e-4, sample_dt=1.0, lam=0.8,
+                    beta=0.5)[-1][1].x
+    coarse = integrate("rlo", x0, 1.0, dt=8e-3, sample_dt=1.0, lam=0.8,
+                       beta=0.5)[-1][1].x
+    fine = integrate("rlo", x0, 1.0, dt=4e-3, sample_dt=1.0, lam=0.8,
+                     beta=0.5)[-1][1].x
     ratio = np.abs(coarse - ref).max() / np.abs(fine - ref).max()
     # halving dt divides the error by ~2^4
     assert 12.0 < ratio < 20.0
@@ -385,8 +396,10 @@ def test_st_order_preserved_by_the_flow():
     lower = np.array([0.6, 0.3, 0.1] + [0.0] * 18)
     upper = np.array([0.1, 0.3, 0.6] + [0.0] * 18)
     assert st_leq(lower, upper)
-    end_lo = integrate("rlo", lower, 2.0, dt=5e-3, lam=0.8, beta=0.5)[-1][1].x
-    end_hi = integrate("rlo", upper, 2.0, dt=5e-3, lam=0.8, beta=0.5)[-1][1].x
+    end_lo = integrate("rlo", lower, 2.0, dt=5e-3, sample_dt=2.0, lam=0.8,
+                       beta=0.5)[-1][1].x
+    end_hi = integrate("rlo", upper, 2.0, dt=5e-3, sample_dt=2.0, lam=0.8,
+                       beta=0.5)[-1][1].x
     assert st_leq(end_lo, end_hi, slack=1e-9)
 
 
@@ -396,7 +409,7 @@ def test_point_mass_and_ode_state_validation():
     with pytest.raises(ValueError):
         point_mass(7, 6)
     with pytest.raises(ValueError):
-        OdeState(np.array([0.7, 0.7]), 1)
+        OdeState(np.array([0.7, 0.7]))
 
 
 def test_derived_quantities():
