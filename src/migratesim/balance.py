@@ -88,10 +88,6 @@ class BalanceTimeResult:
     bound: Optional[float]
     lower_bounds: Optional[dict]
 
-    @property
-    def uncensored_times(self) -> list:
-        return [t for t in self.times if t is not None]
-
 
 def _balance_rep(args) -> Optional[float]:
     config, initial, eps, horizon, seed = args

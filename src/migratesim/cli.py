@@ -390,7 +390,8 @@ def cmd_meanfield(args) -> int:
     lam, beta, cap = args.lam, args.beta, args.bcap
 
     def trajectory(manifest):
-        sample_dt = args.sample_dt if args.sample_dt else args.t_end / 100.0
+        sample_dt = (args.t_end / 100.0 if args.sample_dt is None
+                     else args.sample_dt)
         samples = integrate(args.policy, point_mass(0, cap), args.t_end,
                             dt=args.dt, sample_dt=sample_dt,
                             lam=lam, beta=beta)

@@ -121,7 +121,6 @@ class RunEnd:
 class ClosedRunResult:
     trajectory: RunEnd
     stop_time: Optional[float]  # None when censored at the horizon
-    censored: bool
 
 
 def _cumulative(seq) -> list:
@@ -415,7 +414,7 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
 
     return ClosedRunResult(
         RunEnd({"migration": moves}, SystemState(t, tuple(counts))),
-        stop_time, stop_time is None)
+        stop_time)
 
 
 def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,

@@ -44,28 +44,6 @@ import numpy as np
 
 from .model import Policy
 
-__all__ = [
-    "SolverError",
-    "OdeState",
-    "FixedPoint",
-    "RlsEquilibrium",
-    "point_mass",
-    "rhs_rlo",
-    "rhs_rlo_tail",
-    "rhs_rls",
-    "jac_rls",
-    "make_rhs",
-    "rk4_step",
-    "integrate",
-    "g_of_z",
-    "solve_fixed_point_rlo",
-    "equilibrium_rls",
-    "mean_occupancy",
-    "sojourn_time",
-    "throughput",
-    "st_leq",
-]
-
 # Mass drift allowed before a step is declared broken, and how far below
 # zero a component may dip before clipping is refused.
 MASS_TOL = 1e-9

@@ -130,10 +130,6 @@ class SystemState:
             raise ValueError(f"negative occupancy in state {counts}")
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 def exact_fraction(value) -> Fraction:
     """Read a tolerance or rate as an exact rational.

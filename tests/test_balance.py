@@ -56,7 +56,7 @@ def test_lower_bound_estimates():
 def _stops_at_start(counts, eps=None):
     cfg = SystemConfig(m=len(counts), policy="rls", resample_rate=1.0)
     res = simulate_closed(cfg, counts, horizon=1.0, eps=eps, seed=0)
-    return not res.censored and res.stop_time == 0.0
+    return res.stop_time == 0.0
 
 
 def test_is_balanced_edges():

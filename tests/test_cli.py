@@ -355,10 +355,15 @@ def test_meanfield_integrate_mode(tmp_path, capsys):
 
 
 def test_meanfield_overload_rejected(tmp_path, capsys):
-    code = run(["meanfield", "--policy", "rlo", "--lambda", "1.2",
-                "--beta", "0.5", "--out", tmp_path / "mf"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for i, argv in enumerate([
+            ["--policy", "rlo", "--lambda", "1.2", "--beta", "0.5"],
+            # a zero grid step is refused, not read as "use the default grid"
+            ["--policy", "rlo", "--lambda", "0.5", "--beta", "0.5", "--bcap", 5,
+             "--mode", "integrate", "--t-end", 1, "--sample-dt", 0]]):
+        out = tmp_path / f"mf{i}"
+        assert run(["meanfield", *argv, "--out", out]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["error"]
 
 
 # --- verify ------------------------------------------------------------------------

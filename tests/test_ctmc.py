@@ -160,7 +160,7 @@ def test_step_advances_time_and_total():
     for _ in range(200):
         new, ev = step(state, cfg, rng, closed=False)
         assert new.t > state.t
-        delta = new.total - state.total
+        delta = sum(new.counts) - sum(state.counts)
         if ev.kind == "arrival":
             assert delta == 1
         elif ev.kind == "departure":
@@ -257,13 +257,13 @@ def test_closed_zero_rate_deadlock():
         simulate_closed(frozen, (2, 0), horizon=1.0)
     # but a predicate that already holds needs no events at all
     res = simulate_closed(frozen, (1, 1), horizon=1.0)
-    assert res.stop_time == 0.0 and not res.censored
+    assert res.stop_time == 0.0
 
 
 def test_closed_censoring_at_horizon():
     # a tiny horizon rarely sees the first event at rate 2
     res = simulate_closed(RLS2, (2, 0), horizon=1e-6, seed=1)
-    assert res.censored and res.stop_time is None
+    assert res.stop_time is None
 
 
 def test_eps_stop_never_later_than_exact_balance():
@@ -301,7 +301,7 @@ def test_open_conservation_and_records():
     cfg = SystemConfig(m=3, policy="rls", arrival_rates=0.5, resample_rate=0.4)
     traj, recs = simulate_open(cfg, horizon=80.0, sample_dt=0.1, seed=21)
     ev = traj.event_counts
-    assert ev["arrival"] - ev["departure"] == traj.final.total
+    assert ev["arrival"] - ev["departure"] == sum(traj.final.counts)
     departed = [r for r in recs if r.depart_t is not None]
     assert len(departed) == ev["departure"]
     assert all(r.sojourn > 0 for r in departed)
@@ -325,7 +325,7 @@ def test_open_seeded_initial_gets_no_records():
     traj, recs = simulate_open(cfg, horizon=10.0, sample_dt=0.1, seed=2,
                                initial=(3, 0))
     assert recs == []  # seeded clients never arrived
-    assert traj.final.total <= 3
+    assert sum(traj.final.counts) <= 3
 
 
 def test_open_cap_drops_arrivals():
@@ -352,7 +352,7 @@ def test_open_untracked_run_matches_event_totals():
                                    track_sojourns=False)
         assert recs == []
         ev = traj.event_counts
-        assert ev["arrival"] - ev["departure"] == traj.final.total
+        assert ev["arrival"] - ev["departure"] == sum(traj.final.counts)
         # an rlo hop lands on its own server exactly when self-jumps are on
         assert (ev["resample_self"] > 0) == include_self
         assert ev["migration"] > 0

@@ -10,6 +10,7 @@ import os
 import platform
 from fractions import Fraction
 from importlib import metadata
+from itertools import product
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from migratesim.experiments import (
     throughput_comparison,
 )
 from migratesim.meanfield import integrate, point_mass
-from migratesim.model import ConfigError, SystemConfig, rls_accepts
+from migratesim.model import ConfigError, SystemConfig
 from migratesim.stats import SEED_STRIDE, Z95, mean_sd
 
 
@@ -151,32 +152,31 @@ DRIFT_CFG = SystemConfig(m=3, policy="rls", arrival_rates=F(1, 5),
 EPS, GAMMA = F(1, 10), F(1, 20)
 
 
-def brute_force_drift(counts, config, eps):
-    """Independent generator transcription: enumerate moves, sum rate * delta
-    of f(n) = sum_i max(eps, n_i), all in exact arithmetic."""
-    m = config.m
-    lam, mu, beta = config.arrival_rates, config.service_rates, config.resample_rate
-
+def brute_force_drift(counts, cfg, eps):
+    """Independent generator transcription: enumerate moves on whole vectors
+    and sum rate * delta of f(n) = sum_i max(eps, n_i), in exact arithmetic.
+    Moves are decided by comparing Fraction shares, not through rls_accepts,
+    so the oracle shares no code with lyapunov_drift."""
     def f(state):
         return sum(max(eps, c) for c in state)
 
+    lam, mu = cfg.arrival_rates, cfg.service_rates
     base = f(counts)
-    drift = F(0)
-    for i in range(m):
-        up = list(counts)
-        up[i] += 1
-        drift += lam[i] * (f(up) - base)
-        if counts[i] >= 1:
-            down = list(counts)
-            down[i] -= 1
-            drift += mu[i] * (f(down) - base)
-            for j in range(m):
-                if j != i and rls_accepts(mu[i], counts[i], mu[j], counts[j]):
+    total = F(0)
+    for i, ni in enumerate(counts):
+        bumped = counts[:i] + (ni + 1,) + counts[i + 1:]
+        total += lam[i] * (f(bumped) - base)
+        if ni >= 1:
+            dropped = counts[:i] + (ni - 1,) + counts[i + 1:]
+            total += mu[i] * (f(dropped) - base)
+            for j, nj in enumerate(counts):
+                if j != i and F(mu[j], nj + 1) > F(mu[i], ni):
                     moved = list(counts)
                     moved[i] -= 1
                     moved[j] += 1
-                    drift += F(beta * counts[i], m) * (f(moved) - base)
-    return drift
+                    total += (F(cfg.resample_rate) * ni
+                              * (f(tuple(moved)) - base) / cfg.m)
+    return total
 
 
 def test_drift_frozen_values():
@@ -187,11 +187,11 @@ def test_drift_frozen_values():
 
 
 def test_drift_matches_brute_force_generator():
-    states = [(a, b, c) for a in range(7) for b in range(7) for c in range(7)
-              if a + b + c <= 6]
-    for s in states:
-        assert lyapunov_drift(s, DRIFT_CFG, EPS, GAMMA) == \
-            brute_force_drift(s, DRIFT_CFG, EPS)
+    # claim 10's 13^3 grid
+    mismatches = [state for state in product(range(13), repeat=3)
+                  if lyapunov_drift(state, DRIFT_CFG, EPS, GAMMA)
+                  != brute_force_drift(state, DRIFT_CFG, EPS)]
+    assert not mismatches, f"generator differs from the oracle at {mismatches[:4]}"
 
 
 def test_drift_closed_form_when_no_server_idles():

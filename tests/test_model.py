@@ -2,6 +2,7 @@
 empirical-measure helpers."""
 
 import ast
+import importlib.util
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -70,7 +71,7 @@ def test_bad_configs_rejected(kwargs):
 
 def test_system_state_validates():
     s = SystemState(0.5, (2, 0, 1))
-    assert s.total == 3
+    assert sum(s.counts) == 3
     with pytest.raises(ValueError):
         SystemState(0.0, (1, -1))
 
@@ -137,21 +138,11 @@ def test_eps_band_exact_edges():
         eps_band(4, 8, 1.0)
 
 
-# --- package exports ------------------------------------------------------------
-
-def test_every_export_resolves():
-    # a name left in __all__ after its code is gone breaks `import *`
-    import migratesim
-    from migratesim import meanfield
-
-    for module in (migratesim, meanfield):
-        missing = [n for n in module.__all__ if not hasattr(module, n)]
-        assert not missing, f"{module.__name__}.__all__ names {missing}"
-
+# --- source hygiene -----------------------------------------------------------
 
 def test_no_unused_imports():
-    # an import nothing reads is dead code; names listed in __all__ are
-    # re-exports, and __future__ imports change the compiler, not the namespace
+    # an import nothing reads is dead code; __future__ imports change the
+    # compiler, not the namespace
     root = Path(__file__).resolve().parent.parent
     files = sorted([*root.glob("src/migratesim/*.py"), *root.glob("tests/*.py"),
                     *root.glob("demos/*.py")])
@@ -160,10 +151,6 @@ def test_no_unused_imports():
     for path in files:
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                used.update(ast.literal_eval(node.value))
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
@@ -236,16 +223,28 @@ def _module_reads(node, shadowed=frozenset()):
 
 def test_every_definition_has_a_caller():
     # a top-level function, class or constant that nothing in the package,
-    # the demos or the benchmarks reads is code whose only caller is a test
+    # the demos or the benchmarks reads is code whose only caller is a test;
+    # so is a method or property of a class that nothing there reads as an
+    # attribute (dunders run implicitly, and dataclass fields are data)
     modules = _package_modules()
-    readers = _caller_files()
+    readers = [_parse(path) for path in _caller_files()]
     assert modules and readers
     used = set()
-    for path in readers:
-        used |= _module_reads(_parse(path))
+    attributes = set()
+    for tree in readers:
+        used |= _module_reads(tree)
+        attributes |= {node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Load)}
     unused = []
     for path in modules:
         for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{path.name}: {node.name}.{member.name}"
+                           for member in node.body
+                           if isinstance(member, ast.FunctionDef)
+                           and not member.name.startswith("__")
+                           and member.name not in attributes]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -257,6 +256,18 @@ def test_every_definition_has_a_caller():
                        if not name.startswith("__") and name not in used
                        and name not in TEST_ONLY_REFERENCES]
     assert not unused, f"defined but never read outside tests: {unused}"
+
+
+def test_every_demo_imports():
+    # no test runs the demos, so a name a demo imports could vanish unseen;
+    # each guards main() behind __name__, so loading one runs nothing
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    for path in demos:
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main), path.name
 
 
 def test_every_verify_check_is_an_acceptance_claim():
