@@ -1,10 +1,6 @@
 import math
 
-from migratesim.balance import (
-    balance_time_bound,
-    initial_all_at_one,
-    measure_balance_time,
-)
+from migratesim.balance import initial_all_at_one, measure_balance_time
 from migratesim.model import SystemConfig
 
 SERVERS = [4, 8, 16]
@@ -23,7 +19,7 @@ def main():
         res = measure_balance_time(cfg, initial_all_at_one(m, n),
                                    reps=REPS, base_seed=BASE_SEED)
         print(f"{m:>4} {n:>6} {res.mean:>8.3f} {res.sd:>8.3f} "
-              f"{balance_time_bound(m, n):>8.2f}")
+              f"{res.bound:>8.2f}")
     print()
     print("the bound grows like 3(1+ln m)(m^2/n + ln m + 1); the measured")
     print(f"mean stays closer to ln m (ln 16 = {math.log(16):.2f})")

@@ -21,7 +21,8 @@ from .stats import map_replications, mean_sd, normal_ci
 
 
 def balance_time_bound(m: int, n: int) -> float:
-    """Upper bound on the expected time to exact balance from any start.
+    """Upper bound on the expected time to exact balance from any start,
+    on the unit resample clock.
 
     Evaluates 3 (1 + ln m) (m^2 / n + ln m + 1) with the natural log.
     """
@@ -34,7 +35,8 @@ def balance_time_bound(m: int, n: int) -> float:
 
 
 def lower_bound_estimates(m: int, n: int) -> dict:
-    """Reference lower bounds to report alongside measured balance times.
+    """Reference lower bounds on the unit resample clock, to report
+    alongside measured balance times.
 
     last_move   m^2 / (m + n): expected wait for the final accepted move
                 when exact balance requires hitting one specific server
@@ -102,18 +104,21 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
     """Replicate a closed run over seeds base_seed .. base_seed + reps - 1.
 
     Each run stops at exact balance when eps is None, and at eps balance
-    otherwise. The default horizon is 100 times the analytic bound on the
-    expected balance time, so an uncensored run is overwhelmingly likely
-    whenever the dynamics does balance. Censored replications are excluded
-    from the mean but counted and reported. A confidence interval (normal
-    approximation) is attached only when at least 20 replications finished.
+    otherwise. The bound and the lower bounds hold on the unit resample
+    clock, so they are divided by config.resample_rate; at rate 0 there
+    are none. The default horizon is 100 times the bound, so an uncensored
+    run is overwhelmingly likely whenever the dynamics does balance.
+    Censored replications are excluded from the mean but counted and
+    reported. A confidence interval (normal approximation) is attached
+    only when at least 20 replications finished.
     """
     if reps < 2:
         raise ValueError(f"need at least 2 replications, got {reps}")
     initial = tuple(int(c) for c in initial)
     m = config.m
     n = sum(initial)
-    bound = balance_time_bound(m, n) if m >= 2 and n >= 1 else None
+    rate = config.resample_rate
+    bound = balance_time_bound(m, n) / rate if m >= 2 and n >= 1 and rate else None
     if horizon is None:
         if bound is None:
             raise ValueError("horizon required when the analytic bound is undefined")
@@ -128,7 +133,8 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
         ci = normal_ci(done)
     else:
         mean = sd = ci = None
-    lower = lower_bound_estimates(m, n) if m >= 1 and n >= 1 else None
+    lower = ({k: v / rate for k, v in lower_bound_estimates(m, n).items()}
+             if m >= 1 and n >= 1 and rate else None)
     return BalanceTimeResult(
         seeds=seeds, horizon=horizon, times=tuple(times),
         censored=len(times) - len(done),

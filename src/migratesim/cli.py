@@ -92,7 +92,6 @@ class RunManifest:
     outputs: tuple
     started: float
     finished: Optional[float] = None
-    version: str = field(default=__version__)
     # solver telemetry (iterations, residual, ...); written only when set
     solver: Optional[dict] = None
     # why the run exits 2; written only when there is one
@@ -106,7 +105,7 @@ class RunManifest:
     def write(self, path) -> None:
         data = {
             "subcommand": self.subcommand,
-            "version": self.version,
+            "version": __version__,
             "config": self.config,
             "seeds": {
                 "first": min(self.seeds) if self.seeds else None,
@@ -262,7 +261,7 @@ def cmd_balance(args) -> int:
             )
     eps = _parse_stop(args.stop)
     config = SystemConfig(m=m, policy=Policy.RLS, arrival_rates=0.0,
-                          service_rates=1.0, resample_rate=args.beta)
+                          service_rates=1.0)
 
     def body(manifest):
         res = measure_balance_time(config, initial, eps=eps, reps=args.reps,
@@ -287,7 +286,7 @@ def cmd_balance(args) -> int:
         return ("rep", "seed", "balance_time"), rows, comments
 
     return _run(args, {"m": m, "n": n, "initial_file": args.initial_file,
-                       "stop": args.stop, "beta": args.beta, "reps": args.reps,
+                       "stop": args.stop, "reps": args.reps,
                        "horizon": args.horizon},
                 range(seed, seed + args.reps), "balance_times.csv", body)
 
@@ -310,8 +309,7 @@ def cmd_open(args) -> int:
     config = SystemConfig(m=m, policy=args.policy, arrival_rates=lam,
                           service_rates=mu, resample_rate=args.beta,
                           include_self=not args.exclude_self)
-    warmup = (exp.WARMUP_FRACTION * args.horizon if args.warmup is None
-              else args.warmup)
+    warmup = exp.WARMUP_FRACTION * args.horizon
 
     def probe(manifest):
         report = exp.stability_probe(config, args.horizon,
@@ -480,16 +478,15 @@ def check_coupling():
 def check_kurtz():
     # claim 06: the sup-L1 gap to the ode shrinks from m=100 to m=1000 and
     # ends under 0.05
-    lam, beta, b_cap, t_end = 0.8, 0.5, 60, 20.0
-    x0 = point_mass(0, b_cap)
-    ode = integrate("rlo", x0, t_end, dt=1e-3, sample_dt=1.0,
+    lam, beta, b_cap = 0.8, 0.5, 60
+    ode = integrate("rlo", point_mass(0, b_cap), 20.0, dt=1e-3, sample_dt=1.0,
                     lam=lam, beta=beta)
     sup_mean = {}
     for m in (100, 1000):
         cfg = SystemConfig(m=m, policy="rlo", arrival_rates=lam,
                            resample_rate=beta, cap=b_cap)
-        devs = [exp.kurtz_deviation(cfg, x0, t_end, seed=6000 + s,
-                                    sample_dt=1.0, ode=ode) for s in range(20)]
+        devs = [exp.kurtz_deviation(cfg, ode, seed=6000 + s, sample_dt=1.0)
+                for s in range(20)]
         sup_mean[m] = sum(devs) / len(devs)
     shrinks = sup_mean[1000] < sup_mean[100]
     small = sup_mean[1000] < 0.05
@@ -607,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "server)")
     b.add_argument("--stop", default="exact", help='"exact" or "eps=<value>"')
     b.add_argument("--reps", type=int, default=200)
-    b.add_argument("--beta", type=float, default=1.0, help="resampling rate")
     b.add_argument("--horizon", type=float, default=None,
                    help="censoring horizon (default: 100x the bound)")
     b.add_argument("--out", default="runs/balance")
@@ -622,8 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--mu", default="1", help="service rate: scalar or comma list")
     o.add_argument("--beta", type=float, default=1.0)
     o.add_argument("--horizon", type=float, default=2000.0)
-    o.add_argument("--warmup", type=float, default=None,
-                   help="discarded prefix (default: 20%% of the horizon)")
     o.add_argument("--reps", type=int, default=20)
     o.add_argument("--exclude-self", action="store_true",
                    help="rlo uniform walk without self-jumps")

@@ -1,6 +1,7 @@
 """Event-driven simulation of the migration system.
 
-Three drivers share one transition law:
+Three drivers; the first two share one transition law, and the third
+is a system of its own:
 
 * ``simulate_closed``: a fixed client population moving between servers,
   arrivals and service completions switched off. Its domain is the balance

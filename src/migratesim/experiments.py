@@ -231,29 +231,29 @@ def counts_from_measure(x0, m: int) -> tuple:
     return tuple(counts)
 
 
-def kurtz_deviation(config: SystemConfig, x0, t_end: float, seed: int,
-                    ode: list, sample_dt: float = 0.1,
-                    dt: float = 1e-3) -> float:
+def kurtz_deviation(config: SystemConfig, ode: list, seed: int,
+                    sample_dt: float = 0.1, dt: float = 1e-3) -> float:
     """Sup over sample times of the L1 gap between one run and the ODE.
 
-    The simulation starts from counts that realize x0 exactly. ``ode`` is
-    the integrate output from x0 for matching parameters, sampled every
-    ``sample_dt`` with step ``dt``, so one integration serves many seeds;
-    the two are compared pairwise on the sample grid.
+    ``ode`` is the integrate output for matching parameters, sampled every
+    ``sample_dt`` with step ``dt``, so one integration serves many seeds.
+    The simulation starts from counts that realize its first state exactly
+    and runs to its last sample time; the two are compared pairwise on the
+    sample grid.
     """
-    x = np.asarray(getattr(x0, "x", x0), dtype=float)
-    b_cap = x.size - 1
     if len(set(config.arrival_rates)) != 1 or set(config.service_rates) != {1.0}:
         raise ConfigError(
             "the mean-field limit assumes homogeneous arrivals and unit "
             "service rates"
         )
+    (_, x0), (t_end, _) = ode[0], ode[-1]
+    b_cap = x0.x.size - 1
     if config.cap != b_cap:
         raise ConfigError(
-            f"config.cap={config.cap!r} must equal the measure's top level "
+            f"config.cap={config.cap!r} must equal the ode's top level "
             f"{b_cap} so both sides live on the same support"
         )
-    initial = counts_from_measure(x, config.m)
+    initial = counts_from_measure(x0, config.m)
     traj, _ = simulate_open(config, horizon=t_end, seed=seed,
                             sample_dt=sample_dt, initial=initial,
                             track_sojourns=False)
@@ -276,25 +276,6 @@ def kurtz_deviation(config: SystemConfig, x0, t_end: float, seed: int,
 # ---------------------------------------------------------------------------
 # throughput comparison
 
-@dataclass
-class ThroughputRow:
-    """One (m, lambda, policy) cell of the comparison table."""
-
-    m: int
-    lam: float
-    beta: float
-    policy: str
-    reps: int
-    seeds: tuple  # (first, last)
-    clients: int
-    censored: int
-    mean_sojourn: float
-    throughput: float
-    ci95: Optional[tuple]  # over per-replication throughputs
-    prediction: float  # m = infinity mean-field value
-    rel_error: float
-
-
 def _sojourn_rep(args):
     config, horizon, warmup, cutoff, seed = args
     traj, records = simulate_open(config, horizon, warmup=warmup, seed=seed,
@@ -315,7 +296,6 @@ def _sojourn_rep(args):
 class SojournSummary:
     """Pooled sojourn statistics for one configuration over many seeds."""
 
-    reps: int
     seeds: tuple  # (first, last)
     clients: int
     censored: int
@@ -352,11 +332,23 @@ def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
     else:
         pooled = thr = ci = None
     return SojournSummary(
-        reps=reps, seeds=(seeds[0], seeds[-1]),
+        seeds=(seeds[0], seeds[-1]),
         clients=clients, censored=censored, mean_sojourn=pooled,
         throughput=thr, ci95=ci, per_rep=tuple(reps_out),
         events=_summed_events([ev for _, ev in outs]),
     )
+
+
+@dataclass
+class ThroughputRow(SojournSummary):
+    """One (m, lambda, policy) cell of the comparison table."""
+
+    m: int
+    lam: float
+    beta: float
+    policy: str
+    prediction: float  # m = infinity mean-field value
+    rel_error: float
 
 
 # the comparison runs every policy, in this order, in each cell
@@ -440,12 +432,8 @@ def throughput_comparison(
                     )
                 pred = predictions[(lam, pol)]
                 rows.append(ThroughputRow(
-                    m=m, lam=lam, beta=beta, policy=pol.value, reps=reps,
-                    seeds=summary.seeds, clients=summary.clients,
-                    censored=summary.censored,
-                    mean_sojourn=summary.mean_sojourn,
-                    throughput=summary.throughput, ci95=summary.ci95,
-                    prediction=pred,
+                    **vars(summary), m=m, lam=lam, beta=beta,
+                    policy=pol.value, prediction=pred,
                     rel_error=abs(summary.throughput - pred) / pred,
                 ))
                 cell += 1

@@ -169,6 +169,22 @@ def test_balance_time_matches_exact_lumped_chain():
         assert abs(res.mean - tau) < 4.0 * res.sd / math.sqrt(reps)
 
 
+def test_balance_bounds_follow_the_resample_clock():
+    """The bounds hold on the unit resample clock, so at rate 2 they and the
+    default horizon halve; at rate 0 there is no bound to default to."""
+    cfg = SystemConfig(m=4, policy="rls", resample_rate=2.0)
+    res = measure_balance_time(cfg, initial_all_at_one(4, 16), reps=200,
+                               base_seed=11)
+    assert res.bound == balance_time_bound(4, 16) / 2
+    assert res.lower_bounds == {k: v / 2 for k, v in
+                                lower_bound_estimates(4, 16).items()}
+    assert res.horizon == 100 * res.bound
+    assert res.censored == 0 and res.mean <= res.bound
+    frozen = SystemConfig(m=4, policy="rls", resample_rate=0.0)
+    with pytest.raises(ValueError, match="horizon required"):
+        measure_balance_time(frozen, initial_all_at_one(4, 16))
+
+
 def test_balance_time_censoring():
     res = measure_balance_time(RLS, (2, 0), reps=3, horizon=1e-9)
     assert res.censored == 3

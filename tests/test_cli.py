@@ -443,9 +443,16 @@ print(json.dumps({{"codes": codes, "scipy": sorted(
         assert manifest["environment"]["scipy"] == metadata.version("scipy")
 
 
-def test_unknown_subcommand_exits_one(capsys):
+def test_unknown_subcommand_exits_one(tmp_path, capsys):
     assert run(["frobnicate"]) == 1
     assert run([]) == 1
+    # so is an option the subcommand does not take
+    for argv in (["balance", "--m", 2, "--n", 2, "--beta", 2],
+                 ["open", "--m", 2, "--policy", "rls", "--lambda", 0.5,
+                  "--warmup", 5]):
+        assert run(argv + ["--out", tmp_path / argv[0]]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / argv[0]).exists()
 
 
 def test_version_flag(capsys):

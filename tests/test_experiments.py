@@ -124,7 +124,7 @@ def test_measure_sojourns_plumbing():
     out = measure_sojourns(cfg, horizon=120.0, warmup=30.0, reps=3,
                            cutoff=120.0, base_seed=5)
     assert out.seeds == (5, 7)
-    assert out.reps == 3 and len(out.per_rep) == 3
+    assert len(out.per_rep) == 3
     assert out.clients == sum(c for _, c, _ in out.per_rep)
     assert out.mean_sojourn == pytest.approx(
         math.fsum(s for s, _, _ in out.per_rep) / out.clients)
@@ -249,8 +249,7 @@ def test_kurtz_deviation_zero_for_a_frozen_system():
                        resample_rate=0.5, cap=8)
     ode = integrate("rlo", point_mass(0, 8), 2.0, sample_dt=0.5,
                     lam=0.0, beta=0.5)
-    dev = kurtz_deviation(cfg, point_mass(0, 8), t_end=2.0, seed=0, ode=ode,
-                          sample_dt=0.5)
+    dev = kurtz_deviation(cfg, ode=ode, seed=0, sample_dt=0.5)
     assert dev == 0.0
 
 
@@ -259,25 +258,24 @@ def test_kurtz_deviation_small_system_is_positive_and_bounded():
                        resample_rate=0.5, cap=20)
     ode = integrate("rlo", point_mass(0, 20), 2.0, dt=2e-3, sample_dt=0.5,
                     lam=0.8, beta=0.5)
-    dev = kurtz_deviation(cfg, point_mass(0, 20), t_end=2.0, seed=1, ode=ode,
-                          sample_dt=0.5, dt=2e-3)
+    dev = kurtz_deviation(cfg, ode=ode, seed=1, sample_dt=0.5, dt=2e-3)
     assert 0.0 < dev < 1.0
 
 
 def test_kurtz_deviation_guards():
-    ode = []  # every guard raises before the ode is read
+    ode = [(0.0, point_mass(0, 5))]  # every guard raises before a run
     hetero = SystemConfig(m=2, policy="rlo", arrival_rates=(0.5, 0.1),
                           resample_rate=0.5, cap=5)
     with pytest.raises(ConfigError):
-        kurtz_deviation(hetero, point_mass(0, 5), 1.0, 0, ode)
+        kurtz_deviation(hetero, ode, 0)
     uncapped = SystemConfig(m=2, policy="rlo", arrival_rates=0.5,
                             resample_rate=0.5)
     with pytest.raises(ConfigError):
-        kurtz_deviation(uncapped, point_mass(0, 5), 1.0, 0, ode)
+        kurtz_deviation(uncapped, ode, 0)
     slow = SystemConfig(m=2, policy="rlo", arrival_rates=0.5,
                         service_rates=2.0, resample_rate=0.5, cap=5)
     with pytest.raises(ConfigError):
-        kurtz_deviation(slow, point_mass(0, 5), 1.0, 0, ode)
+        kurtz_deviation(slow, ode, 0)
 
 
 # --- stability probe ------------------------------------------------------------------
