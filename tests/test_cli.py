@@ -148,6 +148,14 @@ PINNED_CSVS = [
       "--horizon", 200, "--reps", 3, "--seed", 3],
      "sojourns.csv",
      "436b8c3144b51707c50eb89cc9e6df29b9b423071072c4eab6e11b026573e53e"),
+    (["open", "--m", 4, "--policy", "rlo", "--exclude-self", "--lambda", 0.7,
+      "--beta", 0.5, "--horizon", 200, "--reps", 6, "--seed", 3],
+     "sojourns.csv",
+     "fb8abf45e3c40d1bbf57acc52d2214e8ef0aaebd7f56aeeb22cad331a3d5abac"),
+    (["open", "--m", 4, "--policy", "rls", "--mu", "1,2,0.5,1.5", "--lambda",
+      0.7, "--beta", 0.5, "--horizon", 200, "--reps", 6, "--seed", 3],
+     "sojourns.csv",
+     "57cba397e8bc83473e4d45489a9b6db4709f03100101d5391c5094088df4a8da"),
     (["meanfield", "--mode", "integrate", "--policy", "rlo", "--lambda", 0.8,
       "--beta", 0.5, "--bcap", 30, "--t-end", 5],
      "trajectory.csv",
