@@ -105,20 +105,23 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
 
     Each run stops at exact balance when eps is None, and at eps balance
     otherwise. The bound and the lower bounds hold on the unit resample
-    clock, so they are divided by config.resample_rate; at rate 0 there
-    are none. The default horizon is 100 times the bound, so an uncensored
-    run is overwhelmingly likely whenever the dynamics does balance.
-    Censored replications are excluded from the mean but counted and
-    reported. A confidence interval (normal approximation) is attached
-    only when at least 20 replications finished.
+    clock, so they are divided by config.resample_rate, which must be
+    positive: at rate 0 no client ever moves. The default horizon is 100
+    times the bound, so an uncensored run is overwhelmingly likely
+    whenever the dynamics does balance. Censored replications are
+    excluded from the mean but counted and reported. A confidence interval
+    (normal approximation) is attached only when at least 20 replications
+    finished.
     """
     if reps < 2:
         raise ValueError(f"need at least 2 replications, got {reps}")
+    rate = config.resample_rate
+    if rate == 0:
+        raise ValueError("resample_rate must be positive: at rate 0 no client moves")
     initial = tuple(int(c) for c in initial)
     m = config.m
     n = sum(initial)
-    rate = config.resample_rate
-    bound = balance_time_bound(m, n) / rate if m >= 2 and n >= 1 and rate else None
+    bound = balance_time_bound(m, n) / rate if m >= 2 and n >= 1 else None
     if horizon is None:
         if bound is None:
             raise ValueError("horizon required when the analytic bound is undefined")
@@ -134,7 +137,7 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
     else:
         mean = sd = ci = None
     lower = ({k: v / rate for k, v in lower_bound_estimates(m, n).items()}
-             if m >= 1 and n >= 1 and rate else None)
+             if m >= 1 and n >= 1 else None)
     return BalanceTimeResult(
         seeds=seeds, horizon=horizon, times=tuple(times),
         censored=len(times) - len(done),

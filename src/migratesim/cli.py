@@ -331,7 +331,9 @@ def cmd_open(args) -> int:
         return ("seed", "slope"), rows, comments
 
     def sojourns(manifest):
-        load = config.total_arrival_rate / config.total_service_rate
+        capacity = config.total_service_rate
+        # no service capacity is overload, whatever the arrivals
+        load = config.total_arrival_rate / capacity if capacity else float("inf")
         if load >= 1.0:
             manifest.warnings.append(
                 f"offered load {load!r} >= 1: sojourn statistics are "

@@ -15,7 +15,8 @@ is a system of its own:
   resample is ever simulated.
 * ``simulate_open``: arrivals, processor-sharing service completions and
   resampling all active. Optionally tracks individual clients through
-  migrations to produce sojourn records.
+  migrations, returning one (arrival time, departure time) row per
+  arrived client.
 * ``simulate_coupled``: the three-colour particle system used to audit the
   open-system dynamics. All particles (blue, red, green) perform the same
   uniform random walk; blue arrivals come from one Poisson stream, and a
@@ -75,21 +76,6 @@ class Event:
     dt: float
     server_from: Optional[int] = None
     server_to: Optional[int] = None
-
-
-@dataclass
-class SojournRecord:
-    """Lifetime of one tracked client; depart_t is None if still in system."""
-
-    client_id: int
-    arrive_t: float
-    depart_t: Optional[float] = None
-
-    @property
-    def sojourn(self) -> Optional[float]:
-        if self.depart_t is None:
-            return None
-        return self.depart_t - self.arrive_t
 
 
 @dataclass
@@ -418,24 +404,23 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
         stop_time)
 
 
-def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
-                  seed: int = 0, *, sample_dt: Optional[float],
+def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
+                  sample_dt: Optional[float],
                   initial: Optional[Sequence[int]] = None,
                   track_sojourns: bool = True) -> tuple:
     """Run the open system to the horizon. Returns (trajectory, sojourns).
 
-    Sojourn records cover clients arriving at or after warmup, with
-    depart_t None for clients still present at the horizon. Clients seeded
-    through ``initial`` take part in the dynamics but get no records since
-    they never arrived. With track_sojourns False the records list is empty
-    and the per-client bookkeeping (including the draw selecting which
-    resident departs) is skipped; trajectories for a fixed seed are
-    reproducible per tracking mode.
+    ``sojourns`` is a float64 array of shape (n, 2), one row per client
+    that arrived during the run, in arrival order: its arrival time and
+    its departure time, NaN for a client still present at the horizon.
+    Clients seeded through ``initial`` take part in the dynamics but get
+    no row since they never arrived. With track_sojourns False the array
+    has shape (0, 2) and the per-client bookkeeping (including the draw
+    selecting which resident departs) is skipped; trajectories for a fixed
+    seed are reproducible per tracking mode.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if not 0 <= warmup <= horizon:
-        raise ValueError("warmup must lie within [0, horizon]")
     m = config.m
     counts = [0] * m if initial is None else [int(c) for c in initial]
     if len(counts) != m or any(c < 0 for c in counts):
@@ -450,6 +435,7 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
     random = rng.random
     getrandbits = rng.getrandbits
     log = math.log
+    nan = math.nan
     beta = config.resample_rate
     svc = list(config.service_rates)
     cum_arr = _cumulative(config.arrival_rates)
@@ -476,7 +462,7 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
     slot_bagpos = []
     slot_id = [] if track_sojourns else None
     arrive_t = []
-    depart_t = {}
+    depart_t = []
     for i, c in enumerate(counts):
         for _ in range(c):
             s = len(slot_server)
@@ -484,10 +470,9 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
             slot_bagpos.append(len(bags[i]))
             bags[i].append(s)
             if track_sojourns:
-                slot_id.append(-1)  # seeded clients carry no record
+                slot_id.append(-1)  # seeded clients carry no row
 
     n_live = len(slot_server)
-    next_id = 0
     n_arrival = n_departure = n_migration = n_rejected = n_self = 0
     n_dropped = n_blocked = 0
     times = [0.0]
@@ -526,9 +511,9 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
             slot_bagpos.append(len(bags[i]))
             bags[i].append(n_live)
             if track_sojourns:
-                slot_id.append(next_id)
+                slot_id.append(n_arrival)  # its row
                 arrive_t.append(t)
-                next_id += 1
+                depart_t.append(nan)
             n_live += 1
             n_arrival += 1
             continue
@@ -653,16 +638,7 @@ def simulate_open(config: SystemConfig, horizon: float, warmup: float = 0.0,
                       "migration_blocked": n_blocked},
         final=SystemState(t, tuple(counts)),
     )
-    records = []
-    if track_sojourns:
-        for cid in range(next_id):
-            if arrive_t[cid] >= warmup:
-                records.append(SojournRecord(
-                    client_id=cid,
-                    arrive_t=arrive_t[cid],
-                    depart_t=depart_t.get(cid),
-                ))
-    return traj, records
+    return traj, np.column_stack((arrive_t, depart_t))
 
 
 def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float],

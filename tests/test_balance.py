@@ -171,7 +171,8 @@ def test_balance_time_matches_exact_lumped_chain():
 
 def test_balance_bounds_follow_the_resample_clock():
     """The bounds hold on the unit resample clock, so at rate 2 they and the
-    default horizon halve; at rate 0 there is no bound to default to."""
+    default horizon halve; at rate 0 no client moves, with or without a
+    horizon, so the rate is refused."""
     cfg = SystemConfig(m=4, policy="rls", resample_rate=2.0)
     res = measure_balance_time(cfg, initial_all_at_one(4, 16), reps=200,
                                base_seed=11)
@@ -181,8 +182,10 @@ def test_balance_bounds_follow_the_resample_clock():
     assert res.horizon == 100 * res.bound
     assert res.censored == 0 and res.mean <= res.bound
     frozen = SystemConfig(m=4, policy="rls", resample_rate=0.0)
-    with pytest.raises(ValueError, match="horizon required"):
-        measure_balance_time(frozen, initial_all_at_one(4, 16))
+    for horizon in (None, 5.0):
+        with pytest.raises(ValueError, match="resample_rate must be positive"):
+            measure_balance_time(frozen, initial_all_at_one(4, 16),
+                                 horizon=horizon)
 
 
 def test_balance_time_censoring():

@@ -211,16 +211,20 @@ def test_open_rate_length_mismatch(tmp_path, capsys):
 
 
 def test_open_overloaded_warns_and_exits_two(tmp_path, capsys):
-    out = tmp_path / "o"
-    code = run(["open", "--m", 2, "--policy", "rlo", "--lambda", "1.2",
-                "--beta", "0.2", "--horizon", 40, "--reps", 2, "--out", out])
-    assert code == 2
-    printed = [ln[len("warning: "):] for ln in capsys.readouterr().out.splitlines()
-               if ln.startswith("warning: ")]
-    assert any("--probe" in w for w in printed)
-    # the manifest says why the run exited 2, in the words it printed
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["warnings"] == printed
+    # zero service capacity is overload too, not a division by zero
+    for k, rates in enumerate((["--lambda", "1.2"],
+                               ["--lambda", "0.5", "--mu", "0"])):
+        out = tmp_path / f"o{k}"
+        code = run(["open", "--m", 2, "--policy", "rlo", *rates, "--beta",
+                    "0.2", "--horizon", 40, "--reps", 2, "--out", out])
+        assert code == 2
+        printed = [ln[len("warning: "):]
+                   for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("warning: ")]
+        assert any("--probe" in w for w in printed)
+        # the manifest says why the run exited 2, in the words it printed
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == printed
 
 
 def test_open_probe_small_sample_inconclusive(tmp_path, capsys):

@@ -19,6 +19,7 @@ from migratesim.ctmc import (
     simulate_open,
     step,
 )
+from migratesim.experiments import measure_sojourns
 from migratesim.model import ConfigError, SystemConfig, SystemState
 from migratesim.stats import chi_square_gof
 
@@ -106,9 +107,10 @@ def test_open_streams_are_pinned():
     """Whole runs, not just first events: each branch config in both
     tracking modes, on a sample grid and without one, from empty and from
     a seeded state, plus m=1 and m=17 for other bounded-draw widths. The
-    times, occupancies, event tallies in key order, end state and sojourn
-    records must hash to the recorded digest, so a faster loop has to
-    consume the same draws in the same order."""
+    times, occupancies, event tallies in key order, end state and the
+    sojourn rows of clients arriving from t=30 on (row index, arrival,
+    departure or None) must hash to the recorded digest, so a faster loop
+    has to consume the same draws in the same order."""
     configs = OPEN_BRANCH_CONFIGS + (
         SystemConfig(m=1, policy="rls", arrival_rates=0.6, resample_rate=0.7),
         SystemConfig(m=17, policy="rlo", arrival_rates=0.6, resample_rate=0.7,
@@ -119,16 +121,18 @@ def test_open_streams_are_pinned():
         for track in (False, True):
             for k in range(4):
                 initial = None if k < 2 else (2,) + (0, 1) * (cfg.m // 2)
-                traj, recs = simulate_open(
-                    cfg, horizon=300.0, warmup=30.0, seed=10 * c + k,
+                traj, sojourns = simulate_open(
+                    cfg, horizon=300.0, seed=10 * c + k,
                     sample_dt=0.7 if k % 2 else None, initial=initial,
                     track_sojourns=track)
                 digest.update(traj.times.tobytes())
                 digest.update(traj.counts.tobytes())
                 digest.update(repr(list(traj.event_counts.items())).encode())
                 digest.update(repr(traj.final).encode())
-                digest.update(repr([(r.client_id, r.arrive_t, r.depart_t)
-                                    for r in recs]).encode())
+                digest.update(repr([
+                    (row, float(a), None if math.isnan(d) else float(d))
+                    for row, (a, d) in enumerate(sojourns)
+                    if a >= 30.0]).encode())
     assert digest.hexdigest() == OPEN_STREAM_SHA256
 
 
@@ -299,32 +303,45 @@ def test_closed_rls_extremes_monotone():
 
 def test_open_conservation_and_records():
     cfg = SystemConfig(m=3, policy="rls", arrival_rates=0.5, resample_rate=0.4)
-    traj, recs = simulate_open(cfg, horizon=80.0, sample_dt=0.1, seed=21)
+    traj, sojourns = simulate_open(cfg, horizon=80.0, sample_dt=0.1, seed=21)
     ev = traj.event_counts
     assert ev["arrival"] - ev["departure"] == sum(traj.final.counts)
-    departed = [r for r in recs if r.depart_t is not None]
-    assert len(departed) == ev["departure"]
-    assert all(r.sojourn > 0 for r in departed)
-    assert all(r.depart_t is None or r.depart_t >= r.arrive_t for r in recs)
-    assert {r.client_id for r in recs} == set(range(len(recs)))
+    arrive, depart = sojourns.T
+    departed = ~np.isnan(depart)
+    assert departed.sum() == ev["departure"]
+    assert np.all(depart[departed] - arrive[departed] > 0)
+    # one row per arrival, in arrival order
+    assert len(sojourns) == ev["arrival"]
+    assert np.all(np.diff(arrive) >= 0)
 
 
-def test_open_warmup_filters_records():
+def test_sojourn_window_is_arrivals_in_warmup_to_cutoff():
+    """measure_sojourns keeps exactly the clients arriving in [warmup,
+    cutoff], both ends included: checked against a plain loop over the
+    rows of the same run, with each edge on an actual arrival time."""
     cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.8, resample_rate=0.2)
-    traj, all_recs = simulate_open(cfg, horizon=40.0, sample_dt=0.1,
-                                   warmup=0.0, seed=4)
-    _, late_recs = simulate_open(cfg, horizon=40.0, sample_dt=0.1,
-                                 warmup=20.0, seed=4)
-    assert all(r.arrive_t >= 20.0 for r in late_recs)
-    kept = [r for r in all_recs if r.arrive_t >= 20.0]
-    assert [r.client_id for r in kept] == [r.client_id for r in late_recs]
+    _, sojourns = simulate_open(cfg, horizon=40.0, seed=4, sample_dt=None)
+    arrive = sojourns[:, 0]
+    warmup, cutoff = arrive[len(arrive) // 4], arrive[-1]
+    parts, censored = [], 0
+    for a, d in sojourns:
+        if warmup <= a <= cutoff:
+            if math.isnan(d):
+                censored += 1
+            else:
+                parts.append(d - a)
+    assert len(parts) + censored == len(arrive) - len(arrive) // 4
+    assert censored > 0
+    out = measure_sojourns(cfg, horizon=40.0, warmup=warmup, reps=1,
+                           cutoff=cutoff, base_seed=4)
+    assert out.per_rep == ((math.fsum(parts), len(parts), censored),)
 
 
 def test_open_seeded_initial_gets_no_records():
     cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.0, resample_rate=0.5)
-    traj, recs = simulate_open(cfg, horizon=10.0, sample_dt=0.1, seed=2,
-                               initial=(3, 0))
-    assert recs == []  # seeded clients never arrived
+    traj, sojourns = simulate_open(cfg, horizon=10.0, sample_dt=0.1, seed=2,
+                                   initial=(3, 0))
+    assert sojourns.shape == (0, 2)  # seeded clients never arrived
     assert sum(traj.final.counts) <= 3
 
 
@@ -348,9 +365,9 @@ def test_open_untracked_run_matches_event_totals():
     for include_self in (True, False):
         cfg = SystemConfig(m=2, policy="rlo", arrival_rates=0.7, resample_rate=0.3,
                            include_self=include_self)
-        traj, recs = simulate_open(cfg, horizon=25.0, sample_dt=0.1, seed=13,
-                                   track_sojourns=False)
-        assert recs == []
+        traj, sojourns = simulate_open(cfg, horizon=25.0, sample_dt=0.1,
+                                       seed=13, track_sojourns=False)
+        assert sojourns.shape == (0, 2)
         ev = traj.event_counts
         assert ev["arrival"] - ev["departure"] == sum(traj.final.counts)
         # an rlo hop lands on its own server exactly when self-jumps are on
@@ -362,8 +379,6 @@ def test_open_argument_validation():
     cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.5)
     with pytest.raises(ValueError):
         simulate_open(cfg, horizon=0.0, sample_dt=0.1)
-    with pytest.raises(ValueError):
-        simulate_open(cfg, horizon=1.0, sample_dt=0.1, warmup=2.0)
     with pytest.raises(ValueError):
         simulate_open(cfg, horizon=1.0, sample_dt=0.1, initial=(1,))
 

@@ -132,6 +132,8 @@ def test_measure_sojourns_plumbing():
     assert out.ci95 is None  # below the interval threshold
     with pytest.raises(ValueError):
         measure_sojourns(cfg, horizon=10.0, warmup=0.0, reps=0, cutoff=10.0)
+    with pytest.raises(ValueError, match="warmup"):
+        measure_sojourns(cfg, horizon=1.0, warmup=2.0, reps=1, cutoff=1.0)
 
 
 def test_measure_sojourns_jobs_parity():
