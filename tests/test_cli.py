@@ -156,6 +156,10 @@ PINNED_CSVS = [
       0.7, "--beta", 0.5, "--horizon", 200, "--reps", 6, "--seed", 3],
      "sojourns.csv",
      "57cba397e8bc83473e4d45489a9b6db4709f03100101d5391c5094088df4a8da"),
+    (["open", "--m", 4, "--policy", "rlo", "--lambda", 1.2, "--beta", 0.5,
+      "--horizon", 200, "--reps", 20, "--seed", 3, "--probe"],
+     "probe.csv",
+     "c4147f94fcfd65a23ece5c6d869d9f9407214db2cc1da0401230cba863f49401"),
     (["meanfield", "--mode", "integrate", "--policy", "rlo", "--lambda", 0.8,
       "--beta", 0.5, "--bcap", 30, "--t-end", 5],
      "trajectory.csv",
