@@ -80,9 +80,8 @@ def initial_from_file(path, m: int) -> tuple:
 class BalanceTimeResult:
     """Replicated time-to-balance measurement for one (config, start, stop) cell."""
 
-    seeds: tuple
     horizon: float
-    times: tuple  # per replication; None where censored
+    times: tuple  # entry k from seed base_seed + k; None where censored
     censored: int
     mean: Optional[float]  # over uncensored replications
     sd: Optional[float]
@@ -126,8 +125,7 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
         if bound is None:
             raise ValueError("horizon required when the analytic bound is undefined")
         horizon = 100.0 * bound
-    seeds = tuple(base_seed + k for k in range(reps))
-    work = [(config, initial, eps, horizon, s) for s in seeds]
+    work = [(config, initial, eps, horizon, base_seed + k) for k in range(reps)]
     times = map_replications(_balance_rep, work, jobs)
 
     done = [t for t in times if t is not None]
@@ -139,7 +137,7 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
     lower = ({k: v / rate for k, v in lower_bound_estimates(m, n).items()}
              if m >= 1 and n >= 1 else None)
     return BalanceTimeResult(
-        seeds=seeds, horizon=horizon, times=tuple(times),
+        horizon=horizon, times=tuple(times),
         censored=len(times) - len(done),
         mean=mean, sd=sd, ci95=ci, bound=bound, lower_bounds=lower,
     )

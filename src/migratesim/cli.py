@@ -274,8 +274,8 @@ def cmd_balance(args) -> int:
         if res.censored:
             manifest.warnings.append(
                 f"{res.censored} replication(s) censored at the horizon")
-        rows = [{"rep": k, "seed": s, "balance_time": t}
-                for k, (s, t) in enumerate(zip(res.seeds, res.times))]
+        rows = [{"rep": k, "seed": seed + k, "balance_time": t}
+                for k, t in enumerate(res.times)]
         comments = [
             f"config={config_echo(config)}",
             f"initial={','.join(str(c) for c in initial)} stop={args.stop}",
@@ -321,8 +321,8 @@ def cmd_open(args) -> int:
         print(f"quarter-window means: {report.tail_means!r}")
         if report.verdict == "inconclusive":
             manifest.warnings.append("stability probe inconclusive")
-        rows = [{"seed": s, "slope": sl}
-                for s, sl in zip(report.seeds, report.per_seed_slopes)]
+        rows = [{"seed": seed + k, "slope": sl}
+                for k, sl in enumerate(report.per_seed_slopes)]
         comments = [
             f"config={config_echo(config)}",
             f"verdict={report.verdict} growth_slope={report.growth_slope!r}",
@@ -487,8 +487,7 @@ def check_kurtz():
     for m in (100, 1000):
         cfg = SystemConfig(m=m, policy="rlo", arrival_rates=lam,
                            resample_rate=beta, cap=b_cap)
-        devs = [exp.kurtz_deviation(cfg, ode, seed=6000 + s, sample_dt=1.0)
-                for s in range(20)]
+        devs = [exp.kurtz_deviation(cfg, ode, seed=6000 + s) for s in range(20)]
         sup_mean[m] = sum(devs) / len(devs)
     shrinks = sup_mean[1000] < sup_mean[100]
     small = sup_mean[1000] < 0.05

@@ -80,17 +80,22 @@ class Event:
 
 @dataclass
 class Trajectory:
-    """Sampled occupancy path plus event tallies for one open run."""
+    """Sampled occupancy path plus event tallies for one open run.
+
+    The rows are t=0, the sample grid up to the horizon, and the horizon
+    itself when it is off the grid, so the last row is the state at the
+    horizon.
+    """
 
     times: np.ndarray  # (k,)
     counts: np.ndarray  # (k, m) occupancies, left-limits at the sample times
     event_counts: dict
-    final: SystemState
 
 
 @dataclass(frozen=True)
 class CoupledState:
-    t: float
+    """Per-server blue, red and green particle counts at the horizon."""
+
     blue: tuple
     red: tuple
     green: tuple
@@ -266,8 +271,8 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     if len(set(config.service_rates)) != 1 or config.service_rates[0] <= 0:
         raise ConfigError("closed runs need equal, positive service rates, "
                           f"got {config.service_rates!r}")
-    if horizon is None or horizon <= 0:
-        raise ValueError("closed runs need a positive horizon")
+    if horizon is None or not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     m = config.m
     counts = [int(c) for c in initial]
     if len(counts) != m or any(c < 0 for c in counts):
@@ -419,8 +424,8 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
     selecting which resident departs) is skipped; trajectories for a fixed
     seed are reproducible per tracking mode.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     m = config.m
     counts = [0] * m if initial is None else [int(c) for c in initial]
     if len(counts) != m or any(c < 0 for c in counts):
@@ -636,7 +641,6 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
                       "migration": n_migration, "resample_rejected": n_rejected,
                       "resample_self": n_self, "arrival_dropped": n_dropped,
                       "migration_blocked": n_blocked},
-        final=SystemState(t, tuple(counts)),
     )
     return traj, np.column_stack((arrive_t, depart_t))
 
@@ -657,6 +661,8 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
     the red-plus-green pool, and the blue-plus-red total changes only
     through blue arrivals. Only the state at the horizon is kept.
     """
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     m = len(initial_blue)
     blue = [int(c) for c in initial_blue]
     if any(c < 0 for c in blue):
@@ -684,7 +690,6 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
         total = walk_total + total_ell + total_rho
         t_next = t + rng.expovariate(total) if total > 0.0 else math.inf
         if t_next > horizon:
-            t = horizon
             break
         t = t_next
         w = rng.random() * total
@@ -733,4 +738,4 @@ def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float]
             green[i] += 1
             events["removal_miss"] += 1
 
-    return RunEnd(events, CoupledState(t, tuple(blue), tuple(red), tuple(green)))
+    return RunEnd(events, CoupledState(tuple(blue), tuple(red), tuple(green)))

@@ -48,8 +48,7 @@ class StabilityReport:
     growth_slope: float  # mean over per-seed slopes of total population
     slope_ci: Optional[tuple]
     tail_means: tuple  # population means over the 3rd and 4th quarter windows
-    per_seed_slopes: tuple
-    seeds: tuple
+    per_seed_slopes: tuple  # in seed_set order
     events: dict  # event tallies by kind, summed over the seeds
 
 
@@ -87,13 +86,12 @@ def stability_probe(config: SystemConfig, horizon: float,
             "stability probes need an uncapped system: a cap bounds the "
             "population and forces every config to look stable"
         )
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    seeds = tuple(int(s) for s in seed_set)
-    if len(seeds) < 2:
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    work = [(config, horizon, horizon / PROBE_SAMPLES, int(s)) for s in seed_set]
+    if len(work) < 2:
         raise ValueError("need at least two seeds")
 
-    work = [(config, horizon, horizon / PROBE_SAMPLES, s) for s in seeds]
     paths = map_replications(_population_path, work, jobs)
 
     times = paths[0][0]
@@ -120,7 +118,7 @@ def stability_probe(config: SystemConfig, horizon: float,
         verdict = "inconclusive"
     return StabilityReport(
         verdict=verdict, growth_slope=slope, slope_ci=ci,
-        tail_means=(m3, m4), per_seed_slopes=slopes, seeds=seeds,
+        tail_means=(m3, m4), per_seed_slopes=slopes,
         events=_summed_events([ev for _, _, ev in paths]),
     )
 
@@ -231,15 +229,14 @@ def counts_from_measure(x0, m: int) -> tuple:
     return tuple(counts)
 
 
-def kurtz_deviation(config: SystemConfig, ode: list, seed: int,
-                    sample_dt: float = 0.1, dt: float = 1e-3) -> float:
+def kurtz_deviation(config: SystemConfig, ode: list, seed: int) -> float:
     """Sup over sample times of the L1 gap between one run and the ODE.
 
-    ``ode`` is the integrate output for matching parameters, sampled every
-    ``sample_dt`` with step ``dt``, so one integration serves many seeds.
-    The simulation starts from counts that realize its first state exactly
-    and runs to its last sample time; the two are compared pairwise on the
-    sample grid.
+    ``ode`` is the integrate output for matching parameters, with at least
+    two samples, so one integration serves many seeds. The simulation
+    starts from counts that realize its first state exactly, runs to its
+    last sample time and is sampled every ``ode[1][0]``, the ode's own
+    spacing; the two are compared pairwise, their times within 1e-9.
     """
     if len(set(config.arrival_rates)) != 1 or set(config.service_rates) != {1.0}:
         raise ConfigError(
@@ -253,9 +250,11 @@ def kurtz_deviation(config: SystemConfig, ode: list, seed: int,
             f"config.cap={config.cap!r} must equal the ode's top level "
             f"{b_cap} so both sides live on the same support"
         )
+    if len(ode) < 2:
+        raise ValueError(f"the ode needs at least two samples, got {len(ode)}")
     initial = counts_from_measure(x0, config.m)
     traj, _ = simulate_open(config, horizon=t_end, seed=seed,
-                            sample_dt=sample_dt, initial=initial,
+                            sample_dt=ode[1][0], initial=initial,
                             track_sojourns=False)
     if len(ode) != len(traj.times):
         raise RuntimeError(
@@ -264,7 +263,7 @@ def kurtz_deviation(config: SystemConfig, ode: list, seed: int,
         )
     worst = 0.0
     for (t_ode, xs), t_sim, row in zip(ode, traj.times, traj.counts):
-        if abs(t_ode - t_sim) > dt + 1e-9:
+        if abs(t_ode - t_sim) > 1e-9:
             raise RuntimeError(
                 f"sample grids diverged at t={t_sim!r} vs {t_ode!r}"
             )
@@ -293,20 +292,20 @@ def _sojourn_rep(args):
 class SojournSummary:
     """Pooled sojourn statistics for one configuration over many seeds."""
 
-    seeds: tuple  # (first, last)
     clients: int
     censored: int
     mean_sojourn: Optional[float]  # None when no sojourn completed
     throughput: Optional[float]
     ci95: Optional[tuple]  # over per-replication throughputs
-    per_rep: tuple  # (total_sojourn, completed, censored) per seed
+    per_rep: tuple  # (total_sojourn, completed, censored) per seed, in order
     events: dict  # event tallies by kind, summed over the seeds
 
 
 def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
                      reps: int, cutoff: float, base_seed: int = 0,
                      jobs: int = 1) -> SojournSummary:
-    """Replicate one open run and pool the in-window sojourns.
+    """Replicate one open run over seeds base_seed .. base_seed + reps - 1
+    and pool the in-window sojourns.
 
     The window keeps clients arriving in [warmup, cutoff]; with cutoff at
     the horizon itself, late arrivals are counted censored rather than
@@ -317,8 +316,7 @@ def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
         raise ValueError("need at least one replication")
     if not 0 <= warmup <= horizon:
         raise ValueError("warmup must lie within [0, horizon]")
-    seeds = [base_seed + r for r in range(reps)]
-    work = [(config, horizon, warmup, cutoff, s) for s in seeds]
+    work = [(config, horizon, warmup, cutoff, base_seed + r) for r in range(reps)]
     outs = map_replications(_sojourn_rep, work, jobs)
     reps_out = [rep for rep, _ in outs]
 
@@ -331,7 +329,6 @@ def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
     else:
         pooled = thr = ci = None
     return SojournSummary(
-        seeds=(seeds[0], seeds[-1]),
         clients=clients, censored=censored, mean_sojourn=pooled,
         throughput=thr, ci95=ci, per_rep=tuple(reps_out),
         events=_summed_events([ev for _, ev in outs]),
@@ -344,7 +341,6 @@ class ThroughputRow(SojournSummary):
 
     m: int
     lam: float
-    beta: float
     policy: str
     prediction: float  # m = infinity mean-field value
     rel_error: float
@@ -431,7 +427,7 @@ def throughput_comparison(
                     )
                 pred = predictions[(lam, pol)]
                 rows.append(ThroughputRow(
-                    **vars(summary), m=m, lam=lam, beta=beta,
+                    **vars(summary), m=m, lam=lam,
                     policy=pol.value, prediction=pred,
                     rel_error=abs(summary.throughput - pred) / pred,
                 ))

@@ -266,15 +266,16 @@ def integrate(
 
     ``policy`` ("rlo"/"rls") picks the flow, at rates ``lam`` and ``beta``.
     Samples are recorded at t=0, then whenever the running time crosses a
-    multiple of the positive ``sample_dt``, and always at t_end.
+    multiple of the positive ``sample_dt``, and always at t_end. ``dt``,
+    ``sample_dt`` and ``t_end`` must be finite.
     """
     rhs = make_rhs(policy, lam, beta)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if sample_dt <= 0:
-        raise ValueError(f"sample_dt must be positive, got {sample_dt!r}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end!r}")
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end!r}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not 0 < sample_dt < math.inf:
+        raise ValueError(f"sample_dt must be positive and finite, got {sample_dt!r}")
     x = _vec(x0).copy()
     OdeState(x)  # validate the start before running
 

@@ -208,10 +208,14 @@ def test_open_heterogeneous_rates_infer_m(tmp_path):
 
 
 def test_open_rate_length_mismatch(tmp_path, capsys):
-    code = run(["open", "--m", 2, "--policy", "rls", "--lambda", "0.5,0.5,0.5",
-                "--horizon", 50, "--reps", 2, "--out", tmp_path / "o"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    # a non-finite horizon is refused too, not probed forever
+    for k, argv in enumerate((["--lambda", "0.5,0.5,0.5", "--horizon", 50],
+                              ["--lambda", "0.5", "--horizon", "inf",
+                               "--probe"])):
+        code = run(["open", "--m", 2, "--policy", "rls", *argv, "--reps", 2,
+                    "--out", tmp_path / f"o{k}"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_open_overloaded_warns_and_exits_two(tmp_path, capsys):
@@ -375,7 +379,10 @@ def test_meanfield_overload_rejected(tmp_path, capsys):
             ["--policy", "rlo", "--lambda", "1.2", "--beta", "0.5"],
             # a zero grid step is refused, not read as "use the default grid"
             ["--policy", "rlo", "--lambda", "0.5", "--beta", "0.5", "--bcap", 5,
-             "--mode", "integrate", "--t-end", 1, "--sample-dt", 0]]):
+             "--mode", "integrate", "--t-end", 1, "--sample-dt", 0],
+            # so is an infinite step, not taken as one jump to t_end
+            ["--policy", "rlo", "--lambda", "0.5", "--beta", "0.5", "--bcap", 5,
+             "--mode", "integrate", "--t-end", 1, "--dt", "inf"]]):
         out = tmp_path / f"mf{i}"
         assert run(["meanfield", *argv, "--out", out]) == 1
         assert "error:" in capsys.readouterr().err

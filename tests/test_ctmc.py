@@ -89,8 +89,8 @@ def test_first_open_event_matches_step():
                 traj, _ = simulate_open(cfg, horizon=s1.t, seed=seed,
                                         sample_dt=None, initial=(2, 1, 0),
                                         track_sojourns=track)
-                assert traj.final.t == s1.t
-                assert traj.final.counts == s1.counts
+                assert traj.times[-1] == s1.t
+                assert tuple(traj.counts[-1]) == s1.counts
                 assert traj.event_counts[ev.kind] == 1
                 assert sum(traj.event_counts.values()) == 1
                 kinds.add(ev.kind)
@@ -128,7 +128,8 @@ def test_open_streams_are_pinned():
                 digest.update(traj.times.tobytes())
                 digest.update(traj.counts.tobytes())
                 digest.update(repr(list(traj.event_counts.items())).encode())
-                digest.update(repr(traj.final).encode())
+                digest.update(repr(SystemState(
+                    float(traj.times[-1]), tuple(traj.counts[-1]))).encode())
                 digest.update(repr([
                     (row, float(a), None if math.isnan(d) else float(d))
                     for row, (a, d) in enumerate(sojourns)
@@ -242,8 +243,9 @@ def test_closed_rejects_arrivals_and_bad_input():
         simulate_closed(open_cfg, (1, 1), horizon=1.0)
     with pytest.raises(ValueError):
         simulate_closed(RLS2, (1, 1, 1), horizon=1.0)
-    with pytest.raises(ValueError):
-        simulate_closed(RLS2, (1, 1), horizon=0.0)
+    for horizon in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            simulate_closed(RLS2, (2, 0), horizon=horizon)
     # the closed loop covers rls on identical servers with positive rates only
     for cfg in (SystemConfig(m=3, policy="rlo"),
                 SystemConfig(m=3, policy="rls", service_rates=(1.0, 5.0, 1.0)),
@@ -305,7 +307,7 @@ def test_open_conservation_and_records():
     cfg = SystemConfig(m=3, policy="rls", arrival_rates=0.5, resample_rate=0.4)
     traj, sojourns = simulate_open(cfg, horizon=80.0, sample_dt=0.1, seed=21)
     ev = traj.event_counts
-    assert ev["arrival"] - ev["departure"] == sum(traj.final.counts)
+    assert ev["arrival"] - ev["departure"] == sum(traj.counts[-1])
     arrive, depart = sojourns.T
     departed = ~np.isnan(depart)
     assert departed.sum() == ev["departure"]
@@ -342,7 +344,7 @@ def test_open_seeded_initial_gets_no_records():
     traj, sojourns = simulate_open(cfg, horizon=10.0, sample_dt=0.1, seed=2,
                                    initial=(3, 0))
     assert sojourns.shape == (0, 2)  # seeded clients never arrived
-    assert sum(traj.final.counts) <= 3
+    assert sum(traj.counts[-1]) <= 3
 
 
 def test_open_cap_drops_arrivals():
@@ -369,7 +371,7 @@ def test_open_untracked_run_matches_event_totals():
                                        seed=13, track_sojourns=False)
         assert sojourns.shape == (0, 2)
         ev = traj.event_counts
-        assert ev["arrival"] - ev["departure"] == sum(traj.final.counts)
+        assert ev["arrival"] - ev["departure"] == sum(traj.counts[-1])
         # an rlo hop lands on its own server exactly when self-jumps are on
         assert (ev["resample_self"] > 0) == include_self
         assert ev["migration"] > 0
@@ -381,6 +383,11 @@ def test_open_argument_validation():
         simulate_open(cfg, horizon=0.0, sample_dt=0.1)
     with pytest.raises(ValueError):
         simulate_open(cfg, horizon=1.0, sample_dt=0.1, initial=(1,))
+    # a non-finite horizon is refused, not run forever
+    empty = SystemConfig(m=2, policy="rls", arrival_rates=0.0)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            simulate_open(empty, horizon=horizon, sample_dt=None)
 
 
 # --- sampling grids --------------------------------------------------------------
@@ -438,6 +445,9 @@ def test_coupled_rejects_bad_input():
         simulate_coupled((-1, 0), (1.0, 1.0), (1.0, 1.0))
     with pytest.raises(ValueError):
         simulate_coupled((1, 0), (1.0,), (1.0, 1.0))
+    for horizon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            simulate_coupled((0, 0), (0.0, 0.0), (0.0, 0.0), horizon=horizon)
 
 
 # --- config echo -------------------------------------------------------------------

@@ -123,8 +123,10 @@ def test_measure_sojourns_plumbing():
     cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.5, resample_rate=0.5)
     out = measure_sojourns(cfg, horizon=120.0, warmup=30.0, reps=3,
                            cutoff=120.0, base_seed=5)
-    assert out.seeds == (5, 7)
-    assert len(out.per_rep) == 3
+    assert out.per_rep == tuple(
+        measure_sojourns(cfg, horizon=120.0, warmup=30.0, reps=1,
+                         cutoff=120.0, base_seed=s).per_rep[0]
+        for s in (5, 6, 7))
     assert out.clients == sum(c for _, c, _ in out.per_rep)
     assert out.mean_sojourn == pytest.approx(
         math.fsum(s for s, _, _ in out.per_rep) / out.clients)
@@ -251,7 +253,7 @@ def test_kurtz_deviation_zero_for_a_frozen_system():
                        resample_rate=0.5, cap=8)
     ode = integrate("rlo", point_mass(0, 8), 2.0, sample_dt=0.5,
                     lam=0.0, beta=0.5)
-    dev = kurtz_deviation(cfg, ode=ode, seed=0, sample_dt=0.5)
+    dev = kurtz_deviation(cfg, ode=ode, seed=0)
     assert dev == 0.0
 
 
@@ -260,7 +262,7 @@ def test_kurtz_deviation_small_system_is_positive_and_bounded():
                        resample_rate=0.5, cap=20)
     ode = integrate("rlo", point_mass(0, 20), 2.0, dt=2e-3, sample_dt=0.5,
                     lam=0.8, beta=0.5)
-    dev = kurtz_deviation(cfg, ode=ode, seed=1, sample_dt=0.5, dt=2e-3)
+    dev = kurtz_deviation(cfg, ode=ode, seed=1)
     assert 0.0 < dev < 1.0
 
 
@@ -278,6 +280,11 @@ def test_kurtz_deviation_guards():
                         service_rates=2.0, resample_rate=0.5, cap=5)
     with pytest.raises(ConfigError):
         kurtz_deviation(slow, ode, 0)
+    # one sample gives the simulation no grid spacing to follow
+    capped = SystemConfig(m=2, policy="rlo", arrival_rates=0.5,
+                          resample_rate=0.5, cap=5)
+    with pytest.raises(ValueError, match="two samples"):
+        kurtz_deviation(capped, ode, 0)
 
 
 # --- stability probe ------------------------------------------------------------------
@@ -290,8 +297,9 @@ def test_probe_rejects_capped_and_tiny_seed_sets():
     cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.5, resample_rate=0.5)
     with pytest.raises(ValueError):
         stability_probe(cfg, 100.0, [1])
-    with pytest.raises(ValueError):
-        stability_probe(cfg, 0.0, range(25))
+    for horizon in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            stability_probe(cfg, horizon, range(25))
 
 
 def test_probe_few_seeds_is_inconclusive():
@@ -350,8 +358,15 @@ def test_throughput_comparison_small_cell():
             abs(row.throughput - row.prediction) / row.prediction)
         assert row.clients > 0
         assert row.throughput == pytest.approx(1.0 / row.mean_sojourn)
-    # distinct cells draw from disjoint seed blocks
-    assert rows[0].seeds != rows[1].seeds
+    # cell c draws its replications from base_seed + c * SEED_STRIDE
+    for c, row in enumerate(rows):
+        config = SystemConfig(m=2, policy=row.policy, arrival_rates=0.5,
+                              resample_rate=0.5)
+        alone = measure_sojourns(
+            config, 250.0, warmup=experiments.WARMUP_FRACTION * 250.0, reps=3,
+            cutoff=250.0 - experiments.CENSOR_MARGIN / (1.0 - 0.5),
+            base_seed=c * SEED_STRIDE)
+        assert row.per_rep == alone.per_rep
 
 
 def test_throughput_comparison_domain():

@@ -1,6 +1,7 @@
 """Mean-field layer: derivative fields, the tail-sum form, the stationary
 solvers, and the deterministic integrator."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -367,6 +368,12 @@ def test_integrate_validation():
     with pytest.raises(ValueError, match="sample_dt"):
         integrate("rlo", point_mass(0, 5).x, 1.0, sample_dt=-0.25,
                   lam=0.5, beta=0.1)
+    # non-finite steps and ends are refused, not run on a degenerate grid
+    for kwargs in ({"dt": math.inf}, {"sample_dt": math.nan},
+                   {"t_end": math.inf}, {"t_end": math.nan}):
+        args = {"t_end": 1.0, "sample_dt": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            integrate("rlo", point_mass(0, 5).x, lam=0.5, beta=0.1, **args)
 
 
 def test_rk4_is_fourth_order():

@@ -285,10 +285,8 @@ def test_every_verify_check_is_an_acceptance_claim():
 
 
 # defaulted parameters that no caller outside the tests sets, on purpose:
-# step is the test reference (closed selects its closed-system law), and
-# kurtz_deviation's dt is the step of the caller's precomputed ode, which
-# the grid check also uses as its tolerance
-UNSET_BY_CALLERS = {"ctmc.step.closed", "experiments.kurtz_deviation.dt"}
+# step is the test reference (closed selects its closed-system law)
+UNSET_BY_CALLERS = {"ctmc.step.closed"}
 
 
 def test_every_parameter_is_set_by_a_caller():
