@@ -369,10 +369,10 @@ def test_integrate_validation():
         integrate("rlo", point_mass(0, 5).x, 1.0, sample_dt=-0.25,
                   lam=0.5, beta=0.1)
     # non-finite steps and ends are refused, not run on a degenerate grid
-    for kwargs in ({"dt": math.inf}, {"sample_dt": math.nan},
-                   {"t_end": math.inf}, {"t_end": math.nan}):
-        args = {"t_end": 1.0, "sample_dt": 1.0, **kwargs}
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
+    for name, value in (("dt", math.inf), ("sample_dt", math.nan),
+                        ("t_end", math.inf), ("t_end", math.nan)):
+        args = {"t_end": 1.0, "sample_dt": 1.0, name: value}
+        with pytest.raises(ValueError, match=name):
             integrate("rlo", point_mass(0, 5).x, lam=0.5, beta=0.1, **args)
 
 
