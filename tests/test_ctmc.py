@@ -137,6 +137,43 @@ def test_open_streams_are_pinned():
     assert digest.hexdigest() == OPEN_STREAM_SHA256
 
 
+# (config, horizon, seed, sample_dt, tracked, sha256), at the benchmark's sizes
+SOJOURN_CELL = dict(arrival_rates=0.8, resample_rate=0.5, include_self=False)
+OVERLOAD_CELL = dict(m=10, arrival_rates=1.2, resample_rate=0.02)
+WORKLOAD_SIZE_RUNS = (
+    (SystemConfig(m=20, policy="rls", **SOJOURN_CELL), 2000.0, 1, None, True,
+     "682342b161609c26fd7f76dab37157e0a6780db22c641d16dca41d1ef6a52722"),
+    (SystemConfig(m=5, policy="rlo", **SOJOURN_CELL), 2000.0, 2, None, True,
+     "f61af224f6ca1ea68eb0d2429fa98ed1dfd40e229274f51fe5dd47e07fd0ba26"),
+    (SystemConfig(policy="rls", **OVERLOAD_CELL), 1000.0, 3, 2.0, False,
+     "a1d70c94e423e9594f31860d51b44dcf0c6cd008f88ada5752008c3d4e5cdf10"),
+    (SystemConfig(policy="rlo", **OVERLOAD_CELL), 1000.0, 4, 2.0, False,
+     "ff2d74238ae6959bf268e441f5cc1b1e9c45ae0edd4b681753590c8784149fb0"),
+    (SystemConfig(m=4, policy="rls", arrival_rates=(0.9, 2.0, 0.3, 1.1),
+                  service_rates=(1, 2, 0.5, 1.5), resample_rate=0.7,
+                  include_self=False), 20000.0, 5, None, True,
+     "10cdcaa1c754707874140269bc7826dd18add02944e838554c2edb730f66f428"),
+)
+
+
+def test_open_streams_are_pinned_at_workload_size():
+    """Runs as long as the benchmark's: test 07's two sojourn cells (32,222
+    rows at m=20), the overloaded probe cell on a sample grid, where the
+    population reaches about 2,000, and unequal service rates past 85,000
+    departures, so the busy-rate sum is refreshed exactly at least once.
+    Times, occupancies, tallies in key order and the sojourn rows (NaN as
+    -1) must hash to the digests recorded from the pure-Python loop."""
+    for cfg, horizon, seed, sample_dt, track, expected in WORKLOAD_SIZE_RUNS:
+        traj, sojourns = simulate_open(cfg, horizon, seed, sample_dt=sample_dt,
+                                       track_sojourns=track)
+        digest = hashlib.sha256()
+        digest.update(traj.times.tobytes())
+        digest.update(traj.counts.tobytes())
+        digest.update(repr(list(traj.event_counts.items())).encode())
+        digest.update(np.where(np.isnan(sojourns), -1.0, sojourns).tobytes())
+        assert digest.hexdigest() == expected, (cfg, seed)
+
+
 def test_inline_bounded_draw_is_randbelow():
     """simulate_open draws randrange(n) as CPython's _randbelow does: a
     getrandbits(n.bit_length()) rejection loop, n = 1 included. Should an
