@@ -24,8 +24,9 @@ is a system of its own:
   deposits a green one.
 
 ``step`` is the single-transition reference implementation. The open
-loop is written for speed but consumes random draws in exactly the same
-order, one event at a time:
+loop is C (``open_loop.c``, loaded through ctypes) and consumes the
+Mersenne Twister stream of ``Random(seed)`` in exactly the same order,
+one event at a time:
 
     open:    dt ~ expovariate(total) ; u = random() picks the event category
              and, within arrivals/departures/resampling, the server or slot;
@@ -33,10 +34,13 @@ order, one event at a time:
              resident need further draws
 
 so a single step from a freshly constructed state is bit-identical to the
-first open-loop event under the same seed. The open loop inlines each
-randrange(n) as CPython's _randbelow draws it, getrandbits(n.bit_length())
+first open-loop event under the same seed. The open loop draws each
+randrange(n) as CPython's _randbelow does, getrandbits(n.bit_length())
 until below n (n = 1 too): on an interpreter that draws otherwise its
-streams shift, and test_inline_bounded_draw_is_randbelow fails. The
+streams shift, and test_inline_bounded_draw_is_randbelow fails. Importing
+this module compiles the loop with the system C compiler ``cc`` into
+``$XDG_CACHE_HOME/migratesim`` (default ``~/.cache/migratesim``), once per
+source and compile command; without ``cc`` the import fails. The
 closed loop matches ``step(closed=True)`` in law, not draw for draw. Each
 of its steps draws, in this order:
 
@@ -52,9 +56,14 @@ ends in the state its uncut path holds at h.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import subprocess
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from pathlib import Path
 from random import Random
 from typing import Optional, Sequence
 
@@ -65,6 +74,81 @@ from .model import ConfigError, Policy, SystemConfig, SystemState, eps_band, rls
 
 class SimulationError(RuntimeError):
     """Raised when a run cannot proceed (deadlock) or an invariant breaks."""
+
+
+# -O2 without -ffast-math or -march: no fused multiply-add, no reordering
+CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _build_open_loop() -> ctypes.CDLL:
+    """Load open_loop.c compiled by ``cc``, building it first if the cache
+    holds no build of this source with this command. The build is written
+    under a temporary name and renamed into place, so a process never loads
+    a file another is still writing."""
+    source = Path(__file__).with_name("open_loop.c")
+    key = zlib.crc32(" ".join(CC).encode(), zlib.crc32(source.read_bytes()))
+    cache = Path(os.environ.get("XDG_CACHE_HOME")
+                 or Path.home() / ".cache") / "migratesim"
+    lib = cache / f"open_loop-{key:08x}.so"
+    if not lib.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        partial = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+        try:
+            done = subprocess.run([*CC, "-o", str(partial), str(source), "-lm"],
+                                  capture_output=True, text=True)
+        except FileNotFoundError:
+            raise ImportError("migratesim compiles its open event loop with "
+                              "the C compiler `cc`, which is not on PATH") from None
+        if done.returncode:
+            raise ImportError(f"`cc` could not compile {source}:\n{done.stderr}")
+        os.replace(partial, lib)
+    return ctypes.CDLL(str(lib))
+
+
+class _OpenRun(ctypes.Structure):
+    """open_loop.c's open_run: the run's inputs, then the outputs it
+    allocates, which open_free releases."""
+
+    _fields_ = [
+        ("m", ctypes.c_int64),
+        ("cum_arr", ctypes.POINTER(ctypes.c_double)),
+        ("svc", ctypes.POINTER(ctypes.c_double)),
+        ("beta", ctypes.c_double),
+        ("rls", ctypes.c_int64),
+        ("dests", ctypes.c_int64),
+        ("cap", ctypes.c_int64),
+        ("horizon", ctypes.c_double),
+        ("sample_dt", ctypes.c_double),
+        ("track", ctypes.c_int64),
+        ("mt", ctypes.POINTER(ctypes.c_uint32)),
+        ("mti", ctypes.c_int64),
+        ("counts", ctypes.POINTER(ctypes.c_int64)),
+        ("times", ctypes.POINTER(ctypes.c_double)),
+        ("snaps", ctypes.POINTER(ctypes.c_int64)),
+        ("n_rows", ctypes.c_int64),
+        ("sojourns", ctypes.POINTER(ctypes.c_double)),
+        ("n_sojourns", ctypes.c_int64),
+        ("tallies", ctypes.c_int64 * 7),
+    ]
+
+
+_LIB = _build_open_loop()
+_open_loop = _LIB.open_loop
+_open_loop.argtypes = [ctypes.POINTER(_OpenRun)]
+_open_loop.restype = ctypes.c_int
+_open_free = _LIB.open_free
+_open_free.argtypes = [ctypes.POINTER(_OpenRun)]
+_open_free.restype = None
+OPEN_EVENTS = ("arrival", "departure", "migration", "resample_rejected",
+               "resample_self", "arrival_dropped", "migration_blocked")
+# open_loop's error codes
+_OPEN_LOOP_ERRORS = {
+    1: (MemoryError, "the open event loop ran out of memory"),
+    2: (SimulationError, "a bounded draw would be wider than 32 bits: a "
+                         "server or the server count reached 2**32"),
+    3: (SimulationError, "float drift in the summed rates picked a departure "
+                         "or a resample with no client to carry it"),
+}
 
 
 @dataclass(frozen=True)
@@ -433,216 +517,34 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
     if config.cap is not None and any(c > config.cap for c in counts):
         raise ValueError("initial occupancy exceeds the configured cap")
 
-    rng = Random(seed)
-    # expovariate(x) is -log(1.0 - random()) / x and randrange(x > 0) is
-    # _randbelow(x), getrandbits(x.bit_length()) until below x: inlined,
-    # they draw the same numbers with fewer calls. Tallies stay local ints.
-    random = rng.random
-    getrandbits = rng.getrandbits
-    log = math.log
-    nan = math.nan
-    beta = config.resample_rate
-    svc = list(config.service_rates)
-    cum_arr = _cumulative(config.arrival_rates)
-    total_arr = cum_arr[-1] if m else 0.0
-    homogeneous_svc = len(set(svc)) == 1
-    svc0 = svc[0]
-    rls = config.policy is Policy.RLS
-    cap = config.cap
-    capped = cap is not None
-    # a resample aims at randrange(dests), skipping its origin when dests < m
-    dests = m if rls or config.include_self else m - 1
-    dest_bits = dests.bit_length()
-
-    # busy list with positions for O(1) homogeneous departure picks
-    busy = [i for i in range(m) if counts[i] > 0]
-    busy_pos = [-1] * m
-    for k, i in enumerate(busy):
-        busy_pos[i] = k
-    busy_svc = math.fsum(svc[i] for i in busy)
-
-    # per-client slot bookkeeping; per-server bags give O(1) departures
-    slot_server = []
-    bags = [[] for _ in range(m)]
-    slot_bagpos = []
-    slot_id = [] if track_sojourns else None
-    arrive_t = []
-    depart_t = []
-    for i, c in enumerate(counts):
-        for _ in range(c):
-            s = len(slot_server)
-            slot_server.append(i)
-            slot_bagpos.append(len(bags[i]))
-            bags[i].append(s)
-            if track_sojourns:
-                slot_id.append(-1)  # seeded clients carry no row
-
-    n_live = len(slot_server)
-    n_arrival = n_departure = n_migration = n_rejected = n_self = 0
-    n_dropped = n_blocked = 0
-    times = [0.0]
-    snaps = [tuple(counts)]
-    sample_idx = 1
-    next_sample = sample_dt if sample_dt else math.inf
-
-    t = 0.0
-    refresh = 0
-    while True:
-        total = total_arr + busy_svc + beta * n_live
-        t_next = t - log(1.0 - random()) / total if total > 0.0 else math.inf
-        while next_sample <= t_next and next_sample <= horizon:
-            times.append(next_sample)
-            snaps.append(tuple(counts))
-            sample_idx += 1
-            next_sample = sample_idx * sample_dt
-        if t_next > horizon:
-            t = horizon
-            break
-        t = t_next
-        w = random() * total
-
-        if w < total_arr:
-            i = bisect_right(cum_arr, w)
-            ci = counts[i]
-            if capped and ci >= cap:
-                n_dropped += 1
-                continue
-            counts[i] = ci + 1
-            if ci == 0:
-                busy_pos[i] = len(busy)
-                busy.append(i)
-                busy_svc += svc[i]
-            slot_server.append(i)
-            slot_bagpos.append(len(bags[i]))
-            bags[i].append(n_live)
-            if track_sojourns:
-                slot_id.append(n_arrival)  # its row
-                arrive_t.append(t)
-                depart_t.append(nan)
-            n_live += 1
-            n_arrival += 1
-            continue
-
-        w -= total_arr
-        if w < busy_svc:
-            if homogeneous_svc:
-                k = int(w / svc0)
-                i = busy[k] if k < len(busy) else busy[-1]
-            else:
-                acc = 0.0
-                i = busy[-1]
-                for j in busy:
-                    acc += svc[j]
-                    if w < acc:
-                        i = j
-                        break
-            ci = counts[i]
-            bag = bags[i]
-            if track_sojourns:
-                # the departing client is uniform among the residents, at
-                # bag position r = randrange(ci); the bag's last entry moves in
-                bits = ci.bit_length()
-                r = getrandbits(bits)
-                while r >= ci:
-                    r = getrandbits(bits)
-                s = bag[r]
-                cid = slot_id[s]
-                if cid >= 0:
-                    depart_t[cid] = t
-                mv = bag.pop()
-                if r < ci - 1:
-                    bag[r] = mv
-                    slot_bagpos[mv] = r
-            else:
-                # counts do not depend on which resident leaves
-                s = bag.pop()
-            counts[i] = ci - 1
-            if ci == 1:
-                p = busy_pos[i]
-                mv = busy[-1]
-                busy[p] = mv
-                busy_pos[mv] = p
-                busy.pop()
-                busy_svc -= svc[i]
-            # the last slot takes the departed slot's index
-            n_live -= 1
-            i = slot_server.pop()
-            p = slot_bagpos.pop()
-            if s != n_live:
-                slot_server[s] = i
-                slot_bagpos[s] = p
-                bags[i][p] = s
-                if track_sojourns:
-                    slot_id[s] = slot_id[n_live]
-            if track_sojourns:
-                slot_id.pop()
-            n_departure += 1
-            refresh += 1
-            if refresh >= 65536 and not homogeneous_svc:
-                busy_svc = math.fsum(svc[j] for j in busy)  # stop float drift
-                refresh = 0
-            continue
-
-        w -= busy_svc
-        s = int(w / beta)  # rounding can reach n_live: clamp it
-        if s >= n_live:
-            s = n_live - 1
-        i = slot_server[s]
-        ci = counts[i]
-        j = getrandbits(dest_bits)
-        while j >= dests:
-            j = getrandbits(dest_bits)
-        if rls:
-            cj = counts[j]
-            if not svc[j] * ci > svc[i] * (cj + 1):  # rls_accepts, inlined
-                n_rejected += 1
-                continue
-        else:
-            if j >= i and dests < m:
-                j += 1  # skip the origin
-            if j == i:
-                n_self += 1
-                continue
-            cj = counts[j]
-        if capped and cj >= cap:
-            n_blocked += 1
-            continue
-        counts[i] = ci - 1
-        counts[j] = cj + 1
-        if ci == 1:
-            p = busy_pos[i]
-            mv = busy[-1]
-            busy[p] = mv
-            busy_pos[mv] = p
-            busy.pop()
-            busy_svc -= svc[i]
-        if cj == 0:
-            busy_pos[j] = len(busy)
-            busy.append(j)
-            busy_svc += svc[j]
-        slot_server[s] = j
-        bag = bags[i]
-        p = slot_bagpos[s]
-        mv = bag.pop()
-        if mv != s:
-            bag[p] = mv
-            slot_bagpos[mv] = p
-        slot_bagpos[s] = len(bags[j])
-        bags[j].append(s)
-        n_migration += 1
-
-    if times[-1] < t:  # the horizon may already sit on the sample grid
-        times.append(t)
-        snaps.append(tuple(counts))
-    traj = Trajectory(
-        times=np.asarray(times),
-        counts=np.asarray(snaps, dtype=np.int64),
-        event_counts={"arrival": n_arrival, "departure": n_departure,
-                      "migration": n_migration, "resample_rejected": n_rejected,
-                      "resample_self": n_self, "arrival_dropped": n_dropped,
-                      "migration_blocked": n_blocked},
-    )
-    return traj, np.column_stack((arrive_t, depart_t))
+    rng_state = Random(seed).getstate()[1]  # 624 words, then the position
+    arrivals = _cumulative(config.arrival_rates)
+    run = _OpenRun(
+        m=m, cum_arr=(ctypes.c_double * m)(*arrivals),
+        svc=(ctypes.c_double * m)(*map(float, config.service_rates)),
+        beta=config.resample_rate, rls=config.policy is Policy.RLS,
+        # a resample aims at randrange(dests), skipping its origin when dests < m
+        dests=m if config.policy is Policy.RLS or config.include_self else m - 1,
+        cap=-1 if config.cap is None else config.cap, horizon=horizon,
+        sample_dt=sample_dt or 0.0, track=track_sojourns,
+        mt=(ctypes.c_uint32 * 624)(*rng_state[:624]), mti=rng_state[624],
+        counts=(ctypes.c_int64 * m)(*counts))
+    try:
+        status = _open_loop(ctypes.byref(run))
+        if status:
+            error, message = _OPEN_LOOP_ERRORS[status]
+            raise error(message)
+        rows = run.n_rows
+        n = run.n_sojourns
+        traj = Trajectory(
+            times=np.ctypeslib.as_array(run.times, (rows,)).copy(),
+            counts=np.ctypeslib.as_array(run.snaps, (rows, m)).copy(),
+            event_counts=dict(zip(OPEN_EVENTS, run.tallies)))
+        sojourns = (np.ctypeslib.as_array(run.sojourns, (n, 2)).copy() if n
+                    else np.empty((0, 2)))
+    finally:
+        _open_free(ctypes.byref(run))
+    return traj, sojourns
 
 
 def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float],

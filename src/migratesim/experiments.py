@@ -312,6 +312,8 @@ def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
     excluded. Throughput is the inverse of the pooled mean sojourn, its
     interval the normal one over per-replication throughputs.
     """
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if reps < 1:
         raise ValueError("need at least one replication")
     if not 0 <= warmup <= horizon:

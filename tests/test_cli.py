@@ -218,6 +218,17 @@ def test_open_rate_length_mismatch(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_open_bad_horizon_names_the_horizon(tmp_path, capsys):
+    # the sojourn run's warmup derives from the horizon, so the horizon is
+    # what the error must name
+    for k, horizon in enumerate(("nan", "-1")):
+        code = run(["open", "--m", 2, "--policy", "rls", "--lambda", "0.5",
+                    "--horizon", horizon, "--reps", 2,
+                    "--out", tmp_path / f"o{k}"])
+        assert code == 1
+        assert "horizon must be positive and finite" in capsys.readouterr().err
+
+
 def test_open_overloaded_warns_and_exits_two(tmp_path, capsys):
     # zero service capacity is overload too, not a division by zero
     for k, rates in enumerate((["--lambda", "1.2"],

@@ -4,13 +4,19 @@ three-colour audit chain."""
 
 import hashlib
 import math
+import os
+import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+from migratesim import ctmc
 from migratesim.cli import config_echo
 from migratesim.ctmc import (
     SimulationError,
@@ -454,6 +460,84 @@ def test_sample_dt_none_records_endpoints_only():
     cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.5)
     traj, _ = simulate_open(cfg, horizon=5.0, seed=6, sample_dt=None)
     np.testing.assert_array_equal(traj.times, [0.0, 5.0])
+
+
+# --- building the compiled loop ---------------------------------------------------
+
+PACKAGE = Path(ctmc.__file__).parent
+# one short tracked run: the digest of its occupancies and sojourn rows
+FIRST_RUN = """
+import hashlib
+from migratesim import ctmc
+from migratesim.model import SystemConfig
+traj, sojourns = ctmc.simulate_open(
+    SystemConfig(m=3, policy="rls", arrival_rates=0.6, resample_rate=0.7),
+    200.0, 1, sample_dt=None)
+print(ctmc._LIB._name)
+print(hashlib.sha256(traj.counts.tobytes() + sojourns.tobytes()).hexdigest())
+"""
+
+
+def _fresh_import(script, cache, package=PACKAGE, path=None):
+    """Start an interpreter that imports ``package`` with an own cache."""
+    env = {**os.environ, "XDG_CACHE_HOME": str(cache),
+           "PYTHONPATH": str(package.parent)}
+    if path is not None:
+        env["PATH"] = path
+    return subprocess.Popen([sys.executable, "-c", script], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def _first_run_digest():
+    traj, sojourns = simulate_open(
+        SystemConfig(m=3, policy="rls", arrival_rates=0.6, resample_rate=0.7),
+        200.0, 1, sample_dt=None)
+    return hashlib.sha256(traj.counts.tobytes() + sojourns.tobytes()).hexdigest()
+
+
+def test_import_without_cc_names_it(tmp_path):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    proc = _fresh_import("import migratesim.ctmc", tmp_path / "cache",
+                         path=str(empty))
+    _, err = proc.communicate()
+    assert proc.returncode != 0
+    assert "ImportError" in err and "`cc`" in err
+
+
+def test_concurrent_first_imports_share_one_build(tmp_path):
+    """Two interpreters that find the cache empty both compile; each writes
+    under its own temporary name and renames into place, so both load a
+    whole build and run the same numbers as this process."""
+    procs = [_fresh_import(FIRST_RUN, tmp_path) for _ in range(2)]
+    outs = [proc.communicate() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outs
+    (lib_a, digest_a), (lib_b, digest_b) = (out.split() for out, _ in outs)
+    assert lib_a == lib_b
+    assert digest_a == digest_b == _first_run_digest()
+    built = sorted(p.name for p in (tmp_path / "migratesim").iterdir())
+    assert built == [Path(lib_a).name]
+
+
+def test_edited_source_gets_its_own_build(tmp_path):
+    """The build is keyed by the source bytes, so a copy of the package
+    with an edited open_loop.c compiles and loads its own library rather
+    than a stale one."""
+    copy = tmp_path / "src" / "migratesim"
+    shutil.copytree(PACKAGE, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "open_loop.c", "a") as fh:
+        fh.write("/* edited */\n")
+    libs = []
+    for package in (PACKAGE, copy):
+        proc = _fresh_import(FIRST_RUN, tmp_path / "cache", package=package)
+        out, err = proc.communicate()
+        assert proc.returncode == 0, err
+        libs.append(Path(out.split()[0]))
+    assert libs[0] != libs[1]
+    assert sorted(p.name for p in (tmp_path / "cache" / "migratesim").iterdir()
+                  ) == sorted(lib.name for lib in libs)
 
 
 # --- the three-colour audit chain -------------------------------------------------
