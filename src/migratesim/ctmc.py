@@ -517,14 +517,14 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
     if config.cap is not None and any(c > config.cap for c in counts):
         raise ValueError("initial occupancy exceeds the configured cap")
 
+    rls = config.policy is Policy.RLS
     rng_state = Random(seed).getstate()[1]  # 624 words, then the position
-    arrivals = _cumulative(config.arrival_rates)
     run = _OpenRun(
-        m=m, cum_arr=(ctypes.c_double * m)(*arrivals),
+        m=m, cum_arr=(ctypes.c_double * m)(*_cumulative(config.arrival_rates)),
         svc=(ctypes.c_double * m)(*map(float, config.service_rates)),
-        beta=config.resample_rate, rls=config.policy is Policy.RLS,
+        beta=float(config.resample_rate), rls=rls,
         # a resample aims at randrange(dests), skipping its origin when dests < m
-        dests=m if config.policy is Policy.RLS or config.include_self else m - 1,
+        dests=m if rls or config.include_self else m - 1,
         cap=-1 if config.cap is None else config.cap, horizon=horizon,
         sample_dt=sample_dt or 0.0, track=track_sojourns,
         mt=(ctypes.c_uint32 * 624)(*rng_state[:624]), mti=rng_state[624],

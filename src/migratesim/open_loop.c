@@ -148,24 +148,22 @@ static double fsum_busy(const double *svc, const int64_t *busy, int64_t n,
     return hi;
 }
 
-/* make room for need items of size bytes in *buf, doubling its capacity */
-static int reserve(void *buf, int64_t *cap, int64_t need, size_t size)
-{
-    void **p = buf;
-    int64_t c = *cap ? *cap : 16;
-    void *q;
-
-    if (need <= *cap)
-        return 0;
-    while (c < need)
-        c *= 2;
-    q = realloc(*p, (size_t)c * size);
-    if (!q)
-        return -1;
-    *p = q;
-    *cap = c;
-    return 0;
-}
+/* make room for need items in array a of capacity cap, doubling it;
+   out of memory, the calling function returns NO_MEMORY */
+#define RESERVE(a, cap, need)                                   \
+    do {                                                        \
+        if ((need) > (cap)) {                                   \
+            int64_t c_ = (cap) ? 2 * (cap) : 16;                \
+            void *q_;                                           \
+            while (c_ < (need))                                 \
+                c_ *= 2;                                        \
+            q_ = realloc((a), (size_t)c_ * sizeof *(a));        \
+            if (!q_)                                            \
+                return NO_MEMORY;                               \
+            (a) = q_;                                           \
+            (cap) = c_;                                         \
+        }                                                       \
+    } while (0)
 
 typedef struct {
     int64_t server, bagpos, id;  /* id: its sojourn row, -1 if seeded */
@@ -202,30 +200,26 @@ static int push_row(open_run *r, scratch *st, double t)
 {
     int64_t k = r->n_rows, i;
 
-    if (reserve(&r->times, &st->times_cap, k + 1, sizeof(double)) ||
-        reserve(&r->snaps, &st->snaps_cap, k + 1,
-                (size_t)r->m * sizeof(int64_t)))
-        return -1;
+    RESERVE(r->times, st->times_cap, k + 1);
+    RESERVE(r->snaps, st->snaps_cap, (k + 1) * r->m);
     r->times[k] = t;
     for (i = 0; i < r->m; i++)
         r->snaps[k * r->m + i] = r->counts[i];
     r->n_rows = k + 1;
-    return 0;
+    return OK;
 }
 
 static int push_to_bag(bag *b, int64_t s)
 {
-    if (reserve(&b->slot, &b->cap, b->len + 1, sizeof(int64_t)))
-        return -1;
+    RESERVE(b->slot, b->cap, b->len + 1);
     b->slot[b->len++] = s;
-    return 0;
+    return OK;
 }
 
 /* slot s, the last, for a client on server i */
 static int push_slot(scratch *st, int64_t s, int64_t i, int64_t id)
 {
-    if (reserve(&st->slots, &st->slots_cap, s + 1, sizeof(slot)))
-        return -1;
+    RESERVE(st->slots, st->slots_cap, s + 1);
     st->slots[s].server = i;
     st->slots[s].bagpos = st->bags[i].len;
     st->slots[s].id = id;
@@ -328,9 +322,7 @@ static int run(open_run *r, scratch *st)
             if (push_slot(st, n_live, i, n_arrival))
                 return NO_MEMORY;
             if (r->track) {  /* its row */
-                if (reserve(&r->sojourns, &st->sojourns_cap,
-                            2 * (n_arrival + 1), sizeof(double)))
-                    return NO_MEMORY;
+                RESERVE(r->sojourns, st->sojourns_cap, 2 * (n_arrival + 1));
                 r->sojourns[2 * n_arrival] = t;
                 r->sojourns[2 * n_arrival + 1] = NAN;
                 r->n_sojourns = n_arrival + 1;

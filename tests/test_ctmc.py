@@ -180,6 +180,26 @@ def test_open_streams_are_pinned_at_workload_size():
         assert digest.hexdigest() == expected, (cfg, seed)
 
 
+def test_busy_rate_refresh_is_fsum():
+    """Rates 0.1, 0.2 and 0.3 make a running sum of busy rates drift, and
+    the loop resets it to math.fsum of the busy rates every 65536
+    departures. Over about 150,000 departures a plain sum in its place
+    changes the stream, and so does skipping the reset. The digest, taken
+    as in the test above, was recorded from the pure-Python loop."""
+    cfg = SystemConfig(m=5, policy="rls", arrival_rates=0.3,
+                       service_rates=(0.1, 0.2, 0.3, 0.7, 1.1),
+                       resample_rate=0.7)
+    traj, sojourns = simulate_open(cfg, 100000.0, 5, sample_dt=None)
+    digest = hashlib.sha256()
+    digest.update(traj.times.tobytes())
+    digest.update(traj.counts.tobytes())
+    digest.update(repr(list(traj.event_counts.items())).encode())
+    digest.update(np.where(np.isnan(sojourns), -1.0, sojourns).tobytes())
+    assert traj.event_counts["departure"] > 2 * 65536
+    assert digest.hexdigest() == (
+        "1d020d14ee3fffdbb44f9acd05f364526c6266ea60d190f11989f9e9043390c4")
+
+
 def test_inline_bounded_draw_is_randbelow():
     """simulate_open draws randrange(n) as CPython's _randbelow does: a
     getrandbits(n.bit_length()) rejection loop, n = 1 included. Should an
