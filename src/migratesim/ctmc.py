@@ -537,14 +537,22 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
         rows = run.n_rows
         n = run.n_sojourns
         traj = Trajectory(
-            times=np.ctypeslib.as_array(run.times, (rows,)).copy(),
-            counts=np.ctypeslib.as_array(run.snaps, (rows, m)).copy(),
+            times=_copied(run.times, (rows,), np.float64),
+            counts=_copied(run.snaps, (rows, m), np.int64),
             event_counts=dict(zip(OPEN_EVENTS, run.tallies)))
-        sojourns = (np.ctypeslib.as_array(run.sojourns, (n, 2)).copy() if n
-                    else np.empty((0, 2)))
+        sojourns = _copied(run.sojourns, (n, 2), np.float64)
     finally:
         _open_free(ctypes.byref(run))
     return traj, sojourns
+
+
+def _copied(pointer, shape, dtype) -> np.ndarray:
+    """A new array holding the C buffer behind ``pointer``. A plain copy
+    into numpy's own memory creates no ctypes array type per length."""
+    out = np.empty(shape, dtype)
+    if out.nbytes:
+        ctypes.memmove(out.__array_interface__["data"][0], pointer, out.nbytes)
+    return out
 
 
 def simulate_coupled(initial_blue: Sequence[int], arrival_rates: Sequence[float],
