@@ -180,9 +180,9 @@ typedef struct {
     bag *bags;
     double *partials;
     int64_t slots_cap, times_cap, snaps_cap, sojourns_cap;
-} scratch;
+} workspace;
 
-static void scratch_free(scratch *st, int64_t m)
+static void workspace_free(workspace *st, int64_t m)
 {
     int64_t i;
 
@@ -196,7 +196,7 @@ static void scratch_free(scratch *st, int64_t m)
     free(st->partials);
 }
 
-static int push_row(open_run *r, scratch *st, double t)
+static int push_row(open_run *r, workspace *st, double t)
 {
     int64_t k = r->n_rows, i;
 
@@ -217,7 +217,7 @@ static int push_to_bag(bag *b, int64_t s)
 }
 
 /* slot s, the last, for a client on server i */
-static int push_slot(scratch *st, int64_t s, int64_t i, int64_t id)
+static int push_slot(workspace *st, int64_t s, int64_t i, int64_t id)
 {
     RESERVE(st->slots, st->slots_cap, s + 1);
     st->slots[s].server = i;
@@ -226,7 +226,7 @@ static int push_slot(scratch *st, int64_t s, int64_t i, int64_t id)
     return push_to_bag(&st->bags[i], s);
 }
 
-static void drop_busy(scratch *st, int64_t i, int64_t *n_busy)
+static void drop_busy(workspace *st, int64_t i, int64_t *n_busy)
 {
     int64_t p = st->busy_pos[i], mv = st->busy[--*n_busy];
 
@@ -234,13 +234,13 @@ static void drop_busy(scratch *st, int64_t i, int64_t *n_busy)
     st->busy_pos[mv] = p;
 }
 
-static void add_busy(scratch *st, int64_t j, int64_t *n_busy)
+static void add_busy(workspace *st, int64_t j, int64_t *n_busy)
 {
     st->busy_pos[j] = *n_busy;
     st->busy[(*n_busy)++] = j;
 }
 
-static int run(open_run *r, scratch *st)
+static int run(open_run *r, workspace *st)
 {
     const int64_t m = r->m, cap = r->cap, dests = r->dests;
     const double *svc = r->svc, *cum_arr = r->cum_arr;
@@ -461,10 +461,10 @@ static int run(open_run *r, scratch *st)
    The outputs stay allocated either way until open_free. */
 int open_loop(open_run *r)
 {
-    scratch st = {0};
+    workspace st = {0};
     int status = run(r, &st);
 
-    scratch_free(&st, r->m);
+    workspace_free(&st, r->m);
     return status;
 }
 
