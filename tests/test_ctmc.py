@@ -335,6 +335,55 @@ def test_closed_censoring_at_horizon():
     assert res.stop_time is None
 
 
+def _all_at_one(m, n):
+    return (n,) + (0,) * (m - 1)
+
+
+# (m, start, resample_rate, eps, horizon, seeds, sha256): the benchmark's
+# race, dense and sparse cells, an eps stop, censored runs, two other
+# resample rates, seeds of several words, and a start with 2**33 pairs
+HALF_AT_TWO = (2,) * 65536 + (0,) * 65536
+CLOSED_PIN_RUNS = (
+    (2, (2, 0), 1.0, None, 1000.0, range(5),
+     "1fa117c61a00f296ba41a015dbebc3597697a6c22f69250596418ab03286679e"),
+    (32, _all_at_one(32, 1024), 1.0, None, 1000.0, range(3),
+     "05161f400448d2bac007150c2a4bd88d8dcbfd0d8ba7f2bea4802f75118fb87f"),
+    (64, _all_at_one(64, 256), 1.0, None, 1000.0, range(3),
+     "6b473fc6ac6e858f6039b5d0a4181910633f5f9f996840a74cceaf2ba6783353"),
+    (16, _all_at_one(16, 256), 1.0, 0.2, 1000.0, range(3),
+     "085aa290ef4bf15b68c7cc3a2f1431241b6e783f3c75349bc623d79701dc8973"),
+    (32, _all_at_one(32, 1024), 1.0, None, 0.5, range(2),
+     "f6a79e7aada20b47ebf0e4138e8550285d050121858c46e769aa93a2bb584ab5"),
+    (8, _all_at_one(8, 64), 0.37, None, 1000.0, range(3),
+     "8f6e1bf2fb9457baba5252b68763027890506a0176f2909ddfe4baaa49493c65"),
+    (8, (20, 0, 30, 1, 0, 9, 0, 4), 2.5, 0.25, 1000.0, range(3),
+     "362a7e9087cbfe219fb3b5cfd8c9f475b51445fca6dd842f1aee4cc74e163496"),
+    (4, (12, 0, 0, 0), 1.0, None, 1000.0,
+     (True, -5, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 9, 10 ** 25),
+     "b2ce61d8ef163e4f7548b8cffcefa32f227d73a00f6d1389cbbf1e6a96c3ae94"),
+    (131072, HALF_AT_TWO, 1.0, None, 2e-5, range(3),
+     "a8dfbacd436b2ddb2741bcc595dcc41dade94a143211de48a9d9a7d501b9d6cc"),
+)
+
+
+def test_closed_streams_are_pinned_at_workload_size():
+    """Whole closed runs, each hashed as repr(stop_time), the final counts
+    and the move count, against digests recorded from the pure-Python
+    loop, so a faster loop has to consume the same draws in the same order.
+    The last start has 2**33 accepted pairs, so its move draws are 34 bits
+    wide; seed 1 moves there three times before the horizon."""
+    for m, start, rate, eps, horizon, seeds, expected in CLOSED_PIN_RUNS:
+        cfg = SystemConfig(m=m, policy="rls", resample_rate=rate)
+        digest = hashlib.sha256()
+        for seed in seeds:
+            run = simulate_closed(cfg, start, horizon=horizon, eps=eps,
+                                  seed=seed)
+            digest.update(repr(run.stop_time).encode())
+            digest.update(repr(run.trajectory.final.counts).encode())
+            digest.update(repr(run.trajectory.event_counts["migration"]).encode())
+        assert digest.hexdigest() == expected, (m, start[:4], rate, eps)
+
+
 def test_eps_stop_never_later_than_exact_balance():
     cfg = SystemConfig(m=4, policy="rls", resample_rate=1.0)
     initial = (8, 0, 0, 0)
