@@ -23,9 +23,11 @@ is a system of its own:
   second stream marks a blue particle red where possible, otherwise
   deposits a green one.
 
-``step`` is the single-transition reference implementation. The open
-loop is C (``open_loop.c``, loaded through ctypes) and consumes the
-Mersenne Twister stream of ``Random(seed)`` in exactly the same order,
+``step`` is the single-transition reference implementation. Both the
+open and the closed loop are C (``event_loops.c``, loaded through ctypes).
+Each seeds its own Mersenne Twister exactly as ``Random(seed)`` does,
+from the 32-bit words of abs(seed), so seeds must be ints, and consumes
+that stream in the order the pure-Python loops did. The open loop draws
 one event at a time:
 
     open:    dt ~ expovariate(total) ; u = random() picks the event category
@@ -34,15 +36,16 @@ one event at a time:
              resident need further draws
 
 so a single step from a freshly constructed state is bit-identical to the
-first open-loop event under the same seed. The open loop draws each
+first open-loop event under the same seed. Both loops draw each
 randrange(n) as CPython's _randbelow does, getrandbits(n.bit_length())
-until below n (n = 1 too): on an interpreter that draws otherwise its
-streams shift, and test_inline_bounded_draw_is_randbelow fails. Importing
-this module compiles the loop with the system C compiler ``cc`` into
+until below n (n = 1 too), for widths up to 64 bits: on an interpreter
+that draws otherwise their streams shift, and
+test_inline_bounded_draw_is_randbelow fails. Importing this module
+compiles the loops with the system C compiler ``cc`` into
 ``$XDG_CACHE_HOME/migratesim`` (default ``~/.cache/migratesim``), once per
-source and compile command; without ``cc`` the import fails. The
-closed loop matches ``step(closed=True)`` in law, not draw for draw. Each
-of its steps draws, in this order:
+source and compile command; without ``cc`` the import fails. The closed
+loop matches ``step(closed=True)`` in law, not draw for draw. Each of its
+steps draws, in this order:
 
     closed:  dt = -log(1 - random()) / R, R the total accepted-move rate ;
              r = _randbelow(pairs) picks one accepted (client, destination)
@@ -80,16 +83,16 @@ class SimulationError(RuntimeError):
 CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _build_open_loop() -> ctypes.CDLL:
-    """Load open_loop.c compiled by ``cc``, building it first if the cache
+def _build_event_loops() -> ctypes.CDLL:
+    """Load event_loops.c compiled by ``cc``, building it first if the cache
     holds no build of this source with this command. The build is written
     under a temporary name and renamed into place, so a process never loads
     a file another is still writing."""
-    source = Path(__file__).with_name("open_loop.c")
+    source = Path(__file__).with_name("event_loops.c")
     key = zlib.crc32(" ".join(CC).encode(), zlib.crc32(source.read_bytes()))
     cache = Path(os.environ.get("XDG_CACHE_HOME")
                  or Path.home() / ".cache") / "migratesim"
-    lib = cache / f"open_loop-{key:08x}.so"
+    lib = cache / f"event_loops-{key:08x}.so"
     if not lib.exists():
         cache.mkdir(parents=True, exist_ok=True)
         partial = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
@@ -97,8 +100,8 @@ def _build_open_loop() -> ctypes.CDLL:
             done = subprocess.run([*CC, "-o", str(partial), str(source), "-lm"],
                                   capture_output=True, text=True)
         except FileNotFoundError:
-            raise ImportError("migratesim compiles its open event loop with "
-                              "the C compiler `cc`, which is not on PATH") from None
+            raise ImportError("migratesim compiles its event loops with the "
+                              "C compiler `cc`, which is not on PATH") from None
         if done.returncode:
             raise ImportError(f"`cc` could not compile {source}:\n{done.stderr}")
         os.replace(partial, lib)
@@ -106,7 +109,7 @@ def _build_open_loop() -> ctypes.CDLL:
 
 
 class _OpenRun(ctypes.Structure):
-    """open_loop.c's open_run: the run's inputs, then the outputs it
+    """event_loops.c's open_run: the run's inputs, then the outputs it
     allocates, which open_free releases."""
 
     _fields_ = [
@@ -120,8 +123,8 @@ class _OpenRun(ctypes.Structure):
         ("horizon", ctypes.c_double),
         ("sample_dt", ctypes.c_double),
         ("track", ctypes.c_int64),
-        ("mt", ctypes.POINTER(ctypes.c_uint32)),
-        ("mti", ctypes.c_int64),
+        ("key", ctypes.POINTER(ctypes.c_uint32)),
+        ("key_len", ctypes.c_int64),
         ("counts", ctypes.POINTER(ctypes.c_int64)),
         ("times", ctypes.POINTER(ctypes.c_double)),
         ("snaps", ctypes.POINTER(ctypes.c_int64)),
@@ -132,23 +135,66 @@ class _OpenRun(ctypes.Structure):
     ]
 
 
-_LIB = _build_open_loop()
+class _ClosedRun(ctypes.Structure):
+    """event_loops.c's closed_run: the run's inputs, then its outputs."""
+
+    _fields_ = [
+        ("m", ctypes.c_int64),
+        ("pair_rate", ctypes.c_double),
+        ("horizon", ctypes.c_double),
+        ("eps", ctypes.c_int64),
+        ("band_lo", ctypes.c_int64),
+        ("band_hi", ctypes.c_int64),
+        ("key", ctypes.POINTER(ctypes.c_uint32)),
+        ("key_len", ctypes.c_int64),
+        ("counts", ctypes.POINTER(ctypes.c_int64)),
+        ("t", ctypes.c_double),
+        ("stopped", ctypes.c_int64),
+        ("moves", ctypes.c_int64),
+        ("prev_max", ctypes.c_int64),
+        ("cur_max", ctypes.c_int64),
+    ]
+
+
+_LIB = _build_event_loops()
 _open_loop = _LIB.open_loop
 _open_loop.argtypes = [ctypes.POINTER(_OpenRun)]
 _open_loop.restype = ctypes.c_int
 _open_free = _LIB.open_free
 _open_free.argtypes = [ctypes.POINTER(_OpenRun)]
 _open_free.restype = None
+_closed_loop = _LIB.closed_loop
+_closed_loop.argtypes = [ctypes.POINTER(_ClosedRun)]
+_closed_loop.restype = ctypes.c_int
 OPEN_EVENTS = ("arrival", "departure", "migration", "resample_rejected",
                "resample_self", "arrival_dropped", "migration_blocked")
-# open_loop's error codes
-_OPEN_LOOP_ERRORS = {
-    1: (MemoryError, "the open event loop ran out of memory"),
-    2: (SimulationError, "a bounded draw would be wider than 32 bits: a "
-                         "server or the server count reached 2**32"),
-    3: (SimulationError, "float drift in the summed rates picked a departure "
+# the event loops' error codes; a closed run fills in the two levels
+_LOOP_ERRORS = {
+    1: (MemoryError, "the event loop ran out of memory"),
+    2: (SimulationError, "float drift in the summed rates picked a departure "
                          "or a resample with no client to carry it"),
+    3: (SimulationError, "maximum occupancy rose from {} to {} during a "
+                         "closed rls run"),
+    4: (SimulationError, "server count at the maximum level rose while the "
+                         "maximum was flat during a closed rls run"),
 }
+
+
+def _loop_error(status: int, *levels) -> Exception:
+    error, message = _LOOP_ERRORS[status]
+    return error(message.format(*levels))
+
+
+def _seed_key(seed: int) -> tuple:
+    """(words, count): the 32-bit words of abs(seed), least significant
+    first and one word for 0, with which Random(seed) seeds its Mersenne
+    Twister. The event loops seed theirs from the same words."""
+    if not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+    seed = abs(seed)
+    count = (seed.bit_length() + 31) // 32 or 1
+    return ((ctypes.c_uint32 * count).from_buffer_copy(
+        seed.to_bytes(4 * count, "little")), count)
 
 
 @dataclass(frozen=True)
@@ -346,6 +392,13 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     maximum is checked to be non-increasing, and the number of servers at
     the maximum non-increasing while the maximum is flat. Only the event
     tallies (accepted moves, as "migration") and the end state are kept.
+
+    The loop is C (``closed_loop`` in event_loops.c). It seeds its own
+    Mersenne Twister exactly as ``Random(seed)`` does and draws as the
+    module docstring lists, each move's bounded draw up to 64 bits wide,
+    so n * m must stay below 2**63. The seed must be an int (a bool
+    counts); anything else raises TypeError, as ``Random`` already does
+    for a numpy integer.
     """
     if any(r != 0.0 for r in config.arrival_rates):
         raise SimulationError("closed runs require all arrival rates to be zero")
@@ -366,131 +419,31 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     # no cap check in the loop: an accepted move lands on a server holding at
     # most counts[i] - 2, so no server ever exceeds the starting maximum
     n = sum(counts)
-
-    if eps is None:
-        def stopped(lo_v, hi_v):
-            return hi_v - lo_v <= 1
-    else:
-        band_lo, band_hi = eps_band(m, n, eps)
-
-        def stopped(lo_v, hi_v):
-            return lo_v >= band_lo and hi_v <= band_hi
-
-    rng = Random(seed)
-    random = rng.random
-    randbelow = rng._randbelow  # randrange(x) for x > 0, without its checks
-    log = math.log
+    if n * m >= 2 ** 63:  # the accepted pairs, at most n * m, are int64
+        raise ValueError(f"n * m must stay below 2**63, got n={n}, m={m}")
+    band_lo, band_hi = (0, 0) if eps is None else eps_band(m, n, eps)
+    key, key_len = _seed_key(seed)
+    lo, hi = min(counts), max(counts)
+    balanced = hi - lo <= 1 if eps is None else band_lo <= lo and hi <= band_hi
+    if balanced:
+        return ClosedRunResult(
+            RunEnd({"migration": 0}, SystemState(0.0, tuple(counts))), 0.0)
     pair_rate = config.resample_rate / m
-
-    # order holds the servers sorted by occupancy and where[s] is server
-    # s's position in it; below[v] counts the servers holding fewer than v
-    # clients. So level v fills order[below[v]:below[v + 1]] and the servers
-    # at level v - 2 or lower are order[:below[v - 1]]. The last entry of
-    # below stays 0, so below[-1] counts nobody under level 0.
-    top = max(counts)
-    order = sorted(range(m), key=counts.__getitem__)
-    where = [0] * m
-    for p, s in enumerate(order):
-        where[s] = p
-    below = [0] * (top + 3)
-    for c in counts:
-        below[c + 1] += 1
-    for v in range(1, top + 2):
-        below[v] += below[v - 1]
-
-    moves = 0
-    t = 0.0
-    stop_time = None
-    cur_max = top
-    if stopped(counts[order[0]], cur_max):
-        stop_time = 0.0
-    elif pair_rate == 0.0:
+    if pair_rate == 0.0:
         raise SimulationError(
             "total event rate is zero and the stopping predicate does not "
             f"hold (n={n}, resample_rate={config.resample_rate})"
         )
-    else:
-        max_count = m - below[cur_max]
-        while True:
-            # A client at level v moves to a server at level v - 2 or lower,
-            # at rate beta/m per (client, destination) pair, so level v
-            # sends v * h_v * H_{<=v-2} pairs. The scan runs down the
-            # occupied levels while some server sits two below. pairs > 0
-            # here, as max - min <= 1 satisfies either stop.
-            pairs = 0
-            v = cur_max
-            while below[v - 1]:
-                lo = below[v]
-                pairs += v * (below[v + 1] - lo) * below[v - 1]
-                v = counts[order[lo - 1]]
-            t_next = t - log(1.0 - random()) / (pair_rate * pairs)
-            if t_next > horizon:
-                t = horizon
-                break
-            t = t_next
-
-            # one uniform accepted pair: its source level k, then within
-            # the level's pairs a (destination, source server, client)
-            # index; which client moves does not matter
-            r = randbelow(pairs)
-            k = cur_max
-            while True:
-                lo = below[k]
-                hk = below[k + 1] - lo
-                w = k * hk * below[k - 1]
-                if r < w:
-                    break
-                r -= w
-                k = counts[order[lo - 1]]
-            q = r // k
-            i = order[lo + q % hk]
-            j = order[q // hk]
-            low = counts[j]
-
-            # i drops to level k - 1: swap it to the front of level k, then
-            # start level k after it
-            p = where[i]
-            s = order[lo]
-            order[p] = s
-            where[s] = p
-            order[lo] = i
-            where[i] = lo
-            below[k] = lo + 1
-            # j rises to level low + 1: swap it to the back of level low,
-            # then start level low + 1 at it
-            e = below[low + 1] - 1
-            p = where[j]
-            s = order[e]
-            order[p] = s
-            where[s] = p
-            order[e] = j
-            where[j] = e
-            below[low + 1] = e
-            counts[i] = k - 1
-            counts[j] = low + 1
-            moves += 1
-
-            prev_max = cur_max
-            prev_max_count = max_count
-            cur_max = counts[order[-1]]
-            max_count = m - below[cur_max]
-            if cur_max > prev_max:
-                raise SimulationError(
-                    f"maximum occupancy rose from {prev_max} to {cur_max} "
-                    "during a closed rls run"
-                )
-            if cur_max == prev_max and max_count > prev_max_count:
-                raise SimulationError(
-                    "server count at the maximum level rose while the "
-                    "maximum was flat during a closed rls run"
-                )
-            if stopped(counts[order[0]], cur_max):
-                stop_time = t
-                break
-
+    final = (ctypes.c_int64 * m)(*counts)
+    run = _ClosedRun(m=m, pair_rate=pair_rate, horizon=horizon,
+                     eps=eps is not None, band_lo=band_lo, band_hi=band_hi,
+                     key=key, key_len=key_len, counts=final)
+    status = _closed_loop(ctypes.byref(run))
+    if status:
+        raise _loop_error(status, run.prev_max, run.cur_max)
     return ClosedRunResult(
-        RunEnd({"migration": moves}, SystemState(t, tuple(counts))),
-        stop_time)
+        RunEnd({"migration": run.moves}, SystemState(run.t, tuple(final))),
+        run.t if run.stopped else None)
 
 
 def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
@@ -506,7 +459,9 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
     no row since they never arrived. With track_sojourns False the array
     has shape (0, 2) and the per-client bookkeeping (including the draw
     selecting which resident departs) is skipped; trajectories for a fixed
-    seed are reproducible per tracking mode.
+    seed are reproducible per tracking mode. The loop is C (``open_loop``
+    in event_loops.c) and seeds its generator as ``Random(seed)`` does;
+    the seed must be an int, and anything else raises TypeError.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
@@ -518,7 +473,7 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
         raise ValueError("initial occupancy exceeds the configured cap")
 
     rls = config.policy is Policy.RLS
-    rng_state = Random(seed).getstate()[1]  # 624 words, then the position
+    key, key_len = _seed_key(seed)
     run = _OpenRun(
         m=m, cum_arr=(ctypes.c_double * m)(*_cumulative(config.arrival_rates)),
         svc=(ctypes.c_double * m)(*map(float, config.service_rates)),
@@ -527,13 +482,12 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
         dests=m if rls or config.include_self else m - 1,
         cap=-1 if config.cap is None else config.cap, horizon=horizon,
         sample_dt=sample_dt or 0.0, track=track_sojourns,
-        mt=(ctypes.c_uint32 * 624)(*rng_state[:624]), mti=rng_state[624],
+        key=key, key_len=key_len,
         counts=(ctypes.c_int64 * m)(*counts))
     try:
         status = _open_loop(ctypes.byref(run))
         if status:
-            error, message = _OPEN_LOOP_ERRORS[status]
-            raise error(message)
+            raise _loop_error(status)
         rows = run.n_rows
         n = run.n_sojourns
         traj = Trajectory(

@@ -1,17 +1,24 @@
-/* The event loop of migratesim.ctmc.simulate_open.
+/* The event loops of migratesim.ctmc: simulate_open's and
+   simulate_closed's.
 
-   It consumes CPython's Mersenne Twister stream draw for draw, so a run
+   Both consume CPython's Mersenne Twister stream draw for draw, so a run
    is bit-identical to one driven by random.Random(seed):
 
+   - the generator is seeded as Random(seed) seeds it: init_by_array over
+     the 32-bit words of abs(seed), least significant first;
    - random() is genrand_res53, (a * 2**26 + b) / 2**53 from two words;
-   - getrandbits(k), k <= 32, is word >> (32 - k), and randrange(n) is
-     getrandbits(n.bit_length()) until below n, as _randbelow draws it;
+   - getrandbits(k) is word >> (32 - k) for k <= 32; for 32 < k <= 64 the
+     low word is drawn first, then the high word >> (64 - k); and
+     randrange(n) is getrandbits(n.bit_length()) until below n, as
+     _randbelow draws it;
    - expovariate(x) is -log(1.0 - random()) / x with the libm log;
-   - the busy service rate is refreshed with CPython's math.fsum.
+   - the open loop's busy service rate is refreshed with CPython's
+     math.fsum.
 
    Build with -ffp-contract=off, so that no fused multiply-add changes a
-   rounding. Every buffer grows on demand; open_free releases the outputs.
-   ctmc.step is the per-event reference that this loop inlines. */
+   rounding. Every open buffer grows on demand; open_free releases the
+   outputs. ctmc.step is the per-event reference that the open loop
+   inlines. */
 
 #include <math.h>
 #include <stdint.h>
@@ -20,7 +27,7 @@
 #define MT_N 624
 #define MT_M 397
 
-enum { OK, NO_MEMORY, WIDE_DRAW, EMPTY_PICK };
+enum { OK, NO_MEMORY, EMPTY_PICK, MAX_ROSE, MAX_COUNT_ROSE };
 
 typedef struct {
     /* inputs */
@@ -35,8 +42,8 @@ typedef struct {
     double horizon;
     double sample_dt;       /* 0: no sample grid */
     int64_t track;          /* keep one sojourn row per arrival */
-    uint32_t *mt;           /* Mersenne Twister words and position, as */
-    int64_t mti;            /* random.Random.getstate() holds them */
+    const uint32_t *key;    /* the words of abs(seed), least significant */
+    int64_t key_len;        /* first; one word for seed 0 */
     int64_t *counts;        /* m occupancies: the start, then the end */
     /* outputs, allocated here */
     double *times;          /* n_rows sample times */
@@ -74,6 +81,41 @@ static uint32_t genrand_uint32(uint32_t *mt, int64_t *mti)
     return y;
 }
 
+/* init_genrand(19650218) and init_by_array, as random.Random(seed) runs
+   them; the next draw regenerates the state */
+static void seed_mt(uint32_t *mt, int64_t *mti, const uint32_t *key,
+                    int64_t key_len)
+{
+    int64_t i = 1, j = 0, k;
+
+    mt[0] = 19650218U;
+    for (k = 1; k < MT_N; k++)
+        mt[k] = 1812433253U * (mt[k - 1] ^ (mt[k - 1] >> 30)) + (uint32_t)k;
+    for (k = MT_N > key_len ? MT_N : key_len; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
+                + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= key_len)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U))
+                - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    *mti = MT_N;
+}
+
 static double random53(uint32_t *mt, int64_t *mti)
 {
     uint32_t a = genrand_uint32(mt, mti) >> 5;
@@ -86,13 +128,25 @@ static int bit_length(int64_t n)
     return n ? 64 - __builtin_clzll((uint64_t)n) : 0;
 }
 
-/* randrange(n) for 1 <= n < 2**32; bits = bit_length(n) */
+/* getrandbits(bits), 1 <= bits <= 64 */
+static uint64_t getrandbits(uint32_t *mt, int64_t *mti, int bits)
+{
+    uint64_t low;
+
+    if (bits <= 32)
+        return genrand_uint32(mt, mti) >> (32 - bits);
+    low = genrand_uint32(mt, mti);
+    return low | (uint64_t)(genrand_uint32(mt, mti) >> (64 - bits)) << 32;
+}
+
+/* randrange(n) for n >= 1; bits = bit_length(n) */
 static int64_t randbelow(uint32_t *mt, int64_t *mti, int64_t n, int bits)
 {
-    int64_t r = genrand_uint32(mt, mti) >> (32 - bits);
-    while (r >= n)
-        r = genrand_uint32(mt, mti) >> (32 - bits);
-    return r;
+    uint64_t r = getrandbits(mt, mti, bits);
+
+    while (r >= (uint64_t)n)
+        r = getrandbits(mt, mti, bits);
+    return (int64_t)r;
 }
 
 /* math.fsum of svc[busy[k]], k < n, as CPython computes it: Shewchuk's
@@ -248,8 +302,8 @@ static int run(open_run *r, workspace *st)
     const double horizon = r->horizon, sample_dt = r->sample_dt;
     const int dest_bits = bit_length(dests);
     int64_t *counts = r->counts, *busy;
-    uint32_t *mt = r->mt;
-    int64_t mti = r->mti;
+    uint32_t mt[MT_N];
+    int64_t mti;
     int64_t n_busy = 0, n_live = 0, sample_idx = 1, refresh = 0;
     int64_t n_arrival = 0, n_departure = 0, n_migration = 0, n_rejected = 0;
     int64_t n_self = 0, n_dropped = 0, n_blocked = 0;
@@ -264,8 +318,7 @@ static int run(open_run *r, workspace *st)
     st->bags = calloc((size_t)m, sizeof(bag));
     if (!busy || !st->busy_pos || !st->partials || !st->bags)
         return NO_MEMORY;
-    if (dest_bits > 32)
-        return WIDE_DRAW;
+    seed_mt(mt, &mti, r->key, r->key_len);
     for (i = 0; i < m; i++) {
         homogeneous &= svc[i] == svc[0];
         if (counts[i] > 0)
@@ -356,10 +409,7 @@ static int run(open_run *r, workspace *st)
                 /* the departing client is uniform among the residents, at
                    bag position k = randrange(ci); the bag's last entry
                    moves in */
-                int bits = bit_length(ci);
-                if (bits > 32)
-                    return WIDE_DRAW;
-                k = randbelow(mt, &mti, ci, bits);
+                k = randbelow(mt, &mti, ci, bit_length(ci));
                 s = b->slot[k];
                 if (st->slots[s].id >= 0)
                     r->sojourns[2 * st->slots[s].id + 1] = t;
@@ -473,4 +523,172 @@ void open_free(open_run *r)
     free(r->times);
     free(r->snaps);
     free(r->sojourns);
+}
+
+typedef struct {
+    /* inputs */
+    int64_t m;
+    double pair_rate;       /* resample rate / m, per accepted pair */
+    double horizon;
+    int64_t eps;            /* 0: stop at max - min <= 1; 1: stop when every */
+    int64_t band_lo;        /* occupancy lies in [band_lo, band_hi] */
+    int64_t band_hi;
+    const uint32_t *key;    /* as in open_run */
+    int64_t key_len;
+    int64_t *counts;        /* m occupancies: the start, then the end */
+    /* outputs */
+    double t;               /* the stop time, or the horizon if censored */
+    int64_t stopped;
+    int64_t moves;          /* accepted moves */
+    int64_t prev_max;       /* the maximum occupancy before and after the */
+    int64_t cur_max;        /* move that failed the MAX_ROSE audit */
+} closed_run;
+
+static int balanced(const closed_run *r, int64_t lo, int64_t hi)
+{
+    return r->eps ? lo >= r->band_lo && hi <= r->band_hi : hi - lo <= 1;
+}
+
+/* The closed loop of ctmc.simulate_closed, on servers with equal rates.
+   order holds the servers sorted by occupancy, stably as Python's sorted,
+   and where[s] is server s's position in it; below[v] counts the servers
+   holding fewer than v clients, for -1 <= v <= top + 1, where top is the
+   starting maximum. So level v fills order[below[v]:below[v + 1]] and the
+   servers at level v - 2 or lower are order[:below[v - 1]]; below[-1] is
+   0. The caller has checked that the start is not balanced. */
+static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
+                   int64_t *below)
+{
+    const int64_t m = r->m;
+    const double rate = r->pair_rate, horizon = r->horizon;
+    int64_t *counts = r->counts;
+    uint32_t mt[MT_N];
+    int64_t mti, pairs, v, s, p, lo, hk, w, k, q, i, j, low, e, rem;
+    int64_t moves = 0, cur_max = top, max_count, prev_max, prev_count;
+    double t = 0.0, t_next;
+    int status = OK;
+
+    seed_mt(mt, &mti, r->key, r->key_len);
+    for (s = 0; s < m; s++)  /* below[v + 1] counts the servers at level v */
+        below[counts[s] + 1]++;
+    for (v = 1; v <= top + 1; v++)
+        below[v] += below[v - 1];
+    for (s = 0; s < m; s++) {  /* below[v] steps through level v's slots */
+        p = below[counts[s]]++;
+        order[p] = s;
+        where[s] = p;
+    }
+    for (v = top + 1; v > 0; v--)  /* each below[v] stepped to below[v + 1] */
+        below[v] = below[v - 1];
+    below[0] = 0;
+
+    max_count = m - below[cur_max];
+    for (;;) {
+        /* A client at level v moves to a server at level v - 2 or lower,
+           at rate pair_rate per (client, destination) pair, so level v
+           sends v * h_v * H_{<=v-2} pairs. The scan runs down the occupied
+           levels while some server sits two below. pairs > 0, as max - min
+           <= 1 stops either way. */
+        pairs = 0;
+        v = cur_max;
+        while (below[v - 1]) {
+            lo = below[v];
+            pairs += v * (below[v + 1] - lo) * below[v - 1];
+            v = counts[order[lo - 1]];
+        }
+        t_next = t - log(1.0 - random53(mt, &mti)) / (rate * (double)pairs);
+        if (t_next > horizon) {
+            t = horizon;
+            break;
+        }
+        t = t_next;
+
+        /* one uniform accepted pair: its source level k, then within the
+           level's pairs a (destination, source server, client) index;
+           which client moves does not matter */
+        rem = randbelow(mt, &mti, pairs, bit_length(pairs));
+        k = cur_max;
+        for (;;) {
+            lo = below[k];
+            hk = below[k + 1] - lo;
+            w = k * hk * below[k - 1];
+            if (rem < w)
+                break;
+            rem -= w;
+            k = counts[order[lo - 1]];
+        }
+        q = rem / k;
+        i = order[lo + q % hk];
+        j = order[q / hk];
+        low = counts[j];
+
+        /* i drops to level k - 1: swap it to the front of level k, then
+           start level k after it */
+        p = where[i];
+        s = order[lo];
+        order[p] = s;
+        where[s] = p;
+        order[lo] = i;
+        where[i] = lo;
+        below[k] = lo + 1;
+        /* j rises to level low + 1: swap it to the back of level low, then
+           start level low + 1 at it */
+        e = below[low + 1] - 1;
+        p = where[j];
+        s = order[e];
+        order[p] = s;
+        where[s] = p;
+        order[e] = j;
+        where[j] = e;
+        below[low + 1] = e;
+        counts[i] = k - 1;
+        counts[j] = low + 1;
+        moves++;
+
+        prev_max = cur_max;
+        prev_count = max_count;
+        cur_max = counts[order[m - 1]];
+        max_count = m - below[cur_max];
+        if (cur_max > prev_max) {
+            r->prev_max = prev_max;
+            r->cur_max = cur_max;
+            status = MAX_ROSE;
+            break;
+        }
+        if (cur_max == prev_max && max_count > prev_count) {
+            status = MAX_COUNT_ROSE;
+            break;
+        }
+        if (balanced(r, counts[order[0]], cur_max)) {
+            r->stopped = 1;
+            break;
+        }
+    }
+    r->t = t;
+    r->moves = moves;
+    return status;
+}
+
+/* Run the closed rls system to balance or to the horizon: 0, or one of the
+   error codes above. */
+int closed_loop(closed_run *r)
+{
+    const int64_t m = r->m;
+    int64_t top = 0, s, *order, *where, *levels = NULL;
+    int status = NO_MEMORY;
+
+    for (s = 0; s < m; s++)
+        if (r->counts[s] > top)
+            top = r->counts[s];
+    order = malloc((size_t)m * sizeof(int64_t));
+    where = malloc((size_t)m * sizeof(int64_t));
+    if (top < (int64_t)(SIZE_MAX / sizeof(int64_t)) - 3)
+        levels = calloc((size_t)top + 3, sizeof(int64_t));
+    r->stopped = 0;
+    if (order && where && levels)  /* levels[0] is below[-1] */
+        status = balance(r, top, order, where, levels + 1);
+    free(order);
+    free(where);
+    free(levels);
+    return status;
 }

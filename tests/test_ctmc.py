@@ -104,6 +104,27 @@ def test_first_open_event_matches_step():
     assert kinds == set(traj.event_counts)
 
 
+def test_loops_seed_as_random_does():
+    """The loops seed their generators from the words of abs(seed), as
+    Random(seed) does: one word or several, a bool, a negative seed. The
+    first open event must equal step's under Random(seed), and a seed that
+    is not an int is refused, by the closed loop too."""
+    cfg = OPEN_BRANCH_CONFIGS[0]
+    start = SystemState(0.0, (2, 1, 0))
+    for seed in (0, 1, True, -5, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 10 ** 25):
+        s1, ev = step(start, cfg, Random(seed), closed=False)
+        traj, _ = simulate_open(cfg, horizon=s1.t, seed=seed, sample_dt=None,
+                                initial=(2, 1, 0))
+        assert traj.times[-1] == s1.t, seed
+        assert tuple(traj.counts[-1]) == s1.counts, seed
+        assert traj.event_counts[ev.kind] == 1, seed
+    for seed in (1.0, np.int64(1), "1"):
+        with pytest.raises(TypeError):
+            simulate_open(cfg, horizon=1.0, seed=seed, sample_dt=None)
+        with pytest.raises(TypeError):
+            simulate_closed(RLS2, (2, 0), horizon=1.0, seed=seed)
+
+
 # sha256 of every open run below, recorded before the loop was last rewritten
 OPEN_STREAM_SHA256 = (
     "af5b095afb1857db671eb928b21bef1d6d88ac06166d5ce51021ab833da01a39")
@@ -320,6 +341,12 @@ def test_closed_rejects_arrivals_and_bad_input():
         simulate_closed(capped, (3, 0, 0), horizon=1.0)
 
 
+def test_closed_refuses_pair_counts_past_int64():
+    """The accepted pairs, at most n * m, are counted in 64 bits."""
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        simulate_closed(RLS2, (2 ** 62, 0), horizon=1.0)
+
+
 def test_closed_zero_rate_deadlock():
     frozen = SystemConfig(m=2, policy="rls", resample_rate=0.0)
     with pytest.raises(SimulationError):
@@ -534,7 +561,8 @@ def test_sample_dt_none_records_endpoints_only():
 # --- building the compiled loop ---------------------------------------------------
 
 PACKAGE = Path(ctmc.__file__).parent
-# one short tracked run: the digest of its occupancies and sojourn rows
+# one short tracked open run and one closed replication: the digest of
+# their occupancies, sojourn rows, stop time and move count
 FIRST_RUN = """
 import hashlib
 from migratesim import ctmc
@@ -542,8 +570,11 @@ from migratesim.model import SystemConfig
 traj, sojourns = ctmc.simulate_open(
     SystemConfig(m=3, policy="rls", arrival_rates=0.6, resample_rate=0.7),
     200.0, 1, sample_dt=None)
+run = ctmc.simulate_closed(SystemConfig(m=8, policy="rls"), (40,) + (0,) * 7,
+                           horizon=1000.0, seed=1)
 print(ctmc._LIB._name)
-print(hashlib.sha256(traj.counts.tobytes() + sojourns.tobytes()).hexdigest())
+print(hashlib.sha256(traj.counts.tobytes() + sojourns.tobytes() + repr(
+    (run.stop_time, run.trajectory.event_counts)).encode()).hexdigest())
 """
 
 
@@ -562,7 +593,10 @@ def _first_run_digest():
     traj, sojourns = simulate_open(
         SystemConfig(m=3, policy="rls", arrival_rates=0.6, resample_rate=0.7),
         200.0, 1, sample_dt=None)
-    return hashlib.sha256(traj.counts.tobytes() + sojourns.tobytes()).hexdigest()
+    run = simulate_closed(SystemConfig(m=8, policy="rls"), (40,) + (0,) * 7,
+                          horizon=1000.0, seed=1)
+    return hashlib.sha256(traj.counts.tobytes() + sojourns.tobytes() + repr(
+        (run.stop_time, run.trajectory.event_counts)).encode()).hexdigest()
 
 
 def test_import_without_cc_names_it(tmp_path):
@@ -578,7 +612,8 @@ def test_import_without_cc_names_it(tmp_path):
 def test_concurrent_first_imports_share_one_build(tmp_path):
     """Two interpreters that find the cache empty both compile; each writes
     under its own temporary name and renames into place, so both load a
-    whole build and run the same numbers as this process."""
+    whole build and run the same numbers as this process, in the open and
+    the closed loop."""
     procs = [_fresh_import(FIRST_RUN, tmp_path) for _ in range(2)]
     outs = [proc.communicate() for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0], outs
@@ -591,12 +626,12 @@ def test_concurrent_first_imports_share_one_build(tmp_path):
 
 def test_edited_source_gets_its_own_build(tmp_path):
     """The build is keyed by the source bytes, so a copy of the package
-    with an edited open_loop.c compiles and loads its own library rather
+    with an edited event_loops.c compiles and loads its own library rather
     than a stale one."""
     copy = tmp_path / "src" / "migratesim"
     shutil.copytree(PACKAGE, copy,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    with open(copy / "open_loop.c", "a") as fh:
+    with open(copy / "event_loops.c", "a") as fh:
         fh.write("/* edited */\n")
     libs = []
     for package in (PACKAGE, copy):
