@@ -185,16 +185,16 @@ def _loop_error(status: int, *levels) -> Exception:
     return error(message.format(*levels))
 
 
-def _seed_key(seed: int) -> tuple:
-    """(words, count): the 32-bit words of abs(seed), least significant
-    first and one word for 0, with which Random(seed) seeds its Mersenne
-    Twister. The event loops seed theirs from the same words."""
+def _seed_key(seed: int) -> ctypes.Array:
+    """The 32-bit words of abs(seed), least significant first and one word
+    for 0, with which Random(seed) seeds its Mersenne Twister. The event
+    loops seed theirs from the same words."""
     if not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     seed = abs(seed)
     count = (seed.bit_length() + 31) // 32 or 1
-    return ((ctypes.c_uint32 * count).from_buffer_copy(
-        seed.to_bytes(4 * count, "little")), count)
+    return (ctypes.c_uint32 * count).from_buffer_copy(
+        seed.to_bytes(4 * count, "little"))
 
 
 @dataclass(frozen=True)
@@ -422,7 +422,7 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     if n * m >= 2 ** 63:  # the accepted pairs, at most n * m, are int64
         raise ValueError(f"n * m must stay below 2**63, got n={n}, m={m}")
     band_lo, band_hi = (0, 0) if eps is None else eps_band(m, n, eps)
-    key, key_len = _seed_key(seed)
+    key = _seed_key(seed)
     lo, hi = min(counts), max(counts)
     balanced = hi - lo <= 1 if eps is None else band_lo <= lo and hi <= band_hi
     if balanced:
@@ -437,7 +437,7 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     final = (ctypes.c_int64 * m)(*counts)
     run = _ClosedRun(m=m, pair_rate=pair_rate, horizon=horizon,
                      eps=eps is not None, band_lo=band_lo, band_hi=band_hi,
-                     key=key, key_len=key_len, counts=final)
+                     key=key, key_len=len(key), counts=final)
     status = _closed_loop(ctypes.byref(run))
     if status:
         raise _loop_error(status, run.prev_max, run.cur_max)
@@ -473,7 +473,7 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
         raise ValueError("initial occupancy exceeds the configured cap")
 
     rls = config.policy is Policy.RLS
-    key, key_len = _seed_key(seed)
+    key = _seed_key(seed)
     run = _OpenRun(
         m=m, cum_arr=(ctypes.c_double * m)(*_cumulative(config.arrival_rates)),
         svc=(ctypes.c_double * m)(*map(float, config.service_rates)),
@@ -482,7 +482,7 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
         dests=m if rls or config.include_self else m - 1,
         cap=-1 if config.cap is None else config.cap, horizon=horizon,
         sample_dt=sample_dt or 0.0, track=track_sojourns,
-        key=key, key_len=key_len,
+        key=key, key_len=len(key),
         counts=(ctypes.c_int64 * m)(*counts))
     try:
         status = _open_loop(ctypes.byref(run))

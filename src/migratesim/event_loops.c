@@ -139,9 +139,10 @@ static uint64_t getrandbits(uint32_t *mt, int64_t *mti, int bits)
     return low | (uint64_t)(genrand_uint32(mt, mti) >> (64 - bits)) << 32;
 }
 
-/* randrange(n) for n >= 1; bits = bit_length(n) */
-static int64_t randbelow(uint32_t *mt, int64_t *mti, int64_t n, int bits)
+/* randrange(n) for n >= 1 */
+static int64_t randbelow(uint32_t *mt, int64_t *mti, int64_t n)
 {
+    const int bits = bit_length(n);
     uint64_t r = getrandbits(mt, mti, bits);
 
     while (r >= (uint64_t)n)
@@ -300,7 +301,6 @@ static int run(open_run *r, workspace *st)
     const double *svc = r->svc, *cum_arr = r->cum_arr;
     const double total_arr = cum_arr[m - 1], beta = r->beta;
     const double horizon = r->horizon, sample_dt = r->sample_dt;
-    const int dest_bits = bit_length(dests);
     int64_t *counts = r->counts, *busy;
     uint32_t mt[MT_N];
     int64_t mti;
@@ -409,7 +409,7 @@ static int run(open_run *r, workspace *st)
                 /* the departing client is uniform among the residents, at
                    bag position k = randrange(ci); the bag's last entry
                    moves in */
-                k = randbelow(mt, &mti, ci, bit_length(ci));
+                k = randbelow(mt, &mti, ci);
                 s = b->slot[k];
                 if (st->slots[s].id >= 0)
                     r->sojourns[2 * st->slots[s].id + 1] = t;
@@ -450,7 +450,7 @@ static int run(open_run *r, workspace *st)
         }
         i = st->slots[s].server;
         ci = counts[i];
-        j = randbelow(mt, &mti, dests, dest_bits);
+        j = randbelow(mt, &mti, dests);
         if (r->rls) {
             cj = counts[j];
             if (!(svc[j] * (double)ci > svc[i] * (double)(cj + 1))) {
@@ -606,7 +606,7 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
         /* one uniform accepted pair: its source level k, then within the
            level's pairs a (destination, source server, client) index;
            which client moves does not matter */
-        rem = randbelow(mt, &mti, pairs, bit_length(pairs));
+        rem = randbelow(mt, &mti, pairs);
         k = cur_max;
         for (;;) {
             lo = below[k];
@@ -646,15 +646,15 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
         moves++;
 
         prev_max = cur_max;
-        prev_count = max_count;
         cur_max = counts[order[m - 1]];
-        max_count = m - below[cur_max];
-        if (cur_max > prev_max) {
+        if (cur_max > prev_max) {  /* before below[cur_max] is read */
             r->prev_max = prev_max;
             r->cur_max = cur_max;
             status = MAX_ROSE;
             break;
         }
+        prev_count = max_count;
+        max_count = m - below[cur_max];
         if (cur_max == prev_max && max_count > prev_count) {
             status = MAX_COUNT_ROSE;
             break;
