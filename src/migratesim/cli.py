@@ -593,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="base seed (default: 0)")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel worker processes")
+                       help="parallel worker threads")
         p.add_argument("--force", action="store_true",
                        help="write into an existing output directory")
 

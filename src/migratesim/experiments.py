@@ -2,7 +2,7 @@
 
 Each study follows the same shape: a deterministic seed plan (cell index
 times a fixed stride plus the replication index), independent replications
-that can fan out over processes, and a plain-data result that the CLI can
+that can fan out over threads, and a plain-data result that the CLI can
 dump to CSV next to a JSON manifest. Verdicts here are statistical, never
 formal: a probe can answer "inconclusive" rather than guess.
 """

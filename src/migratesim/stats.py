@@ -1,6 +1,11 @@
 """Seeds, the replication fan-out, and small statistical helpers shared by the
 measurement and experiment layers.
 
+Replications fan out over threads of this process. Every replication spends
+nearly all its time in one of the compiled event loops, and ctypes releases
+the GIL for the length of a foreign call, so the loops of different threads
+run in parallel. Nothing is forked or pickled.
+
 Only the two goodness-of-fit helpers compute a p-value, and only they import
 scipy, inside the call: ``verify coupling`` and the tests reach them, and no
 other command loads scipy, so importing the package stays cheap.
@@ -9,7 +14,7 @@ other command loads scipy, so importing the package stays cheap.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,18 +33,37 @@ Z95 = 1.959963984540054
 MIN_EXPECTED = 5.0
 
 
-def map_replications(fn, work: list, jobs: int) -> list:
-    """[fn(w) for w in work], fanned out over ``jobs`` processes when jobs > 1.
+def _chunks(work: list, jobs: int) -> list:
+    """``work`` cut into contiguous chunks, about four per worker."""
+    size = max(1, len(work) // (4 * jobs))
+    return [work[i:i + size] for i in range(0, len(work), size)]
 
-    Each worker receives about four chunks of replications, so a pool round
-    trip carries several short runs instead of one. The pool is shut down,
-    its workers joined, before the results are returned.
+
+def map_replications(fn, work: list, jobs: int) -> list:
+    """[fn(w) for w in work], fanned out over ``jobs`` threads when jobs > 1.
+
+    Each thread takes contiguous chunks of about a quarter of its share, so
+    one hand-off carries several short runs instead of one, and no more
+    threads start than there are chunks. Results come back in ``work``
+    order. If a replication raises, the chunks not yet started are
+    cancelled, the running ones finish, and its exception propagates. The
+    threads are joined before the function returns.
     """
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1 or len(work) < 2:
         return [fn(w) for w in work]
-    chunk = max(1, len(work) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, work, chunksize=chunk))
+    chunks = _chunks(work, jobs)
+
+    def run(chunk):
+        return [fn(w) for w in chunk]
+
+    pool = ThreadPoolExecutor(max_workers=min(jobs, len(chunks)))
+    try:
+        futures = [pool.submit(run, chunk) for chunk in chunks]
+        return [r for f in futures for r in f.result()]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def mean_sd(values) -> tuple:

@@ -215,7 +215,17 @@ def test_balance_time_eps_stop():
 
 
 def test_balance_time_jobs_parity():
-    # 24 reps over 2 workers hand each pool round trip a chunk of 3
+    # 24 reps over 2 workers make 8 chunks of 3, shared by the two threads
     serial = measure_balance_time(RLS, (4, 0), reps=24, base_seed=7)
     fanned = measure_balance_time(RLS, (4, 0), reps=24, base_seed=7, jobs=2)
     assert serial.times == fanned.times
+
+
+def test_balance_time_jobs_parity_with_overlapping_runs():
+    # each (32, 1024) replication is a fraction of a millisecond of C, long
+    # enough that the two threads' closed loops run at the same time
+    cfg = SystemConfig(m=32, policy="rls", resample_rate=1.0)
+    start = initial_all_at_one(32, 1024)
+    serial = measure_balance_time(cfg, start, reps=8, base_seed=5)
+    fanned = measure_balance_time(cfg, start, reps=8, base_seed=5, jobs=2)
+    assert serial == fanned

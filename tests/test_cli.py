@@ -1,5 +1,6 @@
 """Command-line driver tests, run in-process through main(argv), but for the
-scipy guard, which needs an interpreter that has not loaded scipy yet."""
+two import guards, which need an interpreter that has not loaded the modules
+they look for yet."""
 
 import csv
 import hashlib
@@ -63,6 +64,18 @@ def test_balance_reruns_byte_identical(tmp_path):
     # fan-out must not change the seed plan or the artifact
     assert run(argv + ["--force", "--jobs", 2]) == 0
     assert (out / "balance_times.csv").read_bytes() == first
+
+
+def test_fewer_than_one_job_exits_one(tmp_path, capsys):
+    for jobs in (0, -1):
+        for argv in (["balance", "--m", 2, "--n", 2, "--reps", 3],
+                     ["open", "--m", 2, "--policy", "rls", "--lambda", 0.5,
+                      "--horizon", 20, "--reps", 2],
+                     ["open", "--m", 2, "--policy", "rls", "--lambda", 0.5,
+                      "--horizon", 20, "--reps", 2, "--probe"]):
+            out = tmp_path / f"{argv[0]}{len(argv)}{jobs}"
+            assert run(argv + ["--jobs", jobs, "--out", out]) == 1
+            assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
 def test_balance_missing_flag_exits_one(tmp_path, capsys):
@@ -475,6 +488,22 @@ print(json.dumps({{"codes": codes, "scipy": sorted(
     for name in ("bal", "probe"):
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert manifest["environment"]["scipy"] == metadata.version("scipy")
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    """Replications run on threads, so importing the CLI loads neither
+    multiprocessing nor the process-pool executor."""
+    script = """
+import json, sys
+import migratesim.cli
+print(json.dumps(sorted(k for k in sys.modules if k == "multiprocessing"
+                        or k.startswith("multiprocessing.")
+                        or k == "concurrent.futures.process")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []
 
 
 def test_unknown_subcommand_exits_one(tmp_path, capsys):

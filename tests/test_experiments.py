@@ -139,7 +139,7 @@ def test_measure_sojourns_plumbing():
 
 
 def test_measure_sojourns_jobs_parity():
-    # 24 reps over 2 workers hand each pool round trip a chunk of 3
+    # 24 reps over 2 workers make 8 chunks of 3, shared by the two threads
     cfg = SystemConfig(m=2, policy="rlo", arrival_rates=0.4, resample_rate=0.3)
     a = measure_sojourns(cfg, horizon=60.0, warmup=10.0, reps=24, cutoff=60.0,
                          base_seed=2)
@@ -310,10 +310,19 @@ def test_probe_few_seeds_is_inconclusive():
 
 
 def test_probe_jobs_parity():
-    # 24 seeds over 2 workers hand each pool round trip a chunk of 3
+    # 24 seeds over 2 workers make 8 chunks of 3, shared by the two threads
     cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.4, resample_rate=0.3)
     a = stability_probe(cfg, 40.0, range(24))
     b = stability_probe(cfg, 40.0, range(24), jobs=2)
+    assert a == b
+
+
+def test_probe_jobs_parity_with_overlapping_runs():
+    # overloaded at m=10, each run carries hundreds of clients for
+    # milliseconds of C, so the two threads' open loops run at the same time
+    cfg = SystemConfig(m=10, policy="rls", arrival_rates=1.2, resample_rate=0.02)
+    a = stability_probe(cfg, 200.0, range(8))
+    b = stability_probe(cfg, 200.0, range(8), jobs=2)
     assert a == b
 
 
