@@ -79,8 +79,10 @@ class SimulationError(RuntimeError):
     """Raised when a run cannot proceed (deadlock) or an invariant breaks."""
 
 
-# -O2 without -ffast-math or -march: no fused multiply-add, no reordering
-CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# -O3 inlines the draws into the loops; -ffp-contract=off and no -ffast-math
+# or -march: no fused multiply-add and no reordering, so every rounding is
+# the one CPython makes
+CC = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _build_event_loops() -> ctypes.CDLL:

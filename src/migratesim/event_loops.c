@@ -15,8 +15,14 @@
    - the open loop's busy service rate is refreshed with CPython's
      math.fsum.
 
-   Build with -ffp-contract=off, so that no fused multiply-add changes a
-   rounding. Every open buffer grows on demand; open_free releases the
+   Each call keeps its generator in an mt_stream on its own stack, and
+   the file holds no static data, so calls may run on several threads at
+   once. The stream twists 624 words at a time and tempers them in the
+   same pass, so a draw is an inline read of the tempered block.
+
+   Build with -ffp-contract=off and without -ffast-math or -march, so that
+   no fused multiply-add or reordering changes a rounding; -O3 keeps to
+   that. Every open buffer grows on demand; open_free releases the
    outputs. ctmc.step is the per-event reference that the open loop
    inlines. */
 
@@ -54,38 +60,57 @@ typedef struct {
     int64_t tallies[7];     /* in Trajectory.event_counts order */
 } open_run;
 
-static uint32_t genrand_uint32(uint32_t *mt, int64_t *mti)
-{
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t y;
-    int kk;
+/* The Mersenne Twister of one run: its state, and the state's words
+   already tempered, of which block[index] is the next draw. */
+typedef struct {
+    uint32_t state[MT_N];
+    uint32_t block[MT_N];
+    int index;
+} mt_stream;
 
-    if (*mti >= MT_N) {
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        *mti = 0;
+#define INLINE static inline __attribute__((always_inline))
+
+/* Twist the state once and temper all of it into the block, as in
+   Matsumoto & Nishimura (ACM TOMACS 8(1), 1998); -(y & 1) masks in the
+   twist's constant without a branch or a table. */
+static __attribute__((noinline)) void mt_refill(mt_stream *g)
+{
+    uint32_t *mt = g->state, y;
+    int k;
+
+    for (k = 0; k < MT_N - MT_M; k++) {
+        y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
+        mt[k] = mt[k + MT_M] ^ (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
     }
-    y = mt[(*mti)++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
+    for (; k < MT_N - 1; k++) {
+        y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
+        mt[k] = mt[k + (MT_M - MT_N)] ^ (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
+    for (k = 0; k < MT_N; k++) {
+        y = mt[k];
+        y ^= (y >> 11);
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        y ^= (y >> 18);
+        g->block[k] = y;
+    }
+    g->index = 0;
+}
+
+INLINE uint32_t genrand_uint32(mt_stream *g)
+{
+    if (__builtin_expect(g->index >= MT_N, 0))
+        mt_refill(g);
+    return g->block[g->index++];
 }
 
 /* init_genrand(19650218) and init_by_array, as random.Random(seed) runs
    them; the next draw regenerates the state */
-static void seed_mt(uint32_t *mt, int64_t *mti, const uint32_t *key,
-                    int64_t key_len)
+static void seed_mt(mt_stream *g, const uint32_t *key, int64_t key_len)
 {
+    uint32_t *mt = g->state;
     int64_t i = 1, j = 0, k;
 
     mt[0] = 19650218U;
@@ -113,13 +138,13 @@ static void seed_mt(uint32_t *mt, int64_t *mti, const uint32_t *key,
         }
     }
     mt[0] = 0x80000000U;
-    *mti = MT_N;
+    g->index = MT_N;
 }
 
-static double random53(uint32_t *mt, int64_t *mti)
+INLINE double random53(mt_stream *g)
 {
-    uint32_t a = genrand_uint32(mt, mti) >> 5;
-    uint32_t b = genrand_uint32(mt, mti) >> 6;
+    uint32_t a = genrand_uint32(g) >> 5;
+    uint32_t b = genrand_uint32(g) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
@@ -129,25 +154,41 @@ static int bit_length(int64_t n)
 }
 
 /* getrandbits(bits), 1 <= bits <= 64 */
-static uint64_t getrandbits(uint32_t *mt, int64_t *mti, int bits)
+INLINE uint64_t getrandbits(mt_stream *g, int bits)
 {
     uint64_t low;
 
     if (bits <= 32)
-        return genrand_uint32(mt, mti) >> (32 - bits);
-    low = genrand_uint32(mt, mti);
-    return low | (uint64_t)(genrand_uint32(mt, mti) >> (64 - bits)) << 32;
+        return genrand_uint32(g) >> (32 - bits);
+    low = genrand_uint32(g);
+    return low | (uint64_t)(genrand_uint32(g) >> (64 - bits)) << 32;
 }
 
 /* randrange(n) for n >= 1 */
-static int64_t randbelow(uint32_t *mt, int64_t *mti, int64_t n)
+INLINE int64_t randbelow(mt_stream *g, int64_t n)
 {
     const int bits = bit_length(n);
-    uint64_t r = getrandbits(mt, mti, bits);
+    uint64_t r = getrandbits(g, bits);
 
     while (r >= (uint64_t)n)
-        r = getrandbits(mt, mti, bits);
+        r = getrandbits(g, bits);
     return (int64_t)r;
+}
+
+/* bisect_right(a, x) over the n >= 1 sorted doubles of a, without a
+   branch on the data: each step keeps the half the answer lies in, so it
+   returns the number of entries <= x, ties included */
+INLINE int64_t bisect_right(const double *a, int64_t n, double x)
+{
+    const double *base = a;
+    int64_t half;
+
+    while (n > 1) {
+        half = n / 2;
+        base += (base[half] <= x) * half;
+        n -= half;
+    }
+    return base - a + (*base <= x);
 }
 
 /* math.fsum of svc[busy[k]], k < n, as CPython computes it: Shewchuk's
@@ -301,9 +342,10 @@ static int run(open_run *r, workspace *st)
     const double *svc = r->svc, *cum_arr = r->cum_arr;
     const double total_arr = cum_arr[m - 1], beta = r->beta;
     const double horizon = r->horizon, sample_dt = r->sample_dt;
+    /* locals, since a store through counts could change r->track */
+    const int track = r->track != 0, rls = r->rls != 0;
     int64_t *counts = r->counts, *busy;
-    uint32_t mt[MT_N];
-    int64_t mti;
+    mt_stream g;
     int64_t n_busy = 0, n_live = 0, sample_idx = 1, refresh = 0;
     int64_t n_arrival = 0, n_departure = 0, n_migration = 0, n_rejected = 0;
     int64_t n_self = 0, n_dropped = 0, n_blocked = 0;
@@ -318,7 +360,7 @@ static int run(open_run *r, workspace *st)
     st->bags = calloc((size_t)m, sizeof(bag));
     if (!busy || !st->busy_pos || !st->partials || !st->bags)
         return NO_MEMORY;
-    seed_mt(mt, &mti, r->key, r->key_len);
+    seed_mt(&g, r->key, r->key_len);
     for (i = 0; i < m; i++) {
         homogeneous &= svc[i] == svc[0];
         if (counts[i] > 0)
@@ -336,7 +378,7 @@ static int run(open_run *r, workspace *st)
         total = total_arr + busy_svc + beta * (double)n_live;
         t_next = INFINITY;
         if (total > 0.0) {
-            w = random53(mt, &mti);
+            w = random53(&g);
             t_next = t - log(1.0 - w) / total;
         }
         while (next_sample <= t_next && next_sample <= horizon) {
@@ -350,18 +392,10 @@ static int run(open_run *r, workspace *st)
             break;
         }
         t = t_next;
-        w = random53(mt, &mti) * total;
+        w = random53(&g) * total;
 
         if (w < total_arr) {
-            int64_t lo = 0, hi = m;  /* bisect_right(cum_arr, w) */
-            while (lo < hi) {
-                int64_t mid = (lo + hi) / 2;
-                if (w < cum_arr[mid])
-                    hi = mid;
-                else
-                    lo = mid + 1;
-            }
-            i = lo;
+            i = bisect_right(cum_arr, m, w);
             ci = counts[i];
             if (cap >= 0 && ci >= cap) {
                 n_dropped++;
@@ -374,7 +408,7 @@ static int run(open_run *r, workspace *st)
             }
             if (push_slot(st, n_live, i, n_arrival))
                 return NO_MEMORY;
-            if (r->track) {  /* its row */
+            if (track) {  /* its row */
                 RESERVE(r->sojourns, st->sojourns_cap, 2 * (n_arrival + 1));
                 r->sojourns[2 * n_arrival] = t;
                 r->sojourns[2 * n_arrival + 1] = NAN;
@@ -405,11 +439,11 @@ static int run(open_run *r, workspace *st)
             }
             ci = counts[i];
             b = &st->bags[i];
-            if (r->track) {
+            if (track) {
                 /* the departing client is uniform among the residents, at
                    bag position k = randrange(ci); the bag's last entry
                    moves in */
-                k = randbelow(mt, &mti, ci);
+                k = randbelow(&g, ci);
                 s = b->slot[k];
                 if (st->slots[s].id >= 0)
                     r->sojourns[2 * st->slots[s].id + 1] = t;
@@ -450,8 +484,8 @@ static int run(open_run *r, workspace *st)
         }
         i = st->slots[s].server;
         ci = counts[i];
-        j = randbelow(mt, &mti, dests);
-        if (r->rls) {
+        j = randbelow(&g, dests);
+        if (rls) {
             cj = counts[j];
             if (!(svc[j] * (double)ci > svc[i] * (double)(cj + 1))) {
                 n_rejected++;  /* model.rls_accepts, inlined */
@@ -562,13 +596,13 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
     const int64_t m = r->m;
     const double rate = r->pair_rate, horizon = r->horizon;
     int64_t *counts = r->counts;
-    uint32_t mt[MT_N];
-    int64_t mti, pairs, v, s, p, lo, hk, w, k, q, i, j, low, e, rem;
+    mt_stream g;
+    int64_t pairs, v, s, p, lo, hk, w, k, q, i, j, low, e, rem;
     int64_t moves = 0, cur_max = top, max_count, prev_max, prev_count;
     double t = 0.0, t_next;
     int status = OK;
 
-    seed_mt(mt, &mti, r->key, r->key_len);
+    seed_mt(&g, r->key, r->key_len);
     for (s = 0; s < m; s++)  /* below[v + 1] counts the servers at level v */
         below[counts[s] + 1]++;
     for (v = 1; v <= top + 1; v++)
@@ -596,7 +630,7 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
             pairs += v * (below[v + 1] - lo) * below[v - 1];
             v = counts[order[lo - 1]];
         }
-        t_next = t - log(1.0 - random53(mt, &mti)) / (rate * (double)pairs);
+        t_next = t - log(1.0 - random53(&g)) / (rate * (double)pairs);
         if (t_next > horizon) {
             t = horizon;
             break;
@@ -606,7 +640,7 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
         /* one uniform accepted pair: its source level k, then within the
            level's pairs a (destination, source server, client) index;
            which client moves does not matter */
-        rem = randbelow(mt, &mti, pairs);
+        rem = randbelow(&g, pairs);
         k = cur_max;
         for (;;) {
             lo = below[k];

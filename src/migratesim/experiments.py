@@ -281,8 +281,10 @@ def _sojourn_rep(args):
     arrive, depart = sojourns.T
     in_window = (arrive >= warmup) & (arrive <= cutoff)
     done = in_window & ~np.isnan(depart)
-    # fsum is correctly rounded, so the total does not depend on the order
-    total = math.fsum((depart - arrive)[done])
+    # fsum is correctly rounded, so the total does not depend on the order;
+    # a memoryview hands it plain floats one at a time, with no numpy
+    # scalars and no list of them all
+    total = math.fsum(memoryview((depart - arrive)[done]))
     completed = int(done.sum())
     return ((total, completed, int(in_window.sum()) - completed),
             traj.event_counts)

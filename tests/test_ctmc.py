@@ -104,6 +104,42 @@ def test_first_open_event_matches_step():
     assert kinds == set(traj.event_counts)
 
 
+# arrival rates with zeros at the ends and in the middle, so that the
+# running sums hold runs of equal values
+ZERO_RATE_ARRIVALS = (
+    (0.8,),
+    (0.0, 0.9),
+    (0.9, 0.0),
+    (0.0, 0.4, 0.0, 0.0, 0.7),
+    (0.0, 0.0, 0.5, 0.0, 0.6, 0.0, 0.9, 0.0),
+    (0.3, 0.0, 0.0, 0.6, 0.0, 0.4, 0.0, 0.5, 0.0),
+)
+
+
+def test_first_arrival_skips_zero_rate_servers():
+    """From an empty system the first event is an arrival, so each seed
+    checks one arrival-server pick against step's bisect_right, ties in
+    the running sums included: every server with a positive rate is picked
+    at least once, and no zero-rate server ever is."""
+    for rates in ZERO_RATE_ARRIVALS:
+        m = len(rates)
+        cfg = SystemConfig(m=m, policy="rls", arrival_rates=rates,
+                           resample_rate=0.7)
+        start = SystemState(0.0, (0,) * m)
+        for track in (False, True):
+            picked = Counter()
+            for seed in range(200):
+                s1, ev = step(start, cfg, Random(seed), closed=False)
+                traj, _ = simulate_open(cfg, horizon=s1.t, seed=seed,
+                                        sample_dt=None, initial=start.counts,
+                                        track_sojourns=track)
+                assert ev.kind == "arrival"
+                assert traj.times[-1] == s1.t
+                assert tuple(traj.counts[-1]) == s1.counts
+                picked[s1.counts.index(1)] += 1
+            assert set(picked) == {i for i, rate in enumerate(rates) if rate}
+
+
 def test_loops_seed_as_random_does():
     """The loops seed their generators from the words of abs(seed), as
     Random(seed) does: one word or several, a bool, a negative seed. The
@@ -597,6 +633,19 @@ def _first_run_digest():
                           horizon=1000.0, seed=1)
     return hashlib.sha256(traj.counts.tobytes() + sojourns.tobytes() + repr(
         (run.stop_time, run.trajectory.event_counts)).encode()).hexdigest()
+
+
+def test_build_keeps_floating_point_exact():
+    """The loops must round as CPython does, so the build may not contract
+    a multiply and add into one instruction or reorder floating point. The
+    pinned digests catch a rounding change only where a pinned run happens
+    to hit it, so the flags themselves are checked."""
+    assert "-ffp-contract=off" in ctmc.CC
+    for flag in ctmc.CC:
+        assert flag not in ("-ffast-math", "-Ofast",
+                            "-funsafe-math-optimizations",
+                            "-fassociative-math"), flag
+        assert not flag.startswith("-march="), flag
 
 
 def test_import_without_cc_names_it(tmp_path):
