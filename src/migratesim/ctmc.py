@@ -79,9 +79,8 @@ class SimulationError(RuntimeError):
     """Raised when a run cannot proceed (deadlock) or an invariant breaks."""
 
 
-# -O3 inlines the draws into the loops; -ffp-contract=off and no -ffast-math
-# or -march: no fused multiply-add and no reordering, so every rounding is
-# the one CPython makes
+# -O3 with -ffp-contract=off and without -ffast-math or -march: no fused
+# multiply-add and no reordering, so every rounding is the one CPython makes
 CC = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
