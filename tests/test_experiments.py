@@ -4,6 +4,7 @@ generator, the deviation metric, the stability probe, artifact writers, and
 the normal quantile behind every interval."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -375,6 +376,23 @@ def test_throughput_comparison_small_cell():
             cutoff=250.0 - experiments.CENSOR_MARGIN / (1.0 - 0.5),
             base_seed=c * SEED_STRIDE)
         assert row.per_rep == alone.per_rep
+
+
+def test_sojourn_tables_are_pinned():
+    """Every field of a small comparison table, and of a sojourn summary
+    whose window reaches the horizon so that some clients are censored: the
+    sha256 of their reprs, recorded from the window sum written in numpy
+    and the elimination written in numpy."""
+    rows = throughput_comparison([5, 20], [0.5, 0.9], beta=0.5, horizon=300.0,
+                                 reps=2, base_seed=7)
+    censored = measure_sojourns(
+        SystemConfig(m=20, policy="rlo", arrival_rates=0.9, resample_rate=0.5),
+        horizon=300.0, warmup=60.0, reps=3, cutoff=300.0, base_seed=3)
+    assert censored.censored > 0
+    assert hashlib.sha256(repr([vars(r) for r in rows]).encode()).hexdigest() == (
+        "f6efa4696380f18b53ca6a49814b783f457a3718372170c69c489223d668efa9")
+    assert hashlib.sha256(repr(vars(censored)).encode()).hexdigest() == (
+        "c1cee9646a6d2c2b63095f1ac17e165936a0731160f828236b7cb9d1e6eefef8")
 
 
 def test_throughput_comparison_domain():

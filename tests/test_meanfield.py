@@ -1,6 +1,7 @@
 """Mean-field layer: derivative fields, the tail-sum form, the stationary
 solvers, and the deterministic integrator."""
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -12,6 +13,7 @@ from migratesim.cli import main
 from migratesim.meanfield import (
     OdeState,
     SolverError,
+    _gauss_solve,
     equilibrium_rls,
     g_of_z,
     integrate,
@@ -287,6 +289,124 @@ def test_jac_rls_matches_central_differences():
             e[i] = h
             column = (rhs_rls(x + e, 0.7, 1.3) - rhs_rls(x - e, 0.7, 1.3)) / (2 * h)
             assert np.abs(jac[:, i] - column).max() < 1e-8
+
+
+# equilibrium_rls(lam, beta, B) on a grid: the sha256 of the state's bytes
+# and the repr of (residual, two_start_gap, iterations), recorded from the
+# elimination written in numpy (numpy_gauss_solve below)
+RLS_EQUILIBRIUM_SHA256 = {
+    (0.3, 0.02, 60): "df9be85f24eda9bd8993bb206b8e3d10f9f65ba0e69de0a02ed4f7bc28ab8914",
+    (0.3, 0.02, 120): "fe08db92d8a4583cf3a49578d1cd2274bda56adafc84171c288bc7105180160c",
+    (0.3, 0.5, 60): "7bf6c79b63fbd32adb7acd9d1f8f36290836365632a4e53c149d1145fed0a301",
+    (0.3, 0.5, 120): "bf4815548985cd93631da96d8ef61bdabbf70f68831722528b557c3f7e5d11a7",
+    (0.3, 10.0, 60): "c73dc372c94fbf4b5f27238fcf0258207f7541171ac0000d34dd4177b6721d4f",
+    (0.3, 10.0, 120): "4901f10a4713ed518be8580680cb4b75148512ba6a4ff5daaecf43e23e8f4c58",
+    (0.8, 0.02, 60): "79d0cd83ea59c89ddcf2924e91deb07ec6ab8a89fdd80164a6ef0d1ea7288fb0",
+    (0.8, 0.02, 120): "643e2b26a9facbdb78af5280b12856fe9d19cbfb4969b297c114b55dcfda69f5",
+    (0.8, 0.5, 60): "c1e735fba1d55a29ee51a95dc05e13174c29139642cd5969825c9b915d2f46d5",
+    (0.8, 0.5, 120): "35b6e2d50c43fcffecb92064086267ead734eb67069ad084dcddec2d10fedb42",
+    (0.8, 10.0, 60): "ae37ecbce7052da1a91756a6570f11446476eed5b4263fb42bc43d0ef32efb8d",
+    (0.8, 10.0, 120): "893c800626becf912d2e7126ba7aa519cebe7326cf0035194bf2b03a8eed6a1b",
+    (0.95, 0.02, 60): "acba5dae92ed674ea29b6fa6c1d9ccdf59bb1067e07165935c75ef72a25d4eec",
+    (0.95, 0.02, 120): "9dfa632989b1829e155d1eb535c413f79cd388c5bafc29aff2fd832400339a50",
+    (0.95, 0.5, 60): "26edec076006b35cc8ab9d30dfa0397a0f34341c6303b0ef2f4a361b26eb60d5",
+    (0.95, 0.5, 120): "03c3ed8954c22d2e34fa6c1b209873a82850e2274a8c13fff906a3811621e9f9",
+    (0.95, 10.0, 60): "be3d605547ac5f579c2ad51c56ec621a894fd2b950e782bc7156ebb17accca49",
+    (0.95, 10.0, 120): "9ec2fce9a500d5aa792de96c70af470589979dc438d600a99c0c09b4170cfff9",
+}
+
+
+def test_rls_equilibrium_grid_is_pinned():
+    for (lam, beta, b_cap), expected in RLS_EQUILIBRIUM_SHA256.items():
+        eq = equilibrium_rls(lam, beta, b_cap)
+        digest = hashlib.sha256(eq.state.x.tobytes() + repr(
+            (eq.residual, eq.two_start_gap, eq.iterations)).encode())
+        assert digest.hexdigest() == expected, (lam, beta, b_cap)
+
+
+def numpy_gauss_solve(a, b):
+    """The Newton solve as numpy once ran all of it: elimination with
+    partial pivoting on the first largest magnitude, then back
+    substitution. _gauss_solve must give its bits."""
+    a = a.copy()
+    b = b.copy()
+    n = b.size
+    for j in range(n):
+        p = j + int(np.argmax(np.abs(a[j:, j])))
+        if a[p, j] == 0.0:
+            raise SolverError(f"singular Newton system at column {j}")
+        if p != j:
+            a[[j, p]] = a[[p, j]]
+            b[[j, p]] = b[[p, j]]
+        m = a[j + 1:, j] / a[j, j]
+        a[j + 1:, j + 1:] -= np.outer(m, a[j, j + 1:])
+        b[j + 1:] -= m * b[j]
+    x = np.empty(n)
+    for j in range(n - 1, -1, -1):
+        x[j] = (b[j] - a[j, j + 1:] @ x[j + 1:]) / a[j, j]
+    return x
+
+
+def newton_system(n, rng):
+    """The Newton system of equilibrium_rls at B = n - 1, at a random state."""
+    x = rng.dirichlet(np.ones(n))
+    jac = jac_rls(x, 0.8, 0.5)
+    jac[-1] = 1.0
+    return jac, -rhs_rls(x, 0.8, 0.5)
+
+
+def gauss_systems(n, seed):
+    """Systems that exercise the pivot choice: random; entries of few
+    magnitudes, so the pivot column holds ties; a tiny diagonal, so every
+    column swaps rows; and a Newton Jacobian."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(n)
+    swaps = rng.standard_normal((n, n))
+    swaps[np.diag_indices(n)] *= 1e-3
+    ties = np.zeros((n, n))
+    while abs(np.linalg.det(ties)) < 0.5:  # an integer matrix, not singular
+        ties = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n, n))
+    yield rng.standard_normal((n, n)), b
+    yield ties, b
+    yield swaps, b
+    yield newton_system(n, rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 31, 121])
+def test_gauss_solve_is_the_numpy_elimination_bit_for_bit(n):
+    for seed in range(3):
+        for a, b in gauss_systems(n, seed):
+            a_in, b_in = a.copy(), b.copy()
+            x = _gauss_solve(a, b)
+            assert x.tobytes() == numpy_gauss_solve(a, b).tobytes()
+            # the inputs are left as they were
+            assert a.tobytes() == a_in.tobytes()
+            assert b.tobytes() == b_in.tobytes()
+
+
+def test_gauss_solve_takes_the_first_largest_pivot():
+    """Rows 1 and 2 tie for the largest magnitude in column 0, and row 2
+    holds a NaN lower down; numpy's argmax picks the first of the tie, and
+    the first NaN, which it counts as the largest."""
+    a = np.array([[1.0, 2.0, 3.0], [-4.0, 1.0, 0.5], [4.0, 3.0, 1.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    assert _gauss_solve(a, b).tobytes() == numpy_gauss_solve(a, b).tobytes()
+    a[2, 1] = math.nan
+    a[1, 1] = math.inf
+    np.testing.assert_array_equal(_gauss_solve(a, b), numpy_gauss_solve(a, b))
+
+
+@pytest.mark.parametrize("column", [0, 1, 4])
+def test_singular_newton_system_names_its_column(column):
+    """Upper triangular with a zero on the diagonal at `column`: every
+    multiplier before it is zero, so the column reaches its turn all zero
+    from the diagonal down."""
+    a = np.triu(np.random.default_rng(column).uniform(1.0, 2.0, (5, 5)))
+    a[column, column] = 0.0
+    for solve in (numpy_gauss_solve, _gauss_solve):
+        with pytest.raises(SolverError,
+                           match=f"singular Newton system at column {column}$"):
+            solve(a, np.ones(5))
 
 
 def cut_balance_residual(x, lam, beta):
