@@ -66,6 +66,7 @@ import subprocess
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from random import Random
 from typing import Optional, Sequence
@@ -158,15 +159,25 @@ class _ClosedRun(ctypes.Structure):
 
 
 _LIB = _build_event_loops()
-_open_loop = _LIB.open_loop
-_open_loop.argtypes = [ctypes.POINTER(_OpenRun)]
-_open_loop.restype = ctypes.c_int
-_open_free = _LIB.open_free
-_open_free.argtypes = [ctypes.POINTER(_OpenRun)]
-_open_free.restype = None
-_closed_loop = _LIB.closed_loop
-_closed_loop.argtypes = [ctypes.POINTER(_ClosedRun)]
-_closed_loop.restype = ctypes.c_int
+
+
+def _c_function(name, restype, *argtypes):
+    fn = getattr(_LIB, name)
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+_open_loop = _c_function("open_loop", ctypes.c_int, ctypes.POINTER(_OpenRun))
+_open_free = _c_function("open_free", None, ctypes.POINTER(_OpenRun))
+_closed_loop = _c_function("closed_loop", ctypes.c_int,
+                           ctypes.POINTER(_ClosedRun))
+_sojourn_window = _c_function(
+    "sojourn_window", ctypes.c_int, ctypes.c_int64, ctypes.c_void_p,
+    ctypes.c_double, ctypes.c_double, ctypes.POINTER(ctypes.c_double),
+    ctypes.POINTER(ctypes.c_int64))
+# meanfield._gauss_solve's elimination: (n, a, b) -> zero pivot column or -1
+gauss_eliminate = _c_function("gauss_eliminate", ctypes.c_int64,
+                              ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
 OPEN_EVENTS = ("arrival", "departure", "migration", "resample_rejected",
                "resample_self", "arrival_dropped", "migration_blocked")
 # the event loops' error codes; a closed run fills in the two levels
@@ -247,12 +258,7 @@ class ClosedRunResult:
 
 
 def _cumulative(seq) -> list:
-    acc = 0.0
-    out = []
-    for v in seq:
-        acc += v
-        out.append(acc)
-    return out
+    return list(accumulate(seq, initial=0.0))[1:]
 
 
 def _jump_destination(config: SystemConfig, origin: int, rng: Random) -> int:
@@ -291,14 +297,7 @@ def step(state: SystemState, config: SystemConfig, rng: Random,
                 f"(n={n}, resample_rate={beta})"
             )
         dt = rng.expovariate(total)
-        slot = rng.randrange(n)
-        acc = 0
-        origin = m - 1
-        for i, c in enumerate(counts):
-            acc += c
-            if slot < acc:
-                origin = i
-                break
+        origin = bisect_right(list(accumulate(counts)), rng.randrange(n))
         event = _resample_event(config, counts, origin, rng, dt)
         return SystemState(state.t + dt, tuple(counts)), event
 
@@ -340,13 +339,7 @@ def step(state: SystemState, config: SystemConfig, rng: Random,
 
     w -= busy_svc
     slot = min(int(w / beta), n - 1)
-    acc = 0
-    origin = m - 1
-    for i, c in enumerate(counts):
-        acc += c
-        if slot < acc:
-            origin = i
-            break
+    origin = bisect_right(list(accumulate(counts)), slot)  # slot < n
     event = _resample_event(config, counts, origin, rng, dt)
     return SystemState(state.t + dt, tuple(counts)), event
 
@@ -499,6 +492,21 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
     finally:
         _open_free(ctypes.byref(run))
     return traj, sojourns
+
+
+def sojourn_window(sojourns: np.ndarray, warmup: float, cutoff: float):
+    """(total, completed, in_window) over the (arrival, departure) rows of
+    ``sojourns``: in_window rows arrive in [warmup, cutoff], completed of
+    them carry a departure rather than NaN, and total is math.fsum of their
+    sojourns. One C pass (``sojourn_window`` in event_loops.c)."""
+    rows = np.ascontiguousarray(sojourns, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(f"sojourns must have shape (n, 2), got {rows.shape}")
+    total, counts = ctypes.c_double(), (ctypes.c_int64 * 2)()
+    if _sojourn_window(len(rows), rows.ctypes.data, warmup, cutoff, total,
+                       counts):
+        raise MemoryError("the sojourn window sum ran out of memory")
+    return total.value, counts[0], counts[1]
 
 
 def _copied(pointer, shape, dtype) -> np.ndarray:

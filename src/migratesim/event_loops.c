@@ -1,5 +1,7 @@
-/* The event loops of migratesim.ctmc: simulate_open's and
-   simulate_closed's.
+/* The compiled code of migratesim: the event loops of ctmc.simulate_open
+   and ctmc.simulate_closed, the sojourn window sum of
+   experiments._sojourn_rep, and the forward elimination of
+   meanfield._gauss_solve. Each gives the bits of the Python it replaced.
 
    Both consume CPython's Mersenne Twister stream draw for draw, so a run
    is bit-identical to one driven by random.Random(seed):
@@ -11,9 +13,13 @@
      low word is drawn first, then the high word >> (64 - k); and
      randrange(n) is getrandbits(n.bit_length()) until below n, as
      _randbelow draws it;
-   - expovariate(x) is -log(1.0 - random()) / x with the libm log;
-   - the open loop's busy service rate is refreshed with CPython's
-     math.fsum.
+   - expovariate(x) is -log(1.0 - random()) / x with the libm log.
+
+   The open loop refreshes its busy service rate with CPython's math.fsum,
+   and sojourn_window's total is that fsum too: one copy of its partials
+   (fsum_add, fsum_round) serves both. gauss_eliminate does numpy's array
+   operations in numpy's order; the back substitution stays numpy, whose
+   dot products do not sum in plain order.
 
    Each call keeps its generator in an mt_stream on its own stack, and
    the file holds no static data, so calls may run on several threads at
@@ -22,13 +28,21 @@
 
    Build with -ffp-contract=off and without -ffast-math or -march, so that
    no fused multiply-add or reordering changes a rounding; -O3 keeps to
-   that. Every open buffer grows on demand; open_free releases the
-   outputs. ctmc.step is the per-event reference that the open loop
-   inlines. */
+   that, and the build stops unless each double operation rounds to
+   double (FLT_EVAL_METHOD 0), so fsum needs no volatile. Every open buffer
+   grows on demand; open_free releases the outputs. ctmc.step is the
+   per-event reference that the open loop inlines. */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+/* every double operation rounds to double, as CPython's do; an x87 build
+   would carry extra precision between them */
+#if FLT_EVAL_METHOD != 0
+#error "event_loops.c needs FLT_EVAL_METHOD == 0"
+#endif
 
 #define MT_N 624
 #define MT_M 397
@@ -191,36 +205,39 @@ INLINE int64_t bisect_right(const double *a, int64_t n, double x)
     return base - a + (*base <= x);
 }
 
-/* math.fsum of svc[busy[k]], k < n, as CPython computes it: Shewchuk's
-   partials, then the half-way correction. ps holds n doubles. */
-static double fsum_busy(const double *svc, const int64_t *busy, int64_t n,
-                        double *ps)
+/* Add x to the np partials of ps, as CPython's math.fsum adds each term:
+   Shewchuk's nonoverlapping partials (Discrete Comput. Geom. 18, 1997),
+   kept in increasing magnitude. Returns the new count, at most np + 1. */
+static int64_t fsum_add(double *ps, int64_t np, double x)
 {
-    int64_t i, j, k, np = 0;
-    double x, y, t;
-    volatile double hi, yr, lo = 0.0;
+    int64_t i, j;
+    double y, t, hi, yr, lo;
 
-    for (k = 0; k < n; k++) {
-        x = svc[busy[k]];
-        for (i = j = 0; j < np; j++) {
-            y = ps[j];
-            if (fabs(x) < fabs(y)) {
-                t = x;
-                x = y;
-                y = t;
-            }
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                ps[i++] = lo;
-            x = hi;
+    for (i = j = 0; j < np; j++) {
+        y = ps[j];
+        if (fabs(x) < fabs(y)) {
+            t = x;
+            x = y;
+            y = t;
         }
-        np = i;
-        if (x != 0.0)
-            ps[np++] = x;
+        hi = x + y;
+        yr = hi - x;
+        lo = y - yr;
+        if (lo != 0.0)
+            ps[i++] = lo;
+        x = hi;
     }
-    hi = 0.0;
+    if (x != 0.0)
+        ps[i++] = x;
+    return i;
+}
+
+/* The sum of the np partials of ps, correctly rounded as math.fsum rounds
+   it: the top partials summed down, then the half-way correction. */
+static double fsum_round(const double *ps, int64_t np)
+{
+    double x, y, yr, hi = 0.0, lo = 0.0;
+
     if (np > 0) {
         hi = ps[--np];
         while (np > 0) {
@@ -242,6 +259,17 @@ static double fsum_busy(const double *svc, const int64_t *busy, int64_t n,
         }
     }
     return hi;
+}
+
+/* math.fsum of svc[busy[k]], k < n. ps holds n doubles. */
+static double fsum_busy(const double *svc, const int64_t *busy, int64_t n,
+                        double *ps)
+{
+    int64_t k, np = 0;
+
+    for (k = 0; k < n; k++)
+        np = fsum_add(ps, np, svc[busy[k]]);
+    return fsum_round(ps, np);
 }
 
 /* make room for need items in array a of capacity cap, doubling it;
@@ -725,4 +753,82 @@ int closed_loop(closed_run *r)
     free(where);
     free(levels);
     return status;
+}
+
+/* The sojourn window of experiments._sojourn_rep over the n rows of
+   (arrival, departure or NaN) in rows: counts[1] rows arrive in [warmup,
+   cutoff], counts[0] of them with a departure, and *total is math.fsum of
+   those d - a. 0, or NO_MEMORY. */
+int sojourn_window(int64_t n, const double *rows, double warmup,
+                   double cutoff, double *total, int64_t *counts)
+{
+    int64_t k, np = 0, completed = 0, in_window = 0;
+    double a, d, *ps = malloc((size_t)(n + 1) * sizeof(double));
+
+    if (!ps)
+        return NO_MEMORY;
+    for (k = 0; k < n; k++) {
+        a = rows[2 * k];
+        d = rows[2 * k + 1];
+        if (a >= warmup && a <= cutoff) {
+            in_window++;
+            if (!isnan(d)) {
+                completed++;
+                np = fsum_add(ps, np, d - a);
+            }
+        }
+    }
+    *total = fsum_round(ps, np);
+    counts[0] = completed;
+    counts[1] = in_window;
+    free(ps);
+    return OK;
+}
+
+/* The forward elimination of meanfield._gauss_solve, in place on the
+   row-major n x n a and on b, with numpy's operations in numpy's order:
+   the pivot is the first entry of largest fabs in column j at or below
+   the diagonal, a NaN counting as largest as np.argmax counts it; its row
+   swaps whole with row j; then each row i below takes m = a[i][j] /
+   a[j][j], a[i][k] -= m * a[j][k] for k > j, and b[i] -= m * b[j]. The
+   entries below the diagonal are left as they are. Returns the column of
+   a zero pivot, or -1. */
+int64_t gauss_eliminate(int64_t n, double *a, double *b)
+{
+    int64_t i, j, k, p;
+    double best, v, m, t, *ri, *rj;
+
+    for (j = 0; j < n; j++) {
+        rj = a + j * n;
+        p = j;
+        best = fabs(rj[j]);
+        for (i = j + 1; i < n && !isnan(best); i++) {
+            v = fabs(a[i * n + j]);
+            if (v > best || isnan(v)) {
+                best = v;
+                p = i;
+            }
+        }
+        if (a[p * n + j] == 0.0)
+            return j;
+        if (p != j) {
+            ri = a + p * n;
+            for (k = 0; k < n; k++) {
+                t = rj[k];
+                rj[k] = ri[k];
+                ri[k] = t;
+            }
+            t = b[j];
+            b[j] = b[p];
+            b[p] = t;
+        }
+        for (i = j + 1; i < n; i++) {
+            ri = a + i * n;
+            m = ri[j] / rj[j];
+            for (k = j + 1; k < n; k++)
+                ri[k] -= m * rj[k];
+            b[i] -= m * b[j];
+        }
+    }
+    return -1;
 }

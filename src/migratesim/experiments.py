@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .ctmc import simulate_open
+from .ctmc import simulate_open, sojourn_window
 from .meanfield import (
     equilibrium_rls,
     mean_occupancy,
@@ -278,16 +278,8 @@ def kurtz_deviation(config: SystemConfig, ode: list, seed: int) -> float:
 def _sojourn_rep(args):
     config, horizon, warmup, cutoff, seed = args
     traj, sojourns = simulate_open(config, horizon, seed=seed, sample_dt=None)
-    arrive, depart = sojourns.T
-    in_window = (arrive >= warmup) & (arrive <= cutoff)
-    done = in_window & ~np.isnan(depart)
-    # fsum is correctly rounded, so the total does not depend on the order;
-    # a memoryview hands it plain floats one at a time, with no numpy
-    # scalars and no list of them all
-    total = math.fsum(memoryview((depart - arrive)[done]))
-    completed = int(done.sum())
-    return ((total, completed, int(in_window.sum()) - completed),
-            traj.event_counts)
+    total, completed, in_window = sojourn_window(sojourns, warmup, cutoff)
+    return (total, completed, in_window - completed), traj.event_counts
 
 
 @dataclass

@@ -42,6 +42,7 @@ from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
+from .ctmc import gauss_eliminate
 from .model import Policy
 
 # Mass drift allowed before a step is declared broken, and how far below
@@ -437,26 +438,25 @@ class RlsEquilibrium:
 def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b by Gaussian elimination with partial pivoting.
 
-    Plain numpy instead of LAPACK: OpenBLAS runs its LU on several threads
+    The forward elimination is C (``gauss_eliminate`` in event_loops.c),
+    doing numpy's array operations in numpy's order, so it gives the bits
+    the numpy loop once gave. The back substitution stays numpy ``@``:
+    summed in plain order instead, its dot products change the last bits of
+    equilibrium_rls at all 18 points of the tests' pinned grid. Neither is
+    LAPACK: OpenBLAS runs its LU on several threads
     for systems this size. On a 2-vCPU Xeon VM with the second vCPU busy,
     one 121 x 121 solve took up to 0.1 s of CPU there, against 0.3 ms on
     one thread, and the last bits of the answer changed with the thread
-    count. The array ops here run on one thread and give the same answer
-    whatever the BLAS threading.
+    count.
     """
-    a = a.copy()
-    b = b.copy()
+    a = np.array(a, dtype=np.float64, order="C")  # copies, eliminated in place
+    b = np.array(b, dtype=np.float64)
     n = b.size
-    for j in range(n):
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        if a[p, j] == 0.0:
-            raise SolverError(f"singular Newton system at column {j}")
-        if p != j:
-            a[[j, p]] = a[[p, j]]
-            b[[j, p]] = b[[p, j]]
-        m = a[j + 1:, j] / a[j, j]
-        a[j + 1:, j + 1:] -= np.outer(m, a[j, j + 1:])
-        b[j + 1:] -= m * b[j]
+    if a.shape != (n, n):
+        raise ValueError(f"a must be {n} x {n}, got {a.shape}")
+    j = gauss_eliminate(n, a.ctypes.data, b.ctypes.data)
+    if j >= 0:
+        raise SolverError(f"singular Newton system at column {j}")
     x = np.empty(n)
     for j in range(n - 1, -1, -1):
         x[j] = (b[j] - a[j, j + 1:] @ x[j + 1:]) / a[j, j]

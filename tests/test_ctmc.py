@@ -23,6 +23,7 @@ from migratesim.ctmc import (
     simulate_closed,
     simulate_coupled,
     simulate_open,
+    sojourn_window,
     step,
 )
 from migratesim.experiments import measure_sojourns
@@ -514,6 +515,82 @@ def test_sojourn_window_is_arrivals_in_warmup_to_cutoff():
     assert out.per_rep == ((math.fsum(parts), len(parts), censored),)
 
 
+def window_reference(rows, warmup, cutoff):
+    """(total, completed, in_window) by a plain loop and math.fsum."""
+    parts, in_window = [], 0
+    for a, d in rows:
+        if warmup <= a <= cutoff:
+            in_window += 1
+            if not math.isnan(d):
+                parts.append(d - a)
+    return math.fsum(parts), len(parts), in_window
+
+
+def assert_window_is_reference(rows, warmup, cutoff):
+    rows = np.asarray(rows, dtype=float).reshape(-1, 2)
+    total, completed, in_window = sojourn_window(rows, warmup, cutoff)
+    ref = window_reference(rows, warmup, cutoff)
+    assert (total.hex(), completed, in_window) == (ref[0].hex(), *ref[1:])
+
+
+def test_sojourn_window_edges():
+    """An empty run, a run with no departure, and arrivals exactly on the
+    window's ends, which count, and one float outside them, which do not."""
+    assert sojourn_window(np.empty((0, 2)), 0.0, 1.0) == (0.0, 0, 0)
+    nan = math.nan
+    assert sojourn_window(np.array([[1.0, nan], [2.0, nan]]), 0.0, 5.0) == (
+        0.0, 0, 2)
+    warmup, cutoff = 2.0, 7.5
+    rows = [[np.nextafter(warmup, 0.0), 3.0], [warmup, 3.25],
+            [4.0, nan], [cutoff, 9.0], [np.nextafter(cutoff, 9.0), 9.0]]
+    assert sojourn_window(np.array(rows), warmup, cutoff) == (2.75, 2, 3)
+    for edges in ((warmup, cutoff), (0.0, 100.0), (5.0, 4.0)):
+        assert_window_is_reference(rows, *edges)
+    with pytest.raises(ValueError, match="shape"):
+        sojourn_window(np.zeros((3, 3)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("parts", [
+    [2.0 ** 53, 1.0, 1.0],  # a plain sum loses both ones
+    [1.0, 1e100, 1.0, -1e100],
+    [2.0 ** 53, -0.5, -2.0 ** -54],
+    [2.0 ** 53, 1.0, 2.0 ** -100],
+    [2.0 ** 53 + 10.0, 1.0, 2.0 ** -100],
+    [2.0 ** 53 - 4.0, 0.5, 2.0 ** -54],
+    [1.0, 2.0 ** -53, 2.0 ** -106],  # half-way: the correction rounds up
+    [1.0, 2.0 ** -53, -2.0 ** -106],
+    [-0.0, -0.0],
+    [1e-320, 3e-320, -5e-324],
+])
+def test_sojourn_window_total_is_fsum(parts):
+    """A client arriving at 0 and leaving at v stays v, so the total can be
+    any fsum; these are sums that a plain or a pairwise sum gets wrong."""
+    assert_window_is_reference([[0.0, v] for v in parts], -1.0, 1.0)
+    assert sojourn_window(np.array([[0.0, v] for v in parts]), -1.0, 1.0)[0] \
+        == math.fsum(parts)
+
+
+def test_sojourn_window_total_is_fsum_on_random_rows():
+    """Terms over 600 orders of magnitude and both signs, with cancelling
+    pairs, then the rows of tracked runs, censored clients included."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        v = np.concatenate([v, -v[: n // 3], rng.standard_normal(n)])
+        rows = np.column_stack([np.zeros(v.size), rng.permutation(v)])
+        assert_window_is_reference(rows, 0.0, 0.0)
+    censored = 0
+    for m, policy, seed in ((1, "rls", 1), (5, "rlo", 2), (20, "rls", 3)):
+        cfg = SystemConfig(m=m, policy=policy, arrival_rates=0.9,
+                           resample_rate=0.5)
+        _, rows = simulate_open(cfg, 300.0, seed, sample_dt=None)
+        censored += np.isnan(rows[:, 1]).sum()
+        assert_window_is_reference(rows, 60.0, 300.0)
+        assert_window_is_reference(rows, rows[7, 0], rows[-9, 0])
+    assert censored > 0
+
+
 def test_open_seeded_initial_gets_no_records():
     cfg = SystemConfig(m=2, policy="rls", arrival_rates=0.0, resample_rate=0.5)
     traj, sojourns = simulate_open(cfg, horizon=10.0, sample_dt=0.1, seed=2,
@@ -646,6 +723,38 @@ def test_build_keeps_floating_point_exact():
                             "-funsafe-math-optimizations",
                             "-fassociative-math"), flag
         assert not flag.startswith("-march="), flag
+
+
+# what the library exports: the two loops, the open loop's release, and the
+# two reductions that meanfield and experiments call
+EXPORTS = {"closed_loop", "gauss_eliminate", "open_free", "open_loop",
+           "sojourn_window"}
+
+
+@pytest.mark.skipif(shutil.which("nm") is None, reason="nm is not on PATH")
+def test_library_holds_no_static_data(tmp_path):
+    """Replications call the loops from several threads at once, which is
+    safe because event_loops.c keeps no static data: each call's state
+    lives on its stack or in what it allocates. So event_loops.c compiled
+    alone defines no .data or .bss symbol, and every such symbol of the
+    built library comes from the C runtime's start files. The library
+    exports exactly EXPORTS."""
+    def nm(*args):
+        out = subprocess.run(["nm", *args], capture_output=True, text=True,
+                             check=True).stdout
+        return [line.split() for line in out.splitlines() if line.strip()]
+
+    obj = tmp_path / "event_loops.o"
+    flags = [f for f in ctmc.CC if f != "-shared"]
+    subprocess.run([*flags, "-c", "-o", str(obj), str(PACKAGE / "event_loops.c")],
+                   check=True)
+    own = {f[-1]: f[-2] for f in nm(str(obj)) if len(f) == 3}
+    assert {name for name, kind in own.items() if kind in "bBdD"} == set()
+    lib = ctmc._LIB._name
+    data = {f[-1] for f in nm(lib) if len(f) == 3 and f[1] in "bBdD"}
+    assert data.isdisjoint(own)
+    exported = {f[-1] for f in nm("-D", "--defined-only", lib)}
+    assert exported == EXPORTS
 
 
 def test_import_without_cc_names_it(tmp_path):

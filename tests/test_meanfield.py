@@ -387,13 +387,18 @@ def test_gauss_solve_is_the_numpy_elimination_bit_for_bit(n):
 def test_gauss_solve_takes_the_first_largest_pivot():
     """Rows 1 and 2 tie for the largest magnitude in column 0, and row 2
     holds a NaN lower down; numpy's argmax picks the first of the tie, and
-    the first NaN, which it counts as the largest."""
+    the first NaN, which it counts as the largest, above an inf or a
+    zero."""
     a = np.array([[1.0, 2.0, 3.0], [-4.0, 1.0, 0.5], [4.0, 3.0, 1.0]])
     b = np.array([1.0, 2.0, 3.0])
     assert _gauss_solve(a, b).tobytes() == numpy_gauss_solve(a, b).tobytes()
     a[2, 1] = math.nan
     a[1, 1] = math.inf
     np.testing.assert_array_equal(_gauss_solve(a, b), numpy_gauss_solve(a, b))
+    # a NaN below a zero is the pivot, so the column is not singular
+    a = np.array([[0.0, 1.0], [math.nan, 1.0]])
+    assert np.isnan(numpy_gauss_solve(a, b[:2])).all()
+    assert np.isnan(_gauss_solve(a, b[:2])).all()
 
 
 @pytest.mark.parametrize("column", [0, 1, 4])
