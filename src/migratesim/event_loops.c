@@ -207,7 +207,10 @@ INLINE int64_t bisect_right(const double *a, int64_t n, double x)
 
 /* Add x to the np partials of ps, as CPython's math.fsum adds each term:
    Shewchuk's nonoverlapping partials (Discrete Comput. Geom. 18, 1997),
-   kept in increasing magnitude. Returns the new count, at most np + 1. */
+   kept in increasing magnitude. Returns the new count, at most np + 1.
+   Terms must be finite and their sums far from overflow, as service
+   rates and sojourn times are: CPython's branches for infinities, NaN
+   and overflow are left out. */
 static int64_t fsum_add(double *ps, int64_t np, double x)
 {
     int64_t i, j;
