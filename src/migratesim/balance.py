@@ -4,9 +4,10 @@ The closed-system question is how long the load-sensitive resampling
 dynamics needs to even out an arbitrary initial placement of n clients on
 m servers. Exact balance means no two servers differ by more than one
 client; relative (eps) balance means every server sits within a factor
-1 +- eps of the ideal level n/m. Both predicates are checked inside
-``simulate_closed``, whose band arithmetic is exact rational, so boundary
-occupancies are classified deterministically.
+1 +- eps of the ideal level n/m. ``simulate_closed`` checks both as one
+band on every occupancy: exact balance is the band [n // m, ceil(n/m)],
+and the eps band's arithmetic is exact rational, so boundary occupancies
+are classified deterministically.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ is a system of its own:
 * ``simulate_closed``: a fixed client population moving between servers,
   arrivals and service completions switched off. Its domain is the balance
   question alone: the rls policy on servers with equal, positive service
-  rates, stopped at exact or eps balance. On that domain a client at level
+  rates, stopped once every occupancy lies in a band, [n // m, ceil(n/m)]
+  for exact balance or the eps band. On that domain a client at level
   k moves to a server at level l exactly when l <= k - 2, at rate
   resample_rate / m per (client, destination) pair, and the maximum
   occupancy never rises, which the loop audits; other configs raise
@@ -23,7 +24,7 @@ is a system of its own:
   second stream marks a blue particle red where possible, otherwise
   deposits a green one.
 
-``step`` is the single-transition reference implementation. Both the
+``step`` is the open law's single-transition reference. Both the
 open and the closed loop are C (``event_loops.c``, loaded through ctypes).
 Each seeds its own Mersenne Twister exactly as ``Random(seed)`` does,
 from the 32-bit words of abs(seed), so seeds must be ints, and consumes
@@ -44,8 +45,9 @@ test_inline_bounded_draw_is_randbelow fails. Importing this module
 compiles the loops with the system C compiler ``cc`` into
 ``$XDG_CACHE_HOME/migratesim`` (default ``~/.cache/migratesim``), once per
 source and compile command; without ``cc`` the import fails. The closed
-loop matches ``step(closed=True)`` in law, not draw for draw. Each of its
-steps draws, in this order:
+loop's law is checked against the exact lumped chain on the partitions of
+n (tests/test_balance.py), not against ``step``. Each of its steps draws,
+in this order:
 
     closed:  dt = -log(1 - random()) / R, R the total accepted-move rate ;
              r = _randbelow(pairs) picks one accepted (client, destination)
@@ -144,7 +146,6 @@ class _ClosedRun(ctypes.Structure):
         ("m", ctypes.c_int64),
         ("pair_rate", ctypes.c_double),
         ("horizon", ctypes.c_double),
-        ("eps", ctypes.c_int64),
         ("band_lo", ctypes.c_int64),
         ("band_hi", ctypes.c_int64),
         ("key", ctypes.POINTER(ctypes.c_uint32)),
@@ -270,36 +271,19 @@ def _jump_destination(config: SystemConfig, origin: int, rng: Random) -> int:
     return k if k < origin else k + 1
 
 
-def step(state: SystemState, config: SystemConfig, rng: Random,
-         closed: bool = False) -> tuple:
-    """Advance the system by exactly one event. Returns (new_state, event).
+def step(state: SystemState, config: SystemConfig, rng: Random) -> tuple:
+    """Advance the open system by exactly one event. Returns (new_state, event).
 
-    In closed mode only the resampling clocks run; the caller guarantees
-    all arrival rates are zero. A zero total event rate means nothing can
-    ever happen, which is reported as a deadlock instead of hanging.
-    ``simulate_open`` draws exactly like this function; ``simulate_closed``
-    samples only the accepted moves, so it matches closed steps in law but
-    not bit for bit.
+    The one-event reference of the open law, for every policy: arrivals,
+    service completions and resampling. A zero total event rate means
+    nothing can ever happen, which is reported as a deadlock instead of
+    hanging. ``simulate_open`` draws exactly like this function.
     """
     m = config.m
     counts = list(state.counts)
     n = sum(counts)
     svc = config.service_rates
     beta = config.resample_rate
-
-    if closed:
-        if any(r != 0.0 for r in config.arrival_rates):
-            raise SimulationError("closed mode requires all arrival rates to be zero")
-        total = beta * n
-        if total <= 0.0:
-            raise SimulationError(
-                "total event rate is zero; the closed system is stuck "
-                f"(n={n}, resample_rate={beta})"
-            )
-        dt = rng.expovariate(total)
-        origin = bisect_right(list(accumulate(counts)), rng.randrange(n))
-        event = _resample_event(config, counts, origin, rng, dt)
-        return SystemState(state.t + dt, tuple(counts)), event
 
     arr = config.arrival_rates
     cum_arr = _cumulative(arr)
@@ -340,30 +324,32 @@ def step(state: SystemState, config: SystemConfig, rng: Random,
     w -= busy_svc
     slot = min(int(w / beta), n - 1)
     origin = bisect_right(list(accumulate(counts)), slot)  # slot < n
-    event = _resample_event(config, counts, origin, rng, dt)
-    return SystemState(state.t + dt, tuple(counts)), event
-
-
-def _resample_event(config, counts, origin, rng: Random, dt: float) -> Event:
-    """Mutates counts according to one resampling attempt from ``origin``."""
-    svc = config.service_rates
     if config.policy is Policy.RLS:
-        dest = rng.randrange(config.m)
-        if rls_accepts(svc[origin], counts[origin], svc[dest], counts[dest]):
-            if config.cap is not None and counts[dest] >= config.cap:
-                return Event("migration_blocked", dt, origin, dest)
-            counts[origin] -= 1
-            counts[dest] += 1
-            return Event("migration", dt, origin, dest)
-        return Event("resample_rejected", dt, origin, dest)
-    dest = _jump_destination(config, origin, rng)
-    if dest == origin:
-        return Event("resample_self", dt, origin, dest)
-    if config.cap is not None and counts[dest] >= config.cap:
-        return Event("migration_blocked", dt, origin, dest)
-    counts[origin] -= 1
-    counts[dest] += 1
-    return Event("migration", dt, origin, dest)
+        dest = rng.randrange(m)
+        kind = ("migration" if rls_accepts(svc[origin], counts[origin],
+                                           svc[dest], counts[dest])
+                else "resample_rejected")
+    else:
+        dest = _jump_destination(config, origin, rng)
+        kind = "migration" if dest != origin else "resample_self"
+    if kind == "migration" and config.cap is not None and counts[dest] >= config.cap:
+        kind = "migration_blocked"
+    if kind == "migration":
+        counts[origin] -= 1
+        counts[dest] += 1
+    return SystemState(state.t + dt, tuple(counts)), Event(kind, dt, origin, dest)
+
+
+def _start_counts(config: SystemConfig, initial: Sequence[int]) -> list:
+    """The initial occupancy as ints: m of them, none negative or above
+    the cap."""
+    counts = [int(c) for c in initial]
+    if len(counts) != config.m or any(c < 0 for c in counts):
+        raise ValueError(
+            f"initial occupancy must be {config.m} non-negative integers")
+    if config.cap is not None and any(c > config.cap for c in counts):
+        raise ValueError("initial occupancy exceeds the configured cap")
+    return counts
 
 
 def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float,
@@ -375,17 +361,18 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     ``counts[i] > counts[j] + 1`` and the running maximum occupancy cannot
     rise, so the accepted moves can be sampled directly, rejected resamples
     never being simulated, and the audits below hold. Any other config is
-    rejected with ConfigError before the first event; ``step`` with
-    closed=True still covers every policy.
+    rejected with ConfigError before the first event.
 
-    The run stops at exact balance (max - min <= 1) when eps is None, and
-    otherwise at eps balance (every occupancy within a factor 1 +- eps of
-    n/m). The returned stop_time is the exact event time at which the
-    predicate first held; if the horizon hits first the result is flagged
-    censored and stop_time is None. After every accepted move the running
-    maximum is checked to be non-increasing, and the number of servers at
-    the maximum non-increasing while the maximum is flat. Only the event
-    tallies (accepted moves, as "migration") and the end state are kept.
+    The run stops once every occupancy lies in a band: [n // m, ceil(n/m)]
+    when eps is None, which with n clients is exactly the set of states
+    with max - min <= 1, and otherwise ``eps_band(m, n, eps)``, every
+    occupancy within a factor 1 +- eps of n/m. The returned stop_time is
+    the exact event time at which the start or a move first lands in the
+    band; if the horizon hits first the result is flagged censored and
+    stop_time is None. After every accepted move the running maximum is
+    checked to be non-increasing, and the number of servers at the maximum
+    non-increasing while the maximum is flat. Only the event tallies
+    (accepted moves, as "migration") and the end state are kept.
 
     The loop is C (``closed_loop`` in event_loops.c). It seeds its own
     Mersenne Twister exactly as ``Random(seed)`` does and draws as the
@@ -405,32 +392,27 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     if horizon is None or not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     m = config.m
-    counts = [int(c) for c in initial]
-    if len(counts) != m or any(c < 0 for c in counts):
-        raise ValueError(f"initial occupancy must be {m} non-negative integers")
-    if config.cap is not None and any(c > config.cap for c in counts):
-        raise ValueError("initial occupancy exceeds the configured cap")
+    counts = _start_counts(config, initial)
     # no cap check in the loop: an accepted move lands on a server holding at
     # most counts[i] - 2, so no server ever exceeds the starting maximum
     n = sum(counts)
     if n * m >= 2 ** 63:  # the accepted pairs, at most n * m, are int64
         raise ValueError(f"n * m must stay below 2**63, got n={n}, m={m}")
-    band_lo, band_hi = (0, 0) if eps is None else eps_band(m, n, eps)
+    band_lo, band_hi = ((n // m, -(-n // m)) if eps is None
+                        else eps_band(m, n, eps))
     key = _seed_key(seed)
-    lo, hi = min(counts), max(counts)
-    balanced = hi - lo <= 1 if eps is None else band_lo <= lo and hi <= band_hi
-    if balanced:
+    if band_lo <= min(counts) and max(counts) <= band_hi:
         return ClosedRunResult(
             RunEnd({"migration": 0}, SystemState(0.0, tuple(counts))), 0.0)
     pair_rate = config.resample_rate / m
     if pair_rate == 0.0:
         raise SimulationError(
-            "total event rate is zero and the stopping predicate does not "
-            f"hold (n={n}, resample_rate={config.resample_rate})"
+            "total event rate is zero and the start lies outside the stop "
+            f"band (n={n}, resample_rate={config.resample_rate})"
         )
     final = (ctypes.c_int64 * m)(*counts)
     run = _ClosedRun(m=m, pair_rate=pair_rate, horizon=horizon,
-                     eps=eps is not None, band_lo=band_lo, band_hi=band_hi,
+                     band_lo=band_lo, band_hi=band_hi,
                      key=key, key_len=len(key), counts=final)
     status = _closed_loop(ctypes.byref(run))
     if status:
@@ -460,11 +442,7 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     m = config.m
-    counts = [0] * m if initial is None else [int(c) for c in initial]
-    if len(counts) != m or any(c < 0 for c in counts):
-        raise ValueError(f"initial occupancy must be {m} non-negative integers")
-    if config.cap is not None and any(c > config.cap for c in counts):
-        raise ValueError("initial occupancy exceeds the configured cap")
+    counts = _start_counts(config, [0] * m if initial is None else initial)
 
     rls = config.policy is Policy.RLS
     key = _seed_key(seed)

@@ -595,9 +595,8 @@ typedef struct {
     int64_t m;
     double pair_rate;       /* resample rate / m, per accepted pair */
     double horizon;
-    int64_t eps;            /* 0: stop at max - min <= 1; 1: stop when every */
-    int64_t band_lo;        /* occupancy lies in [band_lo, band_hi] */
-    int64_t band_hi;
+    int64_t band_lo;        /* stop once every occupancy lies in */
+    int64_t band_hi;        /* [band_lo, band_hi] */
     const uint32_t *key;    /* as in open_run */
     int64_t key_len;
     int64_t *counts;        /* m occupancies: the start, then the end */
@@ -609,18 +608,13 @@ typedef struct {
     int64_t cur_max;        /* move that failed the MAX_ROSE audit */
 } closed_run;
 
-static int balanced(const closed_run *r, int64_t lo, int64_t hi)
-{
-    return r->eps ? lo >= r->band_lo && hi <= r->band_hi : hi - lo <= 1;
-}
-
 /* The closed loop of ctmc.simulate_closed, on servers with equal rates.
    order holds the servers sorted by occupancy, stably as Python's sorted,
    and where[s] is server s's position in it; below[v] counts the servers
    holding fewer than v clients, for -1 <= v <= top + 1, where top is the
    starting maximum. So level v fills order[below[v]:below[v + 1]] and the
    servers at level v - 2 or lower are order[:below[v - 1]]; below[-1] is
-   0. The caller has checked that the start is not balanced. */
+   0. The caller has checked that the start is not in the band. */
 static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
                    int64_t *below)
 {
@@ -652,8 +646,9 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
         /* A client at level v moves to a server at level v - 2 or lower,
            at rate pair_rate per (client, destination) pair, so level v
            sends v * h_v * H_{<=v-2} pairs. The scan runs down the occupied
-           levels while some server sits two below. pairs > 0, as max - min
-           <= 1 stops either way. */
+           levels while some server sits two below. pairs > 0: every band
+           holds [n / m rounded down, rounded up], which holds every state
+           with max - min <= 1. */
         pairs = 0;
         v = cur_max;
         while (below[v - 1]) {
@@ -724,7 +719,7 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
             status = MAX_COUNT_ROSE;
             break;
         }
-        if (balanced(r, counts[order[0]], cur_max)) {
+        if (counts[order[0]] >= r->band_lo && cur_max <= r->band_hi) {
             r->stopped = 1;
             break;
         }

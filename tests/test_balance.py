@@ -1,12 +1,14 @@
-"""Balance bounds, the closed loop's stop predicates, and replicated
-time-to-balance runs."""
+"""Balance bounds, the closed loop's stop band, its law against the exact
+lumped chain, and replicated time-to-balance runs."""
 
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import expm
 from scipy.sparse.linalg import spsolve
 
 from migratesim.balance import (
@@ -18,6 +20,7 @@ from migratesim.balance import (
 )
 from migratesim.ctmc import simulate_closed
 from migratesim.model import SystemConfig
+from migratesim.stats import chi_square_gof
 
 
 RLS = SystemConfig(m=2, policy="rls", resample_rate=1.0)
@@ -51,7 +54,7 @@ def test_lower_bound_estimates():
     assert est["all_at_one"] == pytest.approx(math.log(4))
 
 
-# --- stop predicates -------------------------------------------------------------
+# --- the stop band ---------------------------------------------------------------
 
 def _stops_at_start(counts, eps=None):
     cfg = SystemConfig(m=len(counts), policy="rls", resample_rate=1.0)
@@ -64,6 +67,13 @@ def test_is_balanced_edges():
     assert _stops_at_start((2, 2, 2))
     assert _stops_at_start((2, 3, 2))
     assert not _stops_at_start((1, 3, 2))
+    # the band [n // m, ceil(n/m)] is exact balance: every placement of up
+    # to 10 clients on up to 4 servers stops at t=0 iff max - min <= 1
+    for m in range(1, 5):
+        for counts in product(range(11), repeat=m):
+            if sum(counts) <= 10:
+                balanced = max(counts) - min(counts) <= 1
+                assert _stops_at_start(counts) == balanced, counts
 
 
 def test_is_eps_balanced():
@@ -111,14 +121,15 @@ def test_two_client_balance_time_is_exponential():
     assert res.bound == pytest.approx(balance_time_bound(2, 2))
 
 
-def _exact_mean_balance_time(m: int, n: int) -> float:
-    """Exact E[tau] from the all-at-one start at unit resample rate.
+def _lumped_chain(m: int, n: int):
+    """The closed rls chain from the all-at-one start at unit resample rate.
 
     Servers are exchangeable, so the chain lumps onto the partitions of n
-    into at most m parts. From a partition with h_a servers at level a, a
-    client moves to a server at level b <= a - 2 at rate a * h_a * h_b / m.
-    Balanced partitions absorb; for every other one, q_x E[tau_x] minus
-    the sum of q_xy E[tau_y] over the unbalanced successors y equals 1.
+    into at most m parts, each sorted high to low. From a partition with
+    h_a servers at level a, a client moves to a server at level b <= a - 2
+    at rate a * h_a * h_b / m; a balanced partition (max - min <= 1) has
+    no such move and absorbs. Returns the partitions reachable from the
+    start, the start first, and the generator Q over them.
     """
     start = (n,) + (0,) * (m - 1)
     index = {start: 0}
@@ -126,31 +137,31 @@ def _exact_mean_balance_time(m: int, n: int) -> float:
     rows, cols, vals = [], [], []
     for x, state in enumerate(states):  # grows while it is walked
         levels = Counter(state)
-        out = 0.0
         for a, h_a in levels.items():
             for b, h_b in levels.items():
                 if b > a - 2:
                     continue
                 rate = a * h_a * h_b / m
-                out += rate
                 nxt = list(state)
                 nxt[nxt.index(a)] -= 1
                 nxt[nxt.index(b)] += 1
                 nxt = tuple(sorted(nxt, reverse=True))
-                if nxt[0] - nxt[-1] <= 1:
-                    continue
                 if nxt not in index:
                     index[nxt] = len(states)
                     states.append(nxt)
-                rows.append(x)
-                cols.append(index[nxt])
-                vals.append(-rate)
-        rows.append(x)
-        cols.append(x)
-        vals.append(out)
+                rows += [x, x]  # duplicate entries are summed
+                cols += [index[nxt], x]
+                vals += [rate, -rate]
     size = len(states)
-    q = sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
-    return float(spsolve(q, np.ones(size))[0])
+    return states, sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
+
+
+def _exact_mean_balance_time(m: int, n: int) -> float:
+    """Exact E[tau] from the all-at-one start at unit resample rate: over
+    the unbalanced partitions U, -Q_UU E[tau_U] = 1."""
+    states, q = _lumped_chain(m, n)
+    u = [x for x, state in enumerate(states) if state[0] - state[-1] > 1]
+    return float(spsolve(-q[u][:, u], np.ones(len(u)))[0])
 
 
 def test_balance_time_matches_exact_lumped_chain():
@@ -167,6 +178,26 @@ def test_balance_time_matches_exact_lumped_chain():
                                    base_seed=5000)
         assert res.censored == 0
         assert abs(res.mean - tau) < 4.0 * res.sd / math.sqrt(reps)
+
+
+def test_closed_loop_matches_lumped_chain_in_law():
+    """The sorted state the closed loop holds at horizon 0.75 from
+    (6, 0, 0), its balanced stop state if it stopped, follows the exact
+    transient law, row 0 of expm(Q * 0.75). Every one of the seven
+    partitions expects about 100 of the 2000 runs or more: the least
+    likely, the start itself, holds exp(-3)."""
+    states, q = _lumped_chain(3, 6)
+    law = expm(q.toarray() * 0.75)[0]
+    assert len(states) == 7 and law.min() > 0.049
+    cfg = SystemConfig(m=3, policy="rls", resample_rate=1.0)
+    reps = 2000
+    ends = Counter(
+        tuple(sorted(simulate_closed(cfg, states[0], horizon=0.75, seed=seed)
+                     .trajectory.final.counts, reverse=True))
+        for seed in range(reps, 2 * reps))
+    assert set(ends) <= set(states)
+    stat, df, p = chi_square_gof([ends[s] for s in states], reps * law)
+    assert df == 6 and p > 0.01
 
 
 def test_balance_bounds_follow_the_resample_clock():

@@ -8,13 +8,11 @@ import os
 import shutil
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
 
 from migratesim import ctmc
 from migratesim.cli import config_echo
@@ -35,36 +33,6 @@ RLS2 = SystemConfig(m=2, policy="rls", resample_rate=1.0)
 
 
 # --- one transition versus the driver loop -----------------------------------
-
-def test_closed_loop_matches_step_in_law():
-    """The closed loop samples accepted moves only, so it draws unlike
-    step(closed=True), which stays the reference: the sorted state each
-    reaches at a fixed horizon must follow one law. From (6, 0, 0) at
-    horizon 0.75 all seven sorted states carry at least 5% of the mass.
-    The two sides use disjoint seeds, since both start with the same draw
-    for the first waiting time."""
-    cfg = SystemConfig(m=3, policy="rls", resample_rate=1.0)
-    start = (6, 0, 0)
-    horizon = 0.75
-    reps = 2000
-    by_step = Counter()
-    by_loop = Counter()
-    for seed in range(reps):
-        rng = Random(seed)
-        state = SystemState(0.0, start)
-        while True:
-            nxt, _ = step(state, cfg, rng, closed=True)
-            if nxt.t > horizon:
-                break
-            state = nxt
-        by_step[tuple(sorted(state.counts))] += 1
-        run = simulate_closed(cfg, start, horizon=horizon, seed=reps + seed)
-        by_loop[tuple(sorted(run.trajectory.final.counts))] += 1
-    states = sorted(by_step)
-    assert len(states) == 7 and set(by_loop) == set(states)
-    table = [[by_step[s] for s in states], [by_loop[s] for s in states]]
-    assert chi2_contingency(table).pvalue > 0.01
-
 
 # one config per branch of the open loop: homogeneous and unequal service
 # rates, both rlo destination draws, and the cap on arrivals and on moves
@@ -91,7 +59,7 @@ def test_first_open_event_matches_step():
     for cfg in OPEN_BRANCH_CONFIGS:
         for track in (False, True):
             for seed in range(200):
-                s1, ev = step(start, cfg, Random(seed), closed=False)
+                s1, ev = step(start, cfg, Random(seed))
                 # a horizon at the first event time lets exactly that event fire
                 traj, _ = simulate_open(cfg, horizon=s1.t, seed=seed,
                                         sample_dt=None, initial=(2, 1, 0),
@@ -130,7 +98,7 @@ def test_first_arrival_skips_zero_rate_servers():
         for track in (False, True):
             picked = set()
             for seed in range(200):
-                s1, ev = step(start, cfg, Random(seed), closed=False)
+                s1, ev = step(start, cfg, Random(seed))
                 traj, _ = simulate_open(cfg, horizon=s1.t, seed=seed,
                                         sample_dt=None, initial=start.counts,
                                         track_sojourns=track)
@@ -149,7 +117,7 @@ def test_loops_seed_as_random_does():
     cfg = OPEN_BRANCH_CONFIGS[0]
     start = SystemState(0.0, (2, 1, 0))
     for seed in (0, 1, True, -5, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 10 ** 25):
-        s1, ev = step(start, cfg, Random(seed), closed=False)
+        s1, ev = step(start, cfg, Random(seed))
         traj, _ = simulate_open(cfg, horizon=s1.t, seed=seed, sample_dt=None,
                                 initial=(2, 1, 0))
         assert traj.times[-1] == s1.t, seed
@@ -284,7 +252,7 @@ def test_step_advances_time_and_total():
     state = SystemState(0.0, (1, 2))
     rng = Random(11)
     for _ in range(200):
-        new, ev = step(state, cfg, rng, closed=False)
+        new, ev = step(state, cfg, rng)
         assert new.t > state.t
         delta = sum(new.counts) - sum(state.counts)
         if ev.kind == "arrival":
@@ -298,27 +266,6 @@ def test_step_advances_time_and_total():
 
 # --- exact transition laws ----------------------------------------------------
 
-def test_closed_first_event_law():
-    """From (3, 1) with unit rates: the sampled client sits on server 0 with
-    probability 3/4 and the only accepted destination is server 1, drawn with
-    probability 1/2, so moves happen at rate 3/8 per attempt."""
-    start = SystemState(0.0, (3, 1))
-    reps = 4000
-    rng = Random(123)
-    moves = 0
-    dts = []
-    for _ in range(reps):
-        s1, ev = step(start, RLS2, rng, closed=True)
-        assert ev.kind in ("migration", "resample_rejected")
-        moves += ev.kind == "migration"
-        dts.append(ev.dt)
-    p = 3.0 / 8.0
-    sigma = math.sqrt(reps * p * (1 - p))
-    assert abs(moves - reps * p) < 4 * sigma
-    # waiting times are Exp(4): n = 4 clients at unit resample rate
-    assert abs(np.mean(dts) - 0.25) < 4 * 0.25 / math.sqrt(reps)
-
-
 def test_open_event_mix_chi_square():
     """State (2, 0), arrivals 0.3 each, unit service, resample 0.5: rates are
     arrival 0.6, departure 1.0, accepted move 0.5, rejected attempt 0.5."""
@@ -328,7 +275,7 @@ def test_open_event_mix_chi_square():
     rng = Random(0)
     tally = {"arrival": 0, "departure": 0, "migration": 0, "resample_rejected": 0}
     for _ in range(reps):
-        _, ev = step(start, cfg, rng, closed=False)
+        _, ev = step(start, cfg, rng)
         tally[ev.kind] += 1
     total = 0.6 + 1.0 + 1.0
     expected = [reps * 0.6 / total, reps * 1.0 / total,
@@ -349,7 +296,7 @@ def test_heterogeneous_departure_weighting():
     reps = 3000
     from_fast = 0
     for _ in range(reps):
-        _, ev = step(start, cfg, rng, closed=False)
+        _, ev = step(start, cfg, rng)
         assert ev.kind == "departure"
         from_fast += ev.server_from == 0
     sigma = math.sqrt(reps * 0.9 * 0.1)

@@ -164,7 +164,7 @@ def test_no_unused_imports():
 
 # definitions whose only callers are tests, on purpose: step is the
 # one-event reference that the loop tests compare the open loop against bit
-# for bit and the closed loop against in law
+# for bit
 TEST_ONLY_REFERENCES = {"step"}
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -284,11 +284,6 @@ def test_every_verify_check_is_an_acceptance_claim():
     assert not missing, f"verify checks no acceptance test calls: {missing}"
 
 
-# defaulted parameters that no caller outside the tests sets, on purpose:
-# step is the test reference (closed selects its closed-system law)
-UNSET_BY_CALLERS = {"ctmc.step.closed"}
-
-
 def test_every_parameter_is_set_by_a_caller():
     # a defaulted parameter of a public function that no call in the package,
     # the demos or the benchmarks sets is an option only the tests use
@@ -327,9 +322,8 @@ def test_every_parameter_is_set_by_a_caller():
                 by_position = (index is not None
                                and positions.get(node.name, 0) > index)
                 by_keyword = param in keywords.get(node.name, ())
-                tag = f"{path.stem}.{node.name}.{param}"
-                if not (by_position or by_keyword) and tag not in UNSET_BY_CALLERS:
-                    unset.append(tag)
+                if not (by_position or by_keyword):
+                    unset.append(f"{path.stem}.{node.name}.{param}")
     assert not unset, f"defaulted parameters only the tests set: {unset}"
 
 
