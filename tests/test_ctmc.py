@@ -352,7 +352,8 @@ def _all_at_one(m, n):
 
 # (m, start, resample_rate, eps, horizon, seeds, sha256): the benchmark's
 # race, dense and sparse cells, an eps stop, censored runs, two other
-# resample rates, seeds of several words, and a start with 2**33 pairs
+# resample rates, two cells at m = 12, where the pair rate 1/12 is inexact,
+# seeds of several words, and a start with 2**33 pairs
 HALF_AT_TWO = (2,) * 65536 + (0,) * 65536
 CLOSED_PIN_RUNS = (
     (2, (2, 0), 1.0, None, 1000.0, range(5),
@@ -369,6 +370,10 @@ CLOSED_PIN_RUNS = (
      "8f6e1bf2fb9457baba5252b68763027890506a0176f2909ddfe4baaa49493c65"),
     (8, (20, 0, 30, 1, 0, 9, 0, 4), 2.5, 0.25, 1000.0, range(3),
      "362a7e9087cbfe219fb3b5cfd8c9f475b51445fca6dd842f1aee4cc74e163496"),
+    (12, _all_at_one(12, 192), 1.0, None, 1000.0, range(3),
+     "3fccec040b3a99c1ea843a01cb442954b2885f36099fadc2a292a3700235bddd"),
+    (12, (20, 0, 30, 1, 0, 9, 0, 4, 7, 0, 0, 1), 1.0, 0.25, 1000.0, range(3),
+     "3c85c01b3428cccdf2aae71ce1ab78b51ad78b782e7ec75839dd041efa585c4c"),
     (4, (12, 0, 0, 0), 1.0, None, 1000.0,
      (True, -5, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 9, 10 ** 25),
      "b2ce61d8ef163e4f7548b8cffcefa32f227d73a00f6d1389cbbf1e6a96c3ae94"),
