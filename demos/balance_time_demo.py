@@ -5,7 +5,6 @@ from migratesim.model import SystemConfig
 
 SERVERS = [4, 8, 16]
 CLIENTS_PER_SERVER = 16
-RESAMPLE_RATE = 1.0
 REPS = 100
 BASE_SEED = 42
 
@@ -15,7 +14,7 @@ def main():
     print(f"{'m':>4} {'n':>6} {'mean':>8} {'sd':>8} {'bound':>8}")
     for m in SERVERS:
         n = m * CLIENTS_PER_SERVER
-        cfg = SystemConfig(m=m, policy="rls", resample_rate=RESAMPLE_RATE)
+        cfg = SystemConfig(m=m)
         res = measure_balance_time(cfg, initial_all_at_one(m, n),
                                    reps=REPS, base_seed=BASE_SEED)
         print(f"{m:>4} {n:>6} {res.mean:>8.3f} {res.sd:>8.3f} "

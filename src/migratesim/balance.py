@@ -91,12 +91,6 @@ class BalanceTimeResult:
     lower_bounds: Optional[dict]
 
 
-def _balance_rep(args) -> Optional[float]:
-    config, initial, eps, horizon, seed = args
-    return simulate_closed(config, initial, horizon=horizon, eps=eps,
-                           seed=seed).stop_time
-
-
 def measure_balance_time(config: SystemConfig, initial: Sequence[int],
                          eps=None, reps: int = 2, base_seed: int = 0,
                          horizon: Optional[float] = None,
@@ -104,30 +98,30 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
     """Replicate a closed run over seeds base_seed .. base_seed + reps - 1.
 
     Each run stops at exact balance when eps is None, and at eps balance
-    otherwise. The bound and the lower bounds hold on the unit resample
-    clock, so they are divided by config.resample_rate, which must be
-    positive: at rate 0 no client ever moves. The default horizon is 100
-    times the bound, so an uncensored run is overwhelmingly likely
-    whenever the dynamics does balance. Censored replications are
+    otherwise. The runs, the bound and the lower bounds are all on the unit
+    resample clock, the only one ``simulate_closed`` takes. The default
+    horizon is 100 times the bound, so an uncensored run is overwhelmingly
+    likely whenever the dynamics does balance. Censored replications are
     excluded from the mean but counted and reported. A confidence interval
     (normal approximation) is attached only when at least 20 replications
     finished.
     """
     if reps < 2:
         raise ValueError(f"need at least 2 replications, got {reps}")
-    rate = config.resample_rate
-    if rate == 0:
-        raise ValueError("resample_rate must be positive: at rate 0 no client moves")
     initial = tuple(int(c) for c in initial)
     m = config.m
     n = sum(initial)
-    bound = balance_time_bound(m, n) / rate if m >= 2 and n >= 1 else None
+    bound = balance_time_bound(m, n) if m >= 2 and n >= 1 else None
     if horizon is None:
         if bound is None:
             raise ValueError("horizon required when the analytic bound is undefined")
         horizon = 100.0 * bound
-    work = [(config, initial, eps, horizon, base_seed + k) for k in range(reps)]
-    times = map_replications(_balance_rep, work, jobs)
+
+    def stop_time(seed):
+        return simulate_closed(config, initial, horizon=horizon, eps=eps,
+                               seed=seed).stop_time
+
+    times = map_replications(stop_time, range(base_seed, base_seed + reps), jobs)
 
     done = [t for t in times if t is not None]
     if done:
@@ -135,8 +129,7 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
         ci = normal_ci(done)
     else:
         mean = sd = ci = None
-    lower = ({k: v / rate for k, v in lower_bound_estimates(m, n).items()}
-             if m >= 1 and n >= 1 else None)
+    lower = lower_bound_estimates(m, n) if n >= 1 else None
     return BalanceTimeResult(
         horizon=horizon, times=tuple(times),
         censored=len(times) - len(done),

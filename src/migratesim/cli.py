@@ -62,7 +62,7 @@ from .meanfield import (
     st_leq,
     throughput,
 )
-from .model import ConfigError, Policy, SystemConfig, measure_from_tails, tail_sums
+from .model import ConfigError, SystemConfig, measure_from_tails, tail_sums
 from .stats import poisson_gof, standard_error
 from . import experiments as exp
 
@@ -260,8 +260,7 @@ def cmd_balance(args) -> int:
                 f"initial file holds {sum(initial)} clients, --n says {n}"
             )
     eps = _parse_stop(args.stop)
-    config = SystemConfig(m=m, policy=Policy.RLS, arrival_rates=0.0,
-                          service_rates=1.0)
+    config = SystemConfig(m=m)
 
     def body(manifest):
         res = measure_balance_time(config, initial, eps=eps, reps=args.reps,

@@ -5,13 +5,13 @@ is a system of its own:
 
 * ``simulate_closed``: a fixed client population moving between servers,
   arrivals and service completions switched off. Its domain is the balance
-  question alone: the rls policy on servers with equal, positive service
-  rates, stopped once every occupancy lies in a band, [n // m, ceil(n/m)]
-  for exact balance or the eps band. On that domain a client at level
-  k moves to a server at level l exactly when l <= k - 2, at rate
-  resample_rate / m per (client, destination) pair, and the maximum
-  occupancy never rises, which the loop audits; other configs raise
-  ConfigError. The loop samples accepted moves only (the n-fold way of
+  question alone: the rls policy on servers with unit service rates, unit
+  resample rate and no arrivals, stopped once every occupancy lies in a
+  band, [n // m, ceil(n/m)] for exact balance or the eps band. On that
+  domain a client at level k moves to a server at level l exactly when
+  l <= k - 2, at rate 1 / m per (client, destination) pair, and the
+  maximum occupancy never rises, which the loop audits; other configs
+  raise ConfigError. The loop samples accepted moves only (the n-fold way of
   Bortz, Kalos and Lebowitz on Gillespie's direct method), so no rejected
   resample is ever simulated.
 * ``simulate_open``: arrivals, processor-sharing service completions and
@@ -49,7 +49,8 @@ loop's law is checked against the exact lumped chain on the partitions of
 n (tests/test_balance.py), not against ``step``. Each of its steps draws,
 in this order:
 
-    closed:  dt = -log(1 - random()) / R, R the total accepted-move rate ;
+    closed:  dt = -log(1 - random()) / R, R = (1 / m) * pairs the total
+             accepted-move rate ;
              r = _randbelow(pairs) picks one accepted (client, destination)
              pair uniformly, decoded into the source level, the destination
              among the servers at least two levels below, and the source
@@ -144,7 +145,6 @@ class _ClosedRun(ctypes.Structure):
 
     _fields_ = [
         ("m", ctypes.c_int64),
-        ("pair_rate", ctypes.c_double),
         ("horizon", ctypes.c_double),
         ("band_lo", ctypes.c_int64),
         ("band_hi", ctypes.c_int64),
@@ -357,11 +357,14 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     """Run the closed rls system on identical servers until it balances.
 
     The domain is the one the balance question asks about: the rls policy
-    with equal, positive service rates. There an accepted move is exactly
-    ``counts[i] > counts[j] + 1`` and the running maximum occupancy cannot
-    rise, so the accepted moves can be sampled directly, rejected resamples
-    never being simulated, and the audits below hold. Any other config is
-    rejected with ConfigError before the first event.
+    with unit service rates, unit resample rate and no arrivals. There an
+    accepted move is exactly ``counts[i] > counts[j] + 1`` and the running
+    maximum occupancy cannot rise, so the accepted moves can be sampled
+    directly, rejected resamples never being simulated, and the audits
+    below hold. Every waiting time is Exp(pairs / m), so a run at resample
+    rate b would be this run with its clock divided by b: times are on the
+    unit resample clock. Any other config is rejected with ConfigError
+    before the first event.
 
     The run stops once every occupancy lies in a band: [n // m, ceil(n/m)]
     when eps is None, which with n clients is exactly the set of states
@@ -381,14 +384,14 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     counts); anything else raises TypeError, as ``Random`` already does
     for a numpy integer.
     """
-    if any(r != 0.0 for r in config.arrival_rates):
-        raise SimulationError("closed runs require all arrival rates to be zero")
-    if config.policy is not Policy.RLS:
-        raise ConfigError("closed runs support only the rls policy, "
-                          f"got {config.policy.value!r}")
-    if len(set(config.service_rates)) != 1 or config.service_rates[0] <= 0:
-        raise ConfigError("closed runs need equal, positive service rates, "
-                          f"got {config.service_rates!r}")
+    if (config.policy is not Policy.RLS or config.resample_rate != 1
+            or any(r != 1 for r in config.service_rates)
+            or any(r != 0 for r in config.arrival_rates)):
+        raise ConfigError(
+            "closed runs take the rls policy with unit service and resample "
+            f"rates and no arrivals, got policy {config.policy.value!r}, "
+            f"service rates {config.service_rates!r}, resample rate "
+            f"{config.resample_rate!r}, arrival rates {config.arrival_rates!r}")
     if horizon is None or not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     m = config.m
@@ -404,14 +407,8 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     if band_lo <= min(counts) and max(counts) <= band_hi:
         return ClosedRunResult(
             RunEnd({"migration": 0}, SystemState(0.0, tuple(counts))), 0.0)
-    pair_rate = config.resample_rate / m
-    if pair_rate == 0.0:
-        raise SimulationError(
-            "total event rate is zero and the start lies outside the stop "
-            f"band (n={n}, resample_rate={config.resample_rate})"
-        )
     final = (ctypes.c_int64 * m)(*counts)
-    run = _ClosedRun(m=m, pair_rate=pair_rate, horizon=horizon,
+    run = _ClosedRun(m=m, horizon=horizon,
                      band_lo=band_lo, band_hi=band_hi,
                      key=key, key_len=len(key), counts=final)
     status = _closed_loop(ctypes.byref(run))

@@ -1,6 +1,6 @@
 /* The compiled code of migratesim: the event loops of ctmc.simulate_open
    and ctmc.simulate_closed, the sojourn window sum of
-   experiments._sojourn_rep, and the forward elimination of
+   experiments.measure_sojourns, and the forward elimination of
    meanfield._gauss_solve. Each gives the bits of the Python it replaced.
 
    Both consume CPython's Mersenne Twister stream draw for draw, so a run
@@ -593,7 +593,6 @@ void open_free(open_run *r)
 typedef struct {
     /* inputs */
     int64_t m;
-    double pair_rate;       /* resample rate / m, per accepted pair */
     double horizon;
     int64_t band_lo;        /* stop once every occupancy lies in */
     int64_t band_hi;        /* [band_lo, band_hi] */
@@ -608,18 +607,20 @@ typedef struct {
     int64_t cur_max;        /* move that failed the MAX_ROSE audit */
 } closed_run;
 
-/* The closed loop of ctmc.simulate_closed, on servers with equal rates.
-   order holds the servers sorted by occupancy, stably as Python's sorted,
-   and where[s] is server s's position in it; below[v] counts the servers
-   holding fewer than v clients, for -1 <= v <= top + 1, where top is the
-   starting maximum. So level v fills order[below[v]:below[v + 1]] and the
-   servers at level v - 2 or lower are order[:below[v - 1]]; below[-1] is
-   0. The caller has checked that the start is not in the band. */
+/* The closed loop of ctmc.simulate_closed, on servers with unit service
+   rates and on the unit resample clock, so each accepted pair moves at
+   rate 1 / m. order holds the servers sorted by occupancy, stably as
+   Python's sorted, and where[s] is server s's position in it; below[v]
+   counts the servers holding fewer than v clients, for -1 <= v <= top + 1,
+   where top is the starting maximum. So level v fills
+   order[below[v]:below[v + 1]] and the servers at level v - 2 or lower
+   are order[:below[v - 1]]; below[-1] is 0. The caller has checked that
+   the start is not in the band. */
 static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
                    int64_t *below)
 {
     const int64_t m = r->m;
-    const double rate = r->pair_rate, horizon = r->horizon;
+    const double rate = 1.0 / (double)m, horizon = r->horizon;
     int64_t *counts = r->counts;
     mt_stream g;
     int64_t pairs, v, s, p, lo, hk, w, k, q, i, j, low, e, rem;
@@ -644,7 +645,7 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
     max_count = m - below[cur_max];
     for (;;) {
         /* A client at level v moves to a server at level v - 2 or lower,
-           at rate pair_rate per (client, destination) pair, so level v
+           at rate 1 / m per (client, destination) pair, so level v
            sends v * h_v * H_{<=v-2} pairs. The scan runs down the occupied
            levels while some server sits two below. pairs > 0: every band
            holds [n / m rounded down, rounded up], which holds every state
@@ -753,7 +754,7 @@ int closed_loop(closed_run *r)
     return status;
 }
 
-/* The sojourn window of experiments._sojourn_rep over the n rows of
+/* The sojourn window of experiments.measure_sojourns over the n rows of
    (arrival, departure or NaN) in rows: counts[1] rows arrive in [warmup,
    cutoff], counts[0] of them with a departure, and *total is math.fsum of
    those d - a. 0, or NO_MEMORY. */

@@ -61,14 +61,6 @@ def _summed_events(tallies) -> dict:
     return total
 
 
-def _population_path(args):
-    config, horizon, sample_dt, seed = args
-    traj, _ = simulate_open(config, horizon, seed=seed, sample_dt=sample_dt,
-                            track_sojourns=False)
-    return (np.asarray(traj.times), traj.counts.sum(axis=1).astype(float),
-            traj.event_counts)
-
-
 def stability_probe(config: SystemConfig, horizon: float,
                     seed_set: Sequence[int], jobs: int = 1) -> StabilityReport:
     """Classify an open system as stable, unstable, or inconclusive.
@@ -88,11 +80,18 @@ def stability_probe(config: SystemConfig, horizon: float,
         )
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    work = [(config, horizon, horizon / PROBE_SAMPLES, int(s)) for s in seed_set]
-    if len(work) < 2:
+    seeds = [int(s) for s in seed_set]
+    if len(seeds) < 2:
         raise ValueError("need at least two seeds")
 
-    paths = map_replications(_population_path, work, jobs)
+    def population_path(seed):
+        traj, _ = simulate_open(config, horizon, seed=seed,
+                                sample_dt=horizon / PROBE_SAMPLES,
+                                track_sojourns=False)
+        return (np.asarray(traj.times), traj.counts.sum(axis=1).astype(float),
+                traj.event_counts)
+
+    paths = map_replications(population_path, seeds, jobs)
 
     times = paths[0][0]
     pops = np.stack([p for _, p, _ in paths])
@@ -275,13 +274,6 @@ def kurtz_deviation(config: SystemConfig, ode: list, seed: int) -> float:
 # ---------------------------------------------------------------------------
 # throughput comparison
 
-def _sojourn_rep(args):
-    config, horizon, warmup, cutoff, seed = args
-    traj, sojourns = simulate_open(config, horizon, seed=seed, sample_dt=None)
-    total, completed, in_window = sojourn_window(sojourns, warmup, cutoff)
-    return (total, completed, in_window - completed), traj.event_counts
-
-
 @dataclass
 class SojournSummary:
     """Pooled sojourn statistics for one configuration over many seeds."""
@@ -312,8 +304,13 @@ def measure_sojourns(config: SystemConfig, horizon: float, warmup: float,
         raise ValueError("need at least one replication")
     if not 0 <= warmup <= horizon:
         raise ValueError("warmup must lie within [0, horizon]")
-    work = [(config, horizon, warmup, cutoff, base_seed + r) for r in range(reps)]
-    outs = map_replications(_sojourn_rep, work, jobs)
+
+    def sojourn_rep(seed):
+        traj, sojourns = simulate_open(config, horizon, seed=seed, sample_dt=None)
+        total, completed, in_window = sojourn_window(sojourns, warmup, cutoff)
+        return (total, completed, in_window - completed), traj.event_counts
+
+    outs = map_replications(sojourn_rep, range(base_seed, base_seed + reps), jobs)
     reps_out = [rep for rep, _ in outs]
 
     clients = sum(r[1] for r in reps_out)

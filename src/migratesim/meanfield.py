@@ -307,6 +307,16 @@ def _check_rates(lam, beta, b_cap) -> None:
         raise ValueError(f"beta must be a finite rate >= 0, got {beta!r}")
 
 
+def _check_stationary(lam, beta, b_cap, tol) -> None:
+    """The stationary solvers' domain: the rates above, a positive tol, and
+    lam < 1, since at or above unit load (unit service rate) no stationary
+    law exists."""
+    _check_rates(lam, beta, b_cap)
+    if not (tol > 0 and lam < 1):
+        raise ValueError("a stationary solve needs tol > 0 and per-server "
+                         f"load lam < 1, got tol={tol!r}, lam={lam!r}")
+
+
 def g_of_z(z: float, lam: float, beta: float, b_cap: int) -> float:
     """Root function for the stationary oblivious-walk occupancy.
 
@@ -378,14 +388,7 @@ def solve_fixed_point_rlo(lam: float, beta: float, b_cap: int,
     lam < 1: at or above unit load no stationary regime exists, matching
     the stability threshold of the finite system.
     """
-    _check_rates(lam, beta, b_cap)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if lam >= 1:
-        raise ValueError(
-            f"no stationary law at per-server load lam={lam!r}: the fixed "
-            f"point requires lam < 1 (unit service rate)"
-        )
+    _check_stationary(lam, beta, b_cap, tol)
     if lam == 0.0 or beta == 0.0:
         # an empty system, or no hops: the plain birth-death truncation
         z = float(lam)
@@ -519,13 +522,7 @@ def equilibrium_rls(lam: float, beta: float, b_cap: int,
     empty-start solution. The second start only feeds the agreement gap;
     a gap above 10x tol sets ``flagged`` and warns. Requires lam < 1.
     """
-    _check_rates(lam, beta, b_cap)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if lam >= 1:
-        raise ValueError(
-            f"no equilibrium at per-server load lam={lam!r}: requires lam < 1"
-        )
+    _check_stationary(lam, beta, b_cap, tol)
     x_empty, residual, it_empty = _newton_rls(point_mass(0, b_cap).x, lam,
                                               beta, tol)
     x_rlo, _, it_rlo = _newton_rls(solve_fixed_point_rlo(lam, beta, b_cap).xi,

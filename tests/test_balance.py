@@ -119,6 +119,7 @@ def test_two_client_balance_time_is_exponential():
     lo, hi = res.ci95
     assert lo <= res.mean <= hi
     assert res.bound == pytest.approx(balance_time_bound(2, 2))
+    assert res.horizon == 100 * res.bound
 
 
 def _lumped_chain(m: int, n: int):
@@ -198,25 +199,6 @@ def test_closed_loop_matches_lumped_chain_in_law():
     assert set(ends) <= set(states)
     stat, df, p = chi_square_gof([ends[s] for s in states], reps * law)
     assert df == 6 and p > 0.01
-
-
-def test_balance_bounds_follow_the_resample_clock():
-    """The bounds hold on the unit resample clock, so at rate 2 they and the
-    default horizon halve; at rate 0 no client moves, with or without a
-    horizon, so the rate is refused."""
-    cfg = SystemConfig(m=4, policy="rls", resample_rate=2.0)
-    res = measure_balance_time(cfg, initial_all_at_one(4, 16), reps=200,
-                               base_seed=11)
-    assert res.bound == balance_time_bound(4, 16) / 2
-    assert res.lower_bounds == {k: v / 2 for k, v in
-                                lower_bound_estimates(4, 16).items()}
-    assert res.horizon == 100 * res.bound
-    assert res.censored == 0 and res.mean <= res.bound
-    frozen = SystemConfig(m=4, policy="rls", resample_rate=0.0)
-    for horizon in (None, 5.0):
-        with pytest.raises(ValueError, match="resample_rate must be positive"):
-            measure_balance_time(frozen, initial_all_at_one(4, 16),
-                                 horizon=horizon)
 
 
 def test_balance_time_censoring():
