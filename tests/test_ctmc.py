@@ -389,6 +389,58 @@ def test_closed_streams_are_pinned_at_workload_size():
         assert digest.hexdigest() == expected, (m, start[:4], rate, eps)
 
 
+def _random_closed_runs():
+    """About 2,000 closed runs drawn from Random(2024): m from 2 to 100,
+    all-at-one and random starts, exact and eps bands, horizons short
+    enough to censor, and seeds of zero, negative, one word and several
+    words (the benchmark's replication seeds take two words from its seed
+    54 on). Yields (config, start, horizon, eps, seed)."""
+    rng = Random(2024)
+    for _ in range(2000):
+        m = rng.randint(2, 100)
+        n = rng.randint(1, 8 * m + 40)
+        if rng.random() < 0.3:
+            start = _all_at_one(m, n)
+        else:  # clients dropped on a few servers or on all of them
+            hot = rng.sample(range(m), rng.randint(1, m))
+            counts = [0] * m
+            for _ in range(n):
+                counts[rng.choice(hot)] += 1
+            start = tuple(counts)
+        eps = rng.choice((None, None, 0.1, 0.25, 0.5, 0.9))
+        horizon = rng.choice((1e-3, 0.5, 5.0) + (1000.0,) * 4)
+        seed = rng.choice((
+            0, -rng.getrandbits(31), rng.getrandbits(32),
+            2 ** 32 + rng.getrandbits(32), rng.getrandbits(96),
+            ((54 * 1000 + rng.randrange(1000)) * 8 + 2) * 10 ** 4))
+        yield SystemConfig(m=m, policy="rls"), start, horizon, eps, seed
+
+
+# sha256 over _random_closed_runs, recorded before the pair count was
+# updated per move rather than recounted
+CLOSED_RANDOM_SHA256 = (
+    "e3ac06b314fd22e8e8f06762f2d70a5e87ea21e2bca15ae7dace675d55b50e25")
+
+
+def test_closed_random_runs_are_pinned():
+    """Each run of _random_closed_runs hashed as its stop time in hex (or
+    None when censored), end counts and move count, or as the error it
+    raised, so any change to the pair count or the level bookkeeping
+    shows however the run ends."""
+    digest = hashlib.sha256()
+    for cfg, start, horizon, eps, seed in _random_closed_runs():
+        try:
+            run = simulate_closed(cfg, start, horizon=horizon, eps=eps,
+                                  seed=seed)
+        except ValueError as exc:
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        stop = None if run.stop_time is None else run.stop_time.hex()
+        digest.update(repr((stop, run.trajectory.final.counts,
+                            run.trajectory.event_counts["migration"])).encode())
+    assert digest.hexdigest() == CLOSED_RANDOM_SHA256
+
+
 def test_eps_stop_never_later_than_exact_balance():
     cfg = SystemConfig(m=4, policy="rls", resample_rate=1.0)
     initial = (8, 0, 0, 0)
