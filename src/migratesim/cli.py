@@ -149,6 +149,8 @@ def config_echo(config: SystemConfig) -> str:
 
 
 def _cell(value) -> str:
+    if type(value) is int:  # not bool, nor a numpy integer
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, float):

@@ -67,6 +67,7 @@ import math
 import os
 import subprocess
 import zlib
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -343,13 +344,21 @@ def step(state: SystemState, config: SystemConfig, rng: Random) -> tuple:
 def _start_counts(config: SystemConfig, initial: Sequence[int]) -> list:
     """The initial occupancy as ints: m of them, none negative or above
     the cap."""
-    counts = [int(c) for c in initial]
-    if len(counts) != config.m or any(c < 0 for c in counts):
+    counts = list(map(int, initial))
+    if len(counts) != config.m or min(counts) < 0:  # m >= 1
         raise ValueError(
             f"initial occupancy must be {config.m} non-negative integers")
-    if config.cap is not None and any(c > config.cap for c in counts):
+    if config.cap is not None and max(counts) > config.cap:
         raise ValueError("initial occupancy exceeds the configured cap")
     return counts
+
+
+def _c_array(ctype, code: str, values) -> ctypes.Array:
+    """A new ctypes array of ``ctype`` holding ``values``, copied through
+    an ``array(code)`` of the same item size: one buffer copy instead of
+    one conversion per item."""
+    items = array(code, values)
+    return (ctype * len(items)).from_buffer_copy(items)
 
 
 def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float,
@@ -384,9 +393,10 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     counts); anything else raises TypeError, as ``Random`` already does
     for a numpy integer.
     """
+    m = config.m
     if (config.policy is not Policy.RLS or config.resample_rate != 1
-            or any(r != 1 for r in config.service_rates)
-            or any(r != 0 for r in config.arrival_rates)):
+            or config.service_rates.count(1) != m
+            or config.arrival_rates.count(0) != m):
         raise ConfigError(
             "closed runs take the rls policy with unit service and resample "
             f"rates and no arrivals, got policy {config.policy.value!r}, "
@@ -394,7 +404,6 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
             f"{config.resample_rate!r}, arrival rates {config.arrival_rates!r}")
     if horizon is None or not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    m = config.m
     counts = _start_counts(config, initial)
     # no cap check in the loop: an accepted move lands on a server holding at
     # most counts[i] - 2, so no server ever exceeds the starting maximum
@@ -407,7 +416,7 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     if band_lo <= min(counts) and max(counts) <= band_hi:
         return ClosedRunResult(
             RunEnd({"migration": 0}, SystemState(0.0, tuple(counts))), 0.0)
-    final = (ctypes.c_int64 * m)(*counts)
+    final = _c_array(ctypes.c_int64, "q", counts)
     run = _ClosedRun(m=m, horizon=horizon,
                      band_lo=band_lo, band_hi=band_hi,
                      key=key, key_len=len(key), counts=final)
@@ -415,7 +424,7 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     if status:
         raise _loop_error(status, run.prev_max, run.cur_max)
     return ClosedRunResult(
-        RunEnd({"migration": run.moves}, SystemState(run.t, tuple(final))),
+        RunEnd({"migration": run.moves}, SystemState(run.t, final[:])),
         run.t if run.stopped else None)
 
 
@@ -444,15 +453,16 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
     rls = config.policy is Policy.RLS
     key = _seed_key(seed)
     run = _OpenRun(
-        m=m, cum_arr=(ctypes.c_double * m)(*_cumulative(config.arrival_rates)),
-        svc=(ctypes.c_double * m)(*map(float, config.service_rates)),
+        m=m, cum_arr=_c_array(ctypes.c_double, "d",
+                              _cumulative(config.arrival_rates)),
+        svc=_c_array(ctypes.c_double, "d", map(float, config.service_rates)),
         beta=float(config.resample_rate), rls=rls,
         # a resample aims at randrange(dests), skipping its origin when dests < m
         dests=m if rls or config.include_self else m - 1,
         cap=-1 if config.cap is None else config.cap, horizon=horizon,
         sample_dt=sample_dt or 0.0, track=track_sojourns,
         key=key, key_len=len(key),
-        counts=(ctypes.c_int64 * m)(*counts))
+        counts=_c_array(ctypes.c_int64, "q", counts))
     try:
         status = _open_loop(ctypes.byref(run))
         if status:

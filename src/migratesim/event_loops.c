@@ -607,11 +607,41 @@ typedef struct {
     int64_t cur_max;        /* move that failed the MAX_ROSE audit */
 } closed_run;
 
+/* The change in the accepted pairs when a client moves from a server at
+   level k to one at level low <= k - 2, from the counts below[] of before
+   the move. The pairs are the sum of c_a over the ordered server pairs
+   with c_a >= c_b + 2, and only the pairs with the source or the
+   destination change, so the move is two steps, each of one server:
+
+   - k to k - 1: as a source the server loses its k * below[k - 1] pairs
+     and gains (k - 1) * below[k - 2], which is -(k - 1) * h_{k-2} -
+     below[k - 1] in all, with h_v = below[v + 1] - below[v] the servers at
+     level v; as a destination it gains the (k + 1) * h_{k+1} pairs of
+     the level that now sits two above it;
+   - low to low + 1, on the levels after the first step: as a source the
+     server gains low * h_{low-1} + below[low]; as a destination it loses
+     the (low + 2) * h'_{low+2} pairs of the level no longer two above it,
+     where the first step took one server from level k to level k - 1.
+
+   Each term is at most n + m in size, so nothing overflows while the
+   pairs stay below 2**63. below[k + 2] is read, so below must reach
+   level top + 2. */
+static int64_t pairs_delta(const int64_t *below, int64_t k, int64_t low)
+{
+    int64_t h = below[low + 3] - below[low + 2];
+
+    h += (low == k - 3) - (low == k - 2);
+    return (k + 1) * (below[k + 2] - below[k + 1])
+           - (k - 1) * (below[k - 1] - below[k - 2]) - below[k - 1]
+           + low * (below[low] - below[low - 1]) + below[low]
+           - (low + 2) * h;
+}
+
 /* The closed loop of ctmc.simulate_closed, on servers with unit service
    rates and on the unit resample clock, so each accepted pair moves at
    rate 1 / m. order holds the servers sorted by occupancy, stably as
    Python's sorted, and where[s] is server s's position in it; below[v]
-   counts the servers holding fewer than v clients, for -1 <= v <= top + 1,
+   counts the servers holding fewer than v clients, for -1 <= v <= top + 2,
    where top is the starting maximum. So level v fills
    order[below[v]:below[v + 1]] and the servers at level v - 2 or lower
    are order[:below[v - 1]]; below[-1] is 0. The caller has checked that
@@ -631,7 +661,7 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
     seed_mt(&g, r->key, r->key_len);
     for (s = 0; s < m; s++)  /* below[v + 1] counts the servers at level v */
         below[counts[s] + 1]++;
-    for (v = 1; v <= top + 1; v++)
+    for (v = 1; v <= top + 2; v++)
         below[v] += below[v - 1];
     for (s = 0; s < m; s++) {  /* below[v] steps through level v's slots */
         p = below[counts[s]]++;
@@ -642,21 +672,22 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
         below[v] = below[v - 1];
     below[0] = 0;
 
+    /* A client at level v moves to a server at level v - 2 or lower, at
+       rate 1 / m per (client, destination) pair, so level v sends
+       v * h_v * below[v - 1] pairs. One scan down the occupied levels,
+       while some server sits two below, counts them at the start; each
+       move then adds its pairs_delta. pairs > 0 until the stop: every band
+       holds [n / m rounded down, rounded up], which holds every state with
+       max - min <= 1. */
+    pairs = 0;
+    v = cur_max;
+    while (below[v - 1]) {
+        lo = below[v];
+        pairs += v * (below[v + 1] - lo) * below[v - 1];
+        v = counts[order[lo - 1]];
+    }
     max_count = m - below[cur_max];
     for (;;) {
-        /* A client at level v moves to a server at level v - 2 or lower,
-           at rate 1 / m per (client, destination) pair, so level v
-           sends v * h_v * H_{<=v-2} pairs. The scan runs down the occupied
-           levels while some server sits two below. pairs > 0: every band
-           holds [n / m rounded down, rounded up], which holds every state
-           with max - min <= 1. */
-        pairs = 0;
-        v = cur_max;
-        while (below[v - 1]) {
-            lo = below[v];
-            pairs += v * (below[v + 1] - lo) * below[v - 1];
-            v = counts[order[lo - 1]];
-        }
         t_next = t - log(1.0 - random53(&g)) / (rate * (double)pairs);
         if (t_next > horizon) {
             t = horizon;
@@ -682,6 +713,7 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
         i = order[lo + q % hk];
         j = order[q / hk];
         low = counts[j];
+        pairs += pairs_delta(below, k, low);
 
         /* i drops to level k - 1: swap it to the front of level k, then
            start level k after it */
@@ -743,8 +775,8 @@ int closed_loop(closed_run *r)
             top = r->counts[s];
     order = malloc((size_t)m * sizeof(int64_t));
     where = malloc((size_t)m * sizeof(int64_t));
-    if (top < (int64_t)(SIZE_MAX / sizeof(int64_t)) - 3)
-        levels = calloc((size_t)top + 3, sizeof(int64_t));
+    if (top < (int64_t)(SIZE_MAX / sizeof(int64_t)) - 4)
+        levels = calloc((size_t)top + 4, sizeof(int64_t));
     r->stopped = 0;
     if (order && where && levels)  /* levels[0] is below[-1] */
         status = balance(r, top, order, where, levels + 1);

@@ -125,8 +125,8 @@ class SystemState:
     counts: tuple
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
+        counts = tuple(map(int, self.counts))
+        if counts and min(counts) < 0:
             raise ValueError(f"negative occupancy in state {counts}")
         object.__setattr__(self, "counts", counts)
 

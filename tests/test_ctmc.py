@@ -25,7 +25,7 @@ from migratesim.ctmc import (
     step,
 )
 from migratesim.experiments import measure_sojourns
-from migratesim.model import ConfigError, SystemConfig, SystemState
+from migratesim.model import ConfigError, SystemConfig, SystemState, eps_band
 from migratesim.stats import chi_square_gof
 
 
@@ -775,6 +775,200 @@ def test_ctypes_mirrors_match_the_c_layout(tmp_path):
     assert dict(zip([label for label, _, _ in probes], map(int, out))) == {
         label: value for label, _, value in probes}
     assert len(out) == len(probes)
+
+
+def _compile_with_loops(tmp_path, name, main, flags=("cc",)):
+    """Build ``main`` with event_loops.c included, so that it reaches the
+    file's static functions. Returns (the executable, the build result)."""
+    source = tmp_path / f"{name}.c"
+    source.write_text("#include <stdio.h>\n"
+                      f'#include "{PACKAGE / "event_loops.c"}"\n' + main)
+    exe = tmp_path / name
+    build = subprocess.run([*flags, "-o", str(exe), str(source), "-lm"],
+                           capture_output=True, text=True)
+    return exe, build
+
+
+# reads lines of "m k low counts..." and prints pairs_delta for the move of
+# a client from a server at level k to one at level low, below[] made from
+# the counts up to level top + 2 as closed_loop makes it
+PAIRS_DELTA_PROBE = """
+int main(void)
+{
+    long long m, k, low, c;
+    int64_t s, v, top, *counts, *levels;
+
+    while (scanf("%lld %lld %lld", &m, &k, &low) == 3) {
+        counts = malloc((size_t)m * sizeof *counts);
+        for (top = s = 0; s < m && scanf("%lld", &c) == 1; s++) {
+            counts[s] = c;
+            top = c > top ? c : top;
+        }
+        levels = calloc((size_t)top + 4, sizeof *levels);
+        for (s = 0; s < m; s++)
+            levels[counts[s] + 2]++;
+        for (v = 1; v < top + 4; v++)
+            levels[v] += levels[v - 1];
+        printf("%lld\\n", (long long)pairs_delta(levels + 1, k, low));
+        free(counts);
+        free(levels);
+    }
+    return 0;
+}
+"""
+
+
+def _accepted_pairs(counts) -> int:
+    """The closed loop's pair count by brute force: sum c_a over the
+    ordered server pairs (a, b) with c_a >= c_b + 2."""
+    return sum(a for a in counts for b in counts if a >= b + 2)
+
+
+def test_pairs_delta_matches_a_brute_force_count(tmp_path):
+    """closed_loop counts the accepted pairs once and then adds
+    pairs_delta per move. On 400 random states, every move between two
+    occupied levels k and low <= k - 2 must change the brute-force count by
+    exactly pairs_delta, and the moves include k = top, low = k - 2,
+    low = k - 3 and low = 0."""
+    rng = Random(11)
+    cases, seen = [], set()
+    for _ in range(400):
+        m = rng.randint(2, 12)
+        counts = [rng.choice((0, 1, 2, 3, rng.randint(0, 40)))
+                  for _ in range(m)]
+        top = max(counts)
+        for k in sorted(set(counts)):
+            for low in sorted(set(counts)):
+                if low > k - 2:
+                    continue
+                after = list(counts)
+                after[counts.index(k)] -= 1
+                after[counts.index(low)] += 1
+                delta = _accepted_pairs(after) - _accepted_pairs(counts)
+                cases.append((m, k, low, counts, delta))
+                seen.update(name for name, hit in (
+                    ("top", k == top), ("k-2", low == k - 2),
+                    ("k-3", low == k - 3), ("0", low == 0)) if hit)
+    assert seen == {"top", "k-2", "k-3", "0"}
+    exe, build = _compile_with_loops(tmp_path, "pairs_delta", PAIRS_DELTA_PROBE)
+    assert build.returncode == 0, build.stderr
+    stdin = "".join(f"{m} {k} {low} {' '.join(map(str, counts))}\n"
+                    for m, k, low, counts, _ in cases)
+    out = subprocess.run([str(exe)], input=stdin, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert [int(d) for d in out] == [delta for *_, delta in cases]
+
+
+# reads lines of "m horizon band_lo band_hi key_len key... counts...", runs
+# closed_loop on each and prints its status, t in hex, stopped, the moves
+# and the end counts
+CLOSED_DRIVER = """
+int main(void)
+{
+    long long m, band_lo, band_hi, key_len, c;
+    double horizon;
+    int64_t s, *counts;
+    uint32_t *key;
+    closed_run r;
+    int status;
+
+    while (scanf("%lld %lf %lld %lld %lld", &m, &horizon, &band_lo, &band_hi,
+                 &key_len) == 5) {
+        key = malloc((size_t)key_len * sizeof *key);
+        counts = malloc((size_t)m * sizeof *counts);
+        for (s = 0; s < key_len && scanf("%lld", &c) == 1; s++)
+            key[s] = (uint32_t)c;
+        for (s = 0; s < m && scanf("%lld", &c) == 1; s++)
+            counts[s] = c;
+        r = (closed_run){.m = m, .horizon = horizon, .band_lo = band_lo,
+                         .band_hi = band_hi, .key = key, .key_len = key_len,
+                         .counts = counts};
+        status = closed_loop(&r);
+        printf("%d %a %lld %lld", status, r.t, (long long)r.stopped,
+               (long long)r.moves);
+        for (s = 0; s < m; s++)
+            printf(" %lld", (long long)counts[s]);
+        printf("\\n");
+        free(key);
+        free(counts);
+    }
+    return 0;
+}
+"""
+SANITIZE = ("-g", "-fsanitize=address,undefined",
+            "-fno-sanitize-recover=undefined")
+
+
+def _sanitized_closed_runs():
+    """(start, eps, horizon, seed) for the sanitized closed loop: the
+    benchmark's three cells, eps bands, censored runs, and random starts,
+    among them two-level starts whose first move goes from the top level k
+    to level k - 2."""
+    runs = [(_all_at_one(m, n), None, 1000.0, seed)
+            for m, n in ((2, 2), (32, 1024), (64, 256))
+            for seed in (0, 1, 54 * 8 * 10 ** 7 + 20002)]
+    runs += [(_all_at_one(16, 256), 0.2, 1000.0, 3),
+             ((20, 0, 30, 1, 0, 9, 0, 4, 7, 0, 0, 1), 0.25, 1000.0, 4),
+             (_all_at_one(32, 1024), None, 0.5, 5),
+             (_all_at_one(32, 1024), 0.5, 1000.0, 2 ** 70 + 9)]
+    rng = Random(5)
+    for seed in range(80):
+        m = rng.randint(2, 40)
+        if seed % 2:
+            k = rng.randint(2, 30)
+            start = tuple(rng.choice((k, k - 2)) for _ in range(m - 1)) + (k,)
+        else:
+            start = tuple(rng.randint(0, 3 * rng.randint(1, 10))
+                          for _ in range(m))
+        runs.append((start, rng.choice((None, 0.5)), 1000.0, -seed))
+    return runs
+
+
+def test_closed_loop_is_clean_under_sanitizers(tmp_path):
+    """event_loops.c with a small driver, built with AddressSanitizer and
+    UndefinedBehaviorSanitizer, runs closed_loop on each start of
+    _sanitized_closed_runs that is not already in its band: it must exit
+    cleanly with no sanitizer report, and end each run as simulate_closed
+    does. An out-of-bounds read of below[], or an overflow of the pair
+    count, stops the run with a report."""
+    flags = [f for f in ctmc.CC if f not in ("-shared", "-fPIC")] + list(SANITIZE)
+    trivial = tmp_path / "trivial.c"
+    trivial.write_text("int main(void)\n{\n    return 0;\n}\n")
+    probe = subprocess.run([*flags, "-o", str(tmp_path / "trivial"),
+                            str(trivial)], capture_output=True, text=True)
+    if probe.returncode:
+        pytest.skip("the address and undefined-behaviour sanitizer runtimes "
+                    f"do not link with {flags[0]}: {probe.stderr.strip()}")
+    exe, build = _compile_with_loops(tmp_path, "closed", CLOSED_DRIVER, flags)
+    assert build.returncode == 0, build.stderr
+    runs, lines = [], []
+    for start, eps, horizon, seed in _sanitized_closed_runs():
+        m, n = len(start), sum(start)
+        lo, hi = (n // m, -(-n // m)) if eps is None else eps_band(m, n, eps)
+        if lo <= min(start) and max(start) <= hi:
+            continue
+        key = list(ctmc._seed_key(seed))
+        runs.append((start, eps, horizon, seed))
+        lines.append(" ".join(map(str, (m, repr(horizon), lo, hi, len(key),
+                                        *key, *start))))
+    done = subprocess.run([str(exe)], input="\n".join(lines) + "\n",
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and "Sanitizer" not in done.stderr \
+        and "runtime error" not in done.stderr, done.stderr
+    got = []
+    for line in done.stdout.splitlines():
+        status, t, stopped, moves, *counts = line.split()
+        got.append((int(status), float.fromhex(t), stopped == "1", int(moves),
+                    tuple(map(int, counts))))
+    expected = []
+    for start, eps, horizon, seed in runs:
+        run = simulate_closed(SystemConfig(m=len(start), policy="rls"), start,
+                              horizon=horizon, eps=eps, seed=seed)
+        end = run.trajectory
+        expected.append((0, end.final.t, run.stop_time is not None,
+                         end.event_counts["migration"], end.final.counts))
+    assert len(got) == len(expected) > 60
+    assert got == expected
 
 
 def test_import_without_cc_names_it(tmp_path):
