@@ -21,6 +21,12 @@
    operations in numpy's order; the back substitution stays numpy, whose
    dot products do not sum in plain order.
 
+   The closed loop counts its accepted pairs once, at the start, and then
+   updates the count by an exact integer change per move (pairs_delta),
+   as the n-fold way of Bortz, Kalos and Lebowitz (J. Comput. Phys. 17,
+   1975) keeps its total rate: the count, and so every waiting time, is
+   the one a fresh count would give.
+
    Each call keeps its generator in an mt_stream on its own stack, and
    the file holds no static data, so calls may run on several threads at
    once. The stream twists 624 words at a time and tempers them in the

@@ -750,33 +750,6 @@ def test_library_holds_no_static_data(tmp_path):
     assert exported == EXPORTS
 
 
-def test_ctypes_mirrors_match_the_c_layout(tmp_path):
-    """_OpenRun and _ClosedRun mirror open_run and closed_run: a probe
-    compiled with event_loops.c prints the offset of every field the
-    mirrors name, then each struct's size, and ctypes agrees on each."""
-    mirrors = {"open_run": ctmc._OpenRun, "closed_run": ctmc._ClosedRun}
-    probes = [(f"{c}.{name}", f"offsetof({c}, {name})", getattr(s, name).offset)
-              for c, s in mirrors.items() for name, _ in s._fields_]
-    probes += [(c, f"sizeof({c})", ctypes.sizeof(s)) for c, s in mirrors.items()]
-    probe = tmp_path / "layout.c"
-    probe.write_text(
-        "#include <stddef.h>\n#include <stdio.h>\n"
-        f'#include "{PACKAGE / "event_loops.c"}"\n'
-        "int main(void)\n{\n"
-        + "".join(f'    printf("%zu\\n", {expr});\n' for _, expr, _ in probes)
-        + "    return 0;\n}\n")
-    exe = tmp_path / "layout"
-    # a field the C struct lacks stops the build, which names it
-    build = subprocess.run(["cc", "-o", str(exe), str(probe), "-lm"],
-                           capture_output=True, text=True)
-    assert build.returncode == 0, build.stderr
-    out = subprocess.run([str(exe)], capture_output=True, text=True,
-                         check=True).stdout.split()
-    assert dict(zip([label for label, _, _ in probes], map(int, out))) == {
-        label: value for label, _, value in probes}
-    assert len(out) == len(probes)
-
-
 def _compile_with_loops(tmp_path, name, main, flags=("cc",)):
     """Build ``main`` with event_loops.c included, so that it reaches the
     file's static functions. Returns (the executable, the build result)."""
@@ -787,6 +760,27 @@ def _compile_with_loops(tmp_path, name, main, flags=("cc",)):
     build = subprocess.run([*flags, "-o", str(exe), str(source), "-lm"],
                            capture_output=True, text=True)
     return exe, build
+
+
+def test_ctypes_mirrors_match_the_c_layout(tmp_path):
+    """_OpenRun and _ClosedRun mirror open_run and closed_run: a probe
+    compiled with event_loops.c prints the offset of every field the
+    mirrors name, then each struct's size, and ctypes agrees on each."""
+    mirrors = {"open_run": ctmc._OpenRun, "closed_run": ctmc._ClosedRun}
+    probes = [(f"{c}.{name}", f"offsetof({c}, {name})", getattr(s, name).offset)
+              for c, s in mirrors.items() for name, _ in s._fields_]
+    probes += [(c, f"sizeof({c})", ctypes.sizeof(s)) for c, s in mirrors.items()]
+    # a field the C struct lacks stops the build, which names it
+    exe, build = _compile_with_loops(
+        tmp_path, "layout", "#include <stddef.h>\nint main(void)\n{\n"
+        + "".join(f'    printf("%zu\\n", {expr});\n' for _, expr, _ in probes)
+        + "    return 0;\n}\n")
+    assert build.returncode == 0, build.stderr
+    out = subprocess.run([str(exe)], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert dict(zip([label for label, _, _ in probes], map(int, out))) == {
+        label: value for label, _, value in probes}
+    assert len(out) == len(probes)
 
 
 # reads lines of "m k low counts..." and prints pairs_delta for the move of
