@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .ctmc import simulate_closed
 from .model import SystemConfig
-from .stats import map_replications, mean_sd, normal_ci
+from .stats import map_chunks, mean_sd, normal_ci
 
 
 def balance_time_bound(m: int, n: int) -> float:
@@ -89,6 +89,7 @@ class BalanceTimeResult:
     ci95: Optional[tuple]  # None when fewer than 20 uncensored replications
     bound: Optional[float]
     lower_bounds: Optional[dict]
+    moves: int  # accepted moves, summed over the replications
 
 
 def measure_balance_time(config: SystemConfig, initial: Sequence[int],
@@ -105,6 +106,10 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
     excluded from the mean but counted and reported. A confidence interval
     (normal approximation) is attached only when at least 20 replications
     finished.
+
+    The seeds go to ``simulate_closed`` a chunk at a time: one chunk with
+    jobs 1, about four per thread otherwise, each run in one C call. Each
+    time is the one ``simulate_closed`` gives its seed alone.
     """
     if reps < 2:
         raise ValueError(f"need at least 2 replications, got {reps}")
@@ -117,11 +122,12 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
             raise ValueError("horizon required when the analytic bound is undefined")
         horizon = 100.0 * bound
 
-    def stop_time(seed):
+    def runs(seeds):  # one closed_loop call per chunk of seeds
         return simulate_closed(config, initial, horizon=horizon, eps=eps,
-                               seed=seed).stop_time
+                               seed=seeds)
 
-    times = map_replications(stop_time, range(base_seed, base_seed + reps), jobs)
+    chunks = map_chunks(runs, range(base_seed, base_seed + reps), jobs)
+    times = [t for chunk in chunks for t in chunk.stop_times]
 
     done = [t for t in times if t is not None]
     if done:
@@ -134,4 +140,5 @@ def measure_balance_time(config: SystemConfig, initial: Sequence[int],
         horizon=horizon, times=tuple(times),
         censored=len(times) - len(done),
         mean=mean, sd=sd, ci95=ci, bound=bound, lower_bounds=lower,
+        moves=sum(c.trajectory.event_counts["migration"] for c in chunks),
     )

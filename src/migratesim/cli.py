@@ -127,7 +127,7 @@ class RunManifest:
             data["events"] = self.events
             total = sum(self.events.values())
             data["null_fraction"] = (
-                sum(self.events[k] for k in NULL_EVENTS) / total
+                sum(self.events.get(k, 0) for k in NULL_EVENTS) / total
                 if total else None)
         with open(path, "w", newline="\n") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
@@ -272,6 +272,7 @@ def cmd_balance(args) -> int:
         print(f"ci95={res.ci95!r}")
         print(f"analytic bound: {res.bound!r}")
         print(f"lower bounds: {res.lower_bounds!r}")
+        manifest.events = {"migration": res.moves}
         if res.censored:
             manifest.warnings.append(
                 f"{res.censored} replication(s) censored at the horizon")

@@ -13,7 +13,10 @@ is a system of its own:
   maximum occupancy never rises, which the loop audits; other configs
   raise ConfigError. The loop samples accepted moves only (the n-fold way of
   Bortz, Kalos and Lebowitz on Gillespie's direct method), so no rejected
-  resample is ever simulated.
+  resample is ever simulated. Given a sequence of seeds it runs one
+  replication per seed in a single C call, each the run its seed gives
+  alone: ``measure_balance_time`` hands it a chunk of replications at a
+  time.
 * ``simulate_open``: arrivals, processor-sharing service completions and
   resampling all active. Optionally tracks individual clients through
   migrations, returning one (arrival time, departure time) row per
@@ -69,11 +72,12 @@ import subprocess
 import zlib
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from random import Random
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -142,19 +146,23 @@ class _OpenRun(ctypes.Structure):
 
 
 class _ClosedRun(ctypes.Structure):
-    """event_loops.c's closed_run: the run's inputs, then its outputs."""
+    """event_loops.c's closed_run: the inputs shared by a list of runs,
+    each run's seed, then each run's outputs and the first error's run."""
 
     _fields_ = [
         ("m", ctypes.c_int64),
         ("horizon", ctypes.c_double),
         ("band_lo", ctypes.c_int64),
         ("band_hi", ctypes.c_int64),
-        ("key", ctypes.POINTER(ctypes.c_uint32)),
-        ("key_len", ctypes.c_int64),
+        ("start", ctypes.POINTER(ctypes.c_int64)),
+        ("runs", ctypes.c_int64),
+        ("keys", ctypes.POINTER(ctypes.c_uint32)),
+        ("key_lens", ctypes.POINTER(ctypes.c_int64)),
+        ("t", ctypes.POINTER(ctypes.c_double)),
+        ("stopped", ctypes.POINTER(ctypes.c_int64)),
+        ("moves", ctypes.POINTER(ctypes.c_int64)),
         ("counts", ctypes.POINTER(ctypes.c_int64)),
-        ("t", ctypes.c_double),
-        ("stopped", ctypes.c_int64),
-        ("moves", ctypes.c_int64),
+        ("failed", ctypes.c_int64),
         ("prev_max", ctypes.c_int64),
         ("cur_max", ctypes.c_int64),
     ]
@@ -183,6 +191,7 @@ gauss_eliminate = _c_function("gauss_eliminate", ctypes.c_int64,
 OPEN_EVENTS = ("arrival", "departure", "migration", "resample_rejected",
                "resample_self", "arrival_dropped", "migration_blocked")
 # the event loops' error codes; a closed run fills in the two levels
+# and names the seed of the run that failed
 _LOOP_ERRORS = {
     1: (MemoryError, "the event loop ran out of memory"),
     2: (SimulationError, "float drift in the summed rates picked a departure "
@@ -191,24 +200,30 @@ _LOOP_ERRORS = {
                          "closed rls run"),
     4: (SimulationError, "server count at the maximum level rose while the "
                          "maximum was flat during a closed rls run"),
+    5: (SimulationError, "the accepted-pair count drew a move that is not an "
+                         "accepted pair during a closed rls run"),
 }
 
 
-def _loop_error(status: int, *levels) -> Exception:
+def _loop_error(status: int, *levels, where: str = "") -> Exception:
     error, message = _LOOP_ERRORS[status]
-    return error(message.format(*levels))
+    return error(message.format(*levels) + where)
 
 
-def _seed_key(seed: int) -> ctypes.Array:
-    """The 32-bit words of abs(seed), least significant first and one word
-    for 0, with which Random(seed) seeds its Mersenne Twister. The event
-    loops seed theirs from the same words."""
-    if not isinstance(seed, int):
-        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-    seed = abs(seed)
-    count = (seed.bit_length() + 31) // 32 or 1
-    return (ctypes.c_uint32 * count).from_buffer_copy(
-        seed.to_bytes(4 * count, "little"))
+def _seed_keys(seeds) -> tuple:
+    """(words, lengths): the 32-bit words of abs(seed) for each seed, least
+    significant first and one word for 0, one seed after another, and each
+    seed's word count. Random(seed) seeds its Mersenne Twister with those
+    words, and the event loops seed theirs from the same."""
+    words, lengths = bytearray(), array("q")
+    for seed in seeds:
+        if not isinstance(seed, int):
+            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+        seed = abs(seed)
+        count = (seed.bit_length() + 31) // 32 or 1
+        words += seed.to_bytes(4 * count, "little")
+        lengths.append(count)
+    return words, lengths
 
 
 @dataclass(frozen=True)
@@ -247,16 +262,26 @@ class CoupledState:
 
 @dataclass
 class RunEnd:
-    """Event tallies and end state of a run that keeps no sampled path."""
+    """Event tallies and end state of runs that keep no sampled path."""
 
     event_counts: dict
-    final: SystemState | CoupledState  # closed runs | three-colour runs
+    # a closed run | a three-colour run | closed runs, one (m,) row per seed
+    final: SystemState | CoupledState | np.ndarray
 
 
 @dataclass
 class ClosedRunResult:
     trajectory: RunEnd
     stop_time: Optional[float]  # None when censored at the horizon
+
+
+@dataclass
+class ClosedBatchResult:
+    """Closed runs of one cell, one per seed, in seed order. The accepted
+    moves, as "migration", are summed over the runs."""
+
+    trajectory: RunEnd
+    stop_times: tuple  # None where censored at the horizon
 
 
 def _cumulative(seq) -> list:
@@ -362,7 +387,7 @@ def _c_array(ctype, code: str, values) -> ctypes.Array:
 
 
 def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float,
-                    eps=None, seed: int = 0) -> ClosedRunResult:
+                    eps=None, seed: int | Sequence[int] = 0):
     """Run the closed rls system on identical servers until it balances.
 
     The domain is the one the balance question asks about: the rls policy
@@ -382,16 +407,23 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
     the exact event time at which the start or a move first lands in the
     band; if the horizon hits first the result is flagged censored and
     stop_time is None. After every accepted move the running maximum is
-    checked to be non-increasing, and the number of servers at the maximum
-    non-increasing while the maximum is flat. Only the event tallies
-    (accepted moves, as "migration") and the end state are kept.
+    checked to be non-increasing, the number of servers at the maximum
+    non-increasing while the maximum is flat, and the drawn move to be an
+    accepted pair, so a wrong pair count fails the run with
+    SimulationError. Only the event tallies (accepted moves, as
+    "migration") and the end state are kept.
 
-    The loop is C (``closed_loop`` in event_loops.c). It seeds its own
-    Mersenne Twister exactly as ``Random(seed)`` does and draws as the
-    module docstring lists, each move's bounded draw up to 64 bits wide,
-    so n * m must stay below 2**63. The seed must be an int (a bool
-    counts); anything else raises TypeError, as ``Random`` already does
-    for a numpy integer.
+    With an int seed the result is one ClosedRunResult. With a sequence of
+    ints it is a ClosedBatchResult: one run per seed, in order, each the
+    run its seed alone gives, with stop_times in place of stop_time, the
+    moves summed over the runs and the end states as an (len(seed), m)
+    array. All of them run in one C call (``closed_loop`` in
+    event_loops.c) with the GIL released, so a chunk of replications costs
+    one call's Python. Each run seeds its own Mersenne Twister exactly as
+    ``Random(seed)`` does and draws as the module docstring lists, each
+    move's bounded draw up to 64 bits wide, so n * m must stay below 2**63.
+    Seeds must be ints (a bool counts); anything else raises TypeError, as
+    ``Random`` already does for a numpy integer.
     """
     m = config.m
     if (config.policy is not Policy.RLS or config.resample_rate != 1
@@ -412,20 +444,34 @@ def simulate_closed(config: SystemConfig, initial: Sequence[int], horizon: float
         raise ValueError(f"n * m must stay below 2**63, got n={n}, m={m}")
     band_lo, band_hi = ((n // m, -(-n // m)) if eps is None
                         else eps_band(m, n, eps))
-    key = _seed_key(seed)
-    if band_lo <= min(counts) and max(counts) <= band_hi:
-        return ClosedRunResult(
-            RunEnd({"migration": 0}, SystemState(0.0, tuple(counts))), 0.0)
-    final = _c_array(ctypes.c_int64, "q", counts)
-    run = _ClosedRun(m=m, horizon=horizon,
-                     band_lo=band_lo, band_hi=band_hi,
-                     key=key, key_len=len(key), counts=final)
+    single = isinstance(seed, int)
+    seeds = (seed,) if single else seed
+    if not isinstance(seeds, Sequence):
+        raise TypeError("seed must be an int or a sequence of ints, got "
+                        f"{type(seed).__name__}")
+    words, lengths = _seed_keys(seeds)
+    runs = len(lengths)
+    times, stopped = (ctypes.c_double * runs)(), (ctypes.c_int64 * runs)()
+    moves, final = (ctypes.c_int64 * runs)(), (ctypes.c_int64 * (runs * m))()
+    run = _ClosedRun(
+        m=m, horizon=horizon, band_lo=band_lo, band_hi=band_hi,
+        start=_c_array(ctypes.c_int64, "q", counts), runs=runs,
+        keys=(ctypes.c_uint32 * (len(words) // 4)).from_buffer(words),
+        key_lens=(ctypes.c_int64 * runs).from_buffer(lengths),
+        t=times, stopped=stopped, moves=moves, counts=final)
     status = _closed_loop(ctypes.byref(run))
     if status:
-        raise _loop_error(status, run.prev_max, run.cur_max)
-    return ClosedRunResult(
-        RunEnd({"migration": run.moves}, SystemState(run.t, final[:])),
-        run.t if run.stopped else None)
+        raise _loop_error(status, run.prev_max, run.cur_max,
+                          where=f" (seed {seeds[run.failed]!r})")
+    if single:
+        t = times[0]
+        return ClosedRunResult(
+            RunEnd({"migration": moves[0]}, SystemState(t, final[:])),
+            t if stopped[0] else None)
+    return ClosedBatchResult(
+        RunEnd({"migration": sum(moves)},
+               np.frombuffer(final, np.int64).reshape(runs, m)),
+        tuple(t if done else None for t, done in zip(times, stopped)))
 
 
 def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
@@ -451,7 +497,8 @@ def simulate_open(config: SystemConfig, horizon: float, seed: int = 0, *,
     counts = _start_counts(config, [0] * m if initial is None else initial)
 
     rls = config.policy is Policy.RLS
-    key = _seed_key(seed)
+    words, _ = _seed_keys((seed,))
+    key = (ctypes.c_uint32 * (len(words) // 4)).from_buffer(words)
     run = _OpenRun(
         m=m, cum_arr=_c_array(ctypes.c_double, "d",
                               _cumulative(config.arrival_rates)),

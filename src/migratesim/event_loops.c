@@ -7,7 +7,9 @@
    is bit-identical to one driven by random.Random(seed):
 
    - the generator is seeded as Random(seed) seeds it: init_by_array over
-     the 32-bit words of abs(seed), least significant first;
+     the 32-bit words of abs(seed), least significant first, from the
+     words of init_genrand(19650218), which are the same for every seed,
+     so a call that seeds many runs computes them once;
    - random() is genrand_res53, (a * 2**26 + b) / 2**53 from two words;
    - getrandbits(k) is word >> (32 - k) for k <= 32; for 32 < k <= 64 the
      low word is drawn first, then the high word >> (64 - k); and
@@ -25,7 +27,12 @@
    updates the count by an exact integer change per move (pairs_delta),
    as the n-fold way of Bortz, Kalos and Lebowitz (J. Comput. Phys. 17,
    1975) keeps its total rate: the count, and so every waiting time, is
-   the one a fresh count would give.
+   the one a fresh count would give. Each move audits the count: a move
+   it draws must be an accepted pair, so each lowers the sum of squared
+   occupancies by at least 2 and a wrong count ends the run with an error,
+   never in an endless loop. One call runs a list of replications of one
+   cell, one per seed, so their Python costs one call and ctypes releases
+   the GIL for all of them.
 
    Each call keeps its generator in an mt_stream on its own stack, and
    the file holds no static data, so calls may run on several threads at
@@ -43,6 +50,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* every double operation rounds to double, as CPython's do; an x87 build
    would carry extra precision between them */
@@ -53,7 +61,7 @@
 #define MT_N 624
 #define MT_M 397
 
-enum { OK, NO_MEMORY, EMPTY_PICK, MAX_ROSE, MAX_COUNT_ROSE };
+enum { OK, NO_MEMORY, EMPTY_PICK, MAX_ROSE, MAX_COUNT_ROSE, PAIRS_WRONG };
 
 typedef struct {
     /* inputs */
@@ -126,16 +134,27 @@ INLINE uint32_t genrand_uint32(mt_stream *g)
     return g->block[g->index++];
 }
 
-/* init_genrand(19650218) and init_by_array, as random.Random(seed) runs
-   them; the next draw regenerates the state */
-static void seed_mt(mt_stream *g, const uint32_t *key, int64_t key_len)
+/* init_genrand(19650218): the state init_by_array starts from, the same
+   624 words for every seed */
+static void init_genrand(uint32_t *mt)
 {
-    uint32_t *mt = g->state;
-    int64_t i = 1, j = 0, k;
+    int k;
 
     mt[0] = 19650218U;
     for (k = 1; k < MT_N; k++)
         mt[k] = 1812433253U * (mt[k - 1] ^ (mt[k - 1] >> 30)) + (uint32_t)k;
+}
+
+/* init_by_array over key from base, the words init_genrand left, as
+   random.Random(seed) seeds its generator; the next draw regenerates the
+   state */
+static void seed_mt(mt_stream *g, const uint32_t *base, const uint32_t *key,
+                    int64_t key_len)
+{
+    uint32_t *mt = g->state;
+    int64_t i = 1, j = 0, k;
+
+    memcpy(mt, base, sizeof g->state);
     for (k = MT_N > key_len ? MT_N : key_len; k; k--) {
         mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
                 + key[j] + (uint32_t)j;
@@ -383,6 +402,7 @@ static int run(open_run *r, workspace *st)
     const int track = r->track != 0, rls = r->rls != 0;
     int64_t *counts = r->counts, *busy;
     mt_stream g;
+    uint32_t base[MT_N];
     int64_t n_busy = 0, n_live = 0, sample_idx = 1, refresh = 0;
     int64_t n_arrival = 0, n_departure = 0, n_migration = 0, n_rejected = 0;
     int64_t n_self = 0, n_dropped = 0, n_blocked = 0;
@@ -397,7 +417,8 @@ static int run(open_run *r, workspace *st)
     st->bags = calloc((size_t)m, sizeof(bag));
     if (!busy || !st->busy_pos || !st->partials || !st->bags)
         return NO_MEMORY;
-    seed_mt(&g, r->key, r->key_len);
+    init_genrand(base);
+    seed_mt(&g, base, r->key, r->key_len);
     for (i = 0; i < m; i++) {
         homogeneous &= svc[i] == svc[0];
         if (counts[i] > 0)
@@ -596,19 +617,24 @@ void open_free(open_run *r)
     free(r->sojourns);
 }
 
+/* A list of closed runs of one cell, one per seed: run k seeds from the
+   key_lens[k] words that follow the runs before it in keys. */
 typedef struct {
-    /* inputs */
+    /* inputs, shared by the runs */
     int64_t m;
     double horizon;
     int64_t band_lo;        /* stop once every occupancy lies in */
     int64_t band_hi;        /* [band_lo, band_hi] */
-    const uint32_t *key;    /* as in open_run */
-    int64_t key_len;
-    int64_t *counts;        /* m occupancies: the start, then the end */
-    /* outputs */
-    double t;               /* the stop time, or the horizon if censored */
-    int64_t stopped;
-    int64_t moves;          /* accepted moves */
+    const int64_t *start;   /* m occupancies */
+    int64_t runs;
+    const uint32_t *keys;   /* each run's words of abs(seed), as in open_run */
+    const int64_t *key_lens;
+    /* outputs, runs entries each */
+    double *t;              /* the stop time, or the horizon if censored */
+    int64_t *stopped;
+    int64_t *moves;         /* accepted moves */
+    int64_t *counts;        /* runs x m occupancies at the end */
+    int64_t failed;         /* the run that returned an error, if one did */
     int64_t prev_max;       /* the maximum occupancy before and after the */
     int64_t cur_max;        /* move that failed the MAX_ROSE audit */
 } closed_run;
@@ -643,28 +669,31 @@ static int64_t pairs_delta(const int64_t *below, int64_t k, int64_t low)
            - (low + 2) * h;
 }
 
-/* The closed loop of ctmc.simulate_closed, on servers with unit service
-   rates and on the unit resample clock, so each accepted pair moves at
-   rate 1 / m. order holds the servers sorted by occupancy, stably as
-   Python's sorted, and where[s] is server s's position in it; below[v]
-   counts the servers holding fewer than v clients, for -1 <= v <= top + 2,
-   where top is the starting maximum. So level v fills
-   order[below[v]:below[v + 1]] and the servers at level v - 2 or lower
-   are order[:below[v - 1]]; below[-1] is 0. The caller has checked that
-   the start is not in the band. */
-static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
-                   int64_t *below)
+/* Closed run k of r, from base, the words of init_genrand, with its
+   seed's words at key: on servers with unit service rates and on the unit
+   resample clock, so each accepted pair moves at rate 1 / m. order holds
+   the servers sorted by occupancy, stably as Python's sorted, and where[s]
+   is server s's position in it; below[v] counts the servers holding fewer
+   than v clients, for -1 <= v <= top + 2, where top is the starting
+   maximum. So level v fills order[below[v]:below[v + 1]] and the servers at
+   level v - 2 or lower are order[:below[v - 1]]; below[-1] is 0, and the
+   rest of below[] is 0 on entry. The caller has checked that the start is
+   not in the band. */
+static int balance(closed_run *r, int64_t run, const uint32_t *base,
+                   const uint32_t *key, int64_t top, int64_t *order,
+                   int64_t *where, int64_t *below)
 {
-    const int64_t m = r->m;
+    const int64_t m = r->m, band_lo = r->band_lo, band_hi = r->band_hi;
     const double rate = 1.0 / (double)m, horizon = r->horizon;
-    int64_t *counts = r->counts;
+    int64_t *counts = r->counts + run * m;
     mt_stream g;
     int64_t pairs, v, s, p, lo, hk, w, k, q, i, j, low, e, rem;
-    int64_t moves = 0, cur_max = top, max_count, prev_max, prev_count;
+    int64_t moves = 0, stopped = 0, cur_max = top, max_count, prev_max;
+    int64_t prev_count;
     double t = 0.0, t_next;
     int status = OK;
 
-    seed_mt(&g, r->key, r->key_len);
+    memcpy(counts, r->start, (size_t)m * sizeof *counts);
     for (s = 0; s < m; s++)  /* below[v + 1] counts the servers at level v */
         below[counts[s] + 1]++;
     for (v = 1; v <= top + 2; v++)
@@ -677,6 +706,7 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
     for (v = top + 1; v > 0; v--)  /* each below[v] stepped to below[v + 1] */
         below[v] = below[v - 1];
     below[0] = 0;
+    seed_mt(&g, base, key, r->key_lens[run]);
 
     /* A client at level v moves to a server at level v - 2 or lower, at
        rate 1 / m per (client, destination) pair, so level v sends
@@ -694,6 +724,10 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
     }
     max_count = m - below[cur_max];
     for (;;) {
+        if (pairs <= 0) {  /* the audit: randbelow needs a positive bound */
+            status = PAIRS_WRONG;
+            break;
+        }
         t_next = t - log(1.0 - random53(&g)) / (rate * (double)pairs);
         if (t_next > horizon) {
             t = horizon;
@@ -710,15 +744,23 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
             lo = below[k];
             hk = below[k + 1] - lo;
             w = k * hk * below[k - 1];
-            if (rem < w)
+            if (rem < w || lo == 0)
                 break;
             rem -= w;
             k = counts[order[lo - 1]];
+        }
+        if (rem >= w) {  /* the audit: the walk ran past the lowest level */
+            status = PAIRS_WRONG;
+            break;
         }
         q = rem / k;
         i = order[lo + q % hk];
         j = order[q / hk];
         low = counts[j];
+        if (low > k - 2) {  /* the audit: the destination is not two below */
+            status = PAIRS_WRONG;
+            break;
+        }
         pairs += pairs_delta(below, k, low);
 
         /* i drops to level k - 1: swap it to the front of level k, then
@@ -758,34 +800,59 @@ static int balance(closed_run *r, int64_t top, int64_t *order, int64_t *where,
             status = MAX_COUNT_ROSE;
             break;
         }
-        if (counts[order[0]] >= r->band_lo && cur_max <= r->band_hi) {
-            r->stopped = 1;
+        if (counts[order[0]] >= band_lo && cur_max <= band_hi) {
+            stopped = 1;
             break;
         }
     }
-    r->t = t;
-    r->moves = moves;
+    r->t[run] = t;
+    r->stopped[run] = stopped;
+    r->moves[run] = moves;
     return status;
 }
 
-/* Run the closed rls system to balance or to the horizon: 0, or one of the
-   error codes above. */
+/* Run each closed rls run of r to balance or to the horizon, in order: 0,
+   or the error code above of the first run that fails, whose index goes
+   to r->failed. The runs before it are complete. */
 int closed_loop(closed_run *r)
 {
     const int64_t m = r->m;
-    int64_t top = 0, s, *order, *where, *levels = NULL;
+    const uint32_t *key = r->keys;
+    uint32_t base[MT_N];
+    int64_t top = 0, bottom = r->start[0], k, s, *order, *where;
+    int64_t *levels = NULL;
     int status = NO_MEMORY;
 
-    for (s = 0; s < m; s++)
-        if (r->counts[s] > top)
-            top = r->counts[s];
+    for (s = 0; s < m; s++) {
+        top = r->start[s] > top ? r->start[s] : top;
+        bottom = r->start[s] < bottom ? r->start[s] : bottom;
+    }
+    if (bottom >= r->band_lo && top <= r->band_hi) {
+        for (k = 0; k < r->runs; k++) {  /* balanced from the start */
+            memcpy(r->counts + k * m, r->start, (size_t)m * sizeof(int64_t));
+            r->t[k] = 0.0;
+            r->stopped[k] = 1;
+            r->moves[k] = 0;
+        }
+        return OK;
+    }
     order = malloc((size_t)m * sizeof(int64_t));
     where = malloc((size_t)m * sizeof(int64_t));
     if (top < (int64_t)(SIZE_MAX / sizeof(int64_t)) - 4)
-        levels = calloc((size_t)top + 4, sizeof(int64_t));
-    r->stopped = 0;
-    if (order && where && levels)  /* levels[0] is below[-1] */
-        status = balance(r, top, order, where, levels + 1);
+        levels = malloc(((size_t)top + 4) * sizeof(int64_t));
+    r->failed = 0;
+    if (order && where && levels) {  /* levels[0] is below[-1] */
+        init_genrand(base);
+        status = OK;
+        for (k = 0; k < r->runs; key += r->key_lens[k++]) {
+            memset(levels, 0, ((size_t)top + 4) * sizeof(int64_t));
+            status = balance(r, k, base, key, top, order, where, levels + 1);
+            if (status) {
+                r->failed = k;
+                break;
+            }
+        }
+    }
     free(order);
     free(where);
     free(levels);

@@ -1,10 +1,14 @@
 """Seeds, the replication fan-out, and small statistical helpers shared by the
 measurement and experiment layers.
 
-Replications fan out over threads of this process. Every replication spends
-nearly all its time in one of the compiled event loops, and ctypes releases
-the GIL for the length of a foreign call, so the loops of different threads
-run in parallel. Nothing is forked or pickled.
+Replications fan out over threads of this process, in contiguous chunks.
+Every replication spends nearly all its time in one of the compiled event
+loops, and ctypes releases the GIL for the length of a foreign call, so the
+loops of different threads run in parallel. Nothing is forked or pickled.
+``map_replications`` makes one call per replication, as the open pipelines'
+replications do, each milliseconds long. ``map_chunks`` hands a whole chunk
+to one call: closed replications take microseconds, so each chunk of them
+runs in one C call, with the GIL released for all of it.
 
 Only the two goodness-of-fit helpers compute a p-value, and only they import
 scipy, inside the call: ``verify coupling`` and the tests reach them, and no
@@ -39,31 +43,36 @@ def _chunks(work: list, jobs: int) -> list:
     return [work[i:i + size] for i in range(0, len(work), size)]
 
 
-def map_replications(fn, work: list, jobs: int) -> list:
-    """[fn(w) for w in work], fanned out over ``jobs`` threads when jobs > 1.
+def map_chunks(fn, work: list, jobs: int) -> list:
+    """[fn(chunk) for chunk in work cut into contiguous chunks], fanned out
+    over ``jobs`` threads when jobs > 1.
 
-    Each thread takes contiguous chunks of about a quarter of its share, so
-    one hand-off carries several short runs instead of one, and no more
+    With jobs == 1 (or fewer than two items) the one chunk is all of
+    ``work``. Otherwise each thread takes chunks of about a quarter of its
+    share, so one hand-off carries several runs instead of one, and no more
     threads start than there are chunks. Results come back in ``work``
-    order. If a replication raises, the chunks not yet started are
+    order, one per chunk. If a chunk raises, the chunks not yet started are
     cancelled, the running ones finish, and its exception propagates. The
     threads are joined before the function returns.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1 or len(work) < 2:
-        return [fn(w) for w in work]
+        return [fn(work)] if len(work) else []
     chunks = _chunks(work, jobs)
-
-    def run(chunk):
-        return [fn(w) for w in chunk]
-
     pool = ThreadPoolExecutor(max_workers=min(jobs, len(chunks)))
     try:
-        futures = [pool.submit(run, chunk) for chunk in chunks]
-        return [r for f in futures for r in f.result()]
+        futures = [pool.submit(fn, chunk) for chunk in chunks]
+        return [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def map_replications(fn, work: list, jobs: int) -> list:
+    """[fn(w) for w in work], fanned out over ``jobs`` threads by
+    ``map_chunks``, for replications that run one call each."""
+    return [r for chunk in map_chunks(lambda c: [fn(w) for w in c], work, jobs)
+            for r in chunk]
 
 
 def mean_sd(values) -> tuple:

@@ -20,7 +20,7 @@ from migratesim.balance import (
 )
 from migratesim.ctmc import simulate_closed
 from migratesim.model import SystemConfig
-from migratesim.stats import chi_square_gof
+from migratesim.stats import _chunks, chi_square_gof
 
 
 RLS = SystemConfig(m=2, policy="rls", resample_rate=1.0)
@@ -67,6 +67,9 @@ def test_is_balanced_edges():
     assert _stops_at_start((2, 2, 2))
     assert _stops_at_start((2, 3, 2))
     assert not _stops_at_start((1, 3, 2))
+    # a balanced start stops before the loop sizes its level counts, which
+    # would take 8 bytes per level up to the maximum occupancy
+    assert _stops_at_start((2 ** 40,)) and _stops_at_start((2 ** 40, 2 ** 40))
     # the band [n // m, ceil(n/m)] is exact balance: every placement of up
     # to 10 clients on up to 4 servers stops at t=0 iff max - min <= 1
     for m in range(1, 5):
@@ -242,3 +245,62 @@ def test_balance_time_jobs_parity_with_overlapping_runs():
     serial = measure_balance_time(cfg, start, reps=8, base_seed=5)
     fanned = measure_balance_time(cfg, start, reps=8, base_seed=5, jobs=2)
     assert serial == fanned
+
+
+# (m, start, eps, horizon, base_seed, reps): seeds that cross 2**32, 2**64
+# and 2**96, so one chunk mixes key lengths; seed 0 and negative seeds; a
+# horizon that censors some races and not others; an eps band; and a start
+# already in its band
+BATCHED_CELLS = (
+    (2, (2, 0), None, 0.5, 2 ** 32 - 6, 24),
+    (16, initial_all_at_one(16, 256), 0.5, 1000.0, -6, 12),
+    (32, initial_all_at_one(32, 1024), None, 1000.0, 2 ** 64 - 4, 8),
+    (12, (20, 0, 30, 1, 0, 9, 0, 4, 7, 0, 0, 1), None, 5.0, 2 ** 96 - 5, 12),
+    (3, (3, 2, 3), None, 1000.0, -2, 4),
+)
+
+
+def _key_words(seed):
+    return (abs(seed).bit_length() + 31) // 32 or 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batched_runs_are_the_single_runs(jobs):
+    """measure_balance_time runs each chunk of seeds in one closed_loop
+    call. Each stop time must be the bits simulate_closed gives its seed
+    alone, and the moves their sum; a batched simulate_closed call must
+    also end each run in that run's end state. At jobs 2 a chunk edge
+    falls where the key grows a word, and edges fall between runs that make
+    different numbers of moves."""
+    seen = set()
+    for m, start, eps, horizon, base, reps in BATCHED_CELLS:
+        cfg = SystemConfig(m=m, policy="rls")
+        seeds = range(base, base + reps)
+        single = [simulate_closed(cfg, start, horizon=horizon, eps=eps,
+                                  seed=seed) for seed in seeds]
+        moves = [run.trajectory.event_counts["migration"] for run in single]
+        res = measure_balance_time(cfg, start, eps=eps, reps=reps,
+                                   base_seed=base, horizon=horizon, jobs=jobs)
+        assert res.times == tuple(run.stop_time for run in single)
+        assert res.moves == sum(moves)
+        batch = simulate_closed(cfg, start, horizon=horizon, eps=eps,
+                                seed=seeds)
+        assert batch.stop_times == res.times
+        assert batch.trajectory.event_counts == {"migration": sum(moves)}
+        assert [tuple(row) for row in batch.trajectory.final.tolist()] == [
+            run.trajectory.final.counts for run in single]
+        seen.update(_key_words(seed) for seed in seeds)
+        seen.update("censored" if t is None else "at start" if t == 0
+                    else "stopped" for t in res.times)
+        if jobs > 1:
+            chunks = _chunks(range(reps), jobs)
+            for k in (chunk[0] for chunk in chunks[1:]):
+                if moves[k - 1] != moves[k]:
+                    seen.add("moves differ across an edge")
+                if _key_words(seeds[k - 1]) != _key_words(seeds[k]):
+                    seen.add("key grows across an edge")
+    assert {0, -1, -6}.issubset(s for _, _, _, _, base, reps in BATCHED_CELLS
+                                for s in range(base, base + reps))
+    assert {1, 2, 3, 4, "censored", "at start", "stopped"} <= seen
+    if jobs > 1:
+        assert {"moves differ across an edge", "key grows across an edge"} <= seen

@@ -45,6 +45,10 @@ def test_balance_run_and_artifacts(tmp_path, capsys):
     assert manifest["finished"] is not None
     assert manifest["version"]
     assert "warnings" not in manifest  # a clean run keeps the plain schema
+    # one accepted move balances each race, and a closed run draws no null
+    # event
+    assert manifest["events"] == {"migration": 30}
+    assert manifest["null_fraction"] == 0.0
 
 
 def test_balance_refuses_overwrite_without_force(tmp_path, capsys):

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 from random import Random
 
@@ -764,11 +765,20 @@ def _compile_with_loops(tmp_path, name, main, flags=("cc",)):
 
 def test_ctypes_mirrors_match_the_c_layout(tmp_path):
     """_OpenRun and _ClosedRun mirror open_run and closed_run: a probe
-    compiled with event_loops.c prints the offset of every field the
-    mirrors name, then each struct's size, and ctypes agrees on each."""
+    compiled with event_loops.c prints the offset and size of every field
+    the mirrors name, the item size of every pointer field (closed_run's
+    per-run inputs and outputs among them), then each struct's size, and
+    ctypes agrees on each."""
     mirrors = {"open_run": ctmc._OpenRun, "closed_run": ctmc._ClosedRun}
     probes = [(f"{c}.{name}", f"offsetof({c}, {name})", getattr(s, name).offset)
               for c, s in mirrors.items() for name, _ in s._fields_]
+    probes += [(f"{c}.{name} size", f"sizeof((({c} *)0)->{name})",
+                ctypes.sizeof(kind))
+               for c, s in mirrors.items() for name, kind in s._fields_]
+    probes += [(f"{c}.{name} item", f"sizeof(*(({c} *)0)->{name})",
+                ctypes.sizeof(kind._type_))
+               for c, s in mirrors.items() for name, kind in s._fields_
+               if issubclass(kind, ctypes._Pointer)]
     probes += [(c, f"sizeof({c})", ctypes.sizeof(s)) for c, s in mirrors.items()]
     # a field the C struct lacks stops the build, which names it
     exe, build = _compile_with_loops(
@@ -853,37 +863,58 @@ def test_pairs_delta_matches_a_brute_force_count(tmp_path):
     assert [int(d) for d in out] == [delta for *_, delta in cases]
 
 
-# reads lines of "m horizon band_lo band_hi key_len key... counts...", runs
-# closed_loop on each and prints its status, t in hex, stopped, the moves
-# and the end counts
+# reads lines of "m horizon band_lo band_hi runs start... key_len key...",
+# one key_len and its key per run, makes one closed_loop call of each line,
+# and prints its status and failed run, then per run t in hex, stopped, the
+# moves and the end counts
 CLOSED_DRIVER = """
 int main(void)
 {
-    long long m, band_lo, band_hi, key_len, c;
+    long long m, band_lo, band_hi, runs, c;
     double horizon;
-    int64_t s, *counts;
-    uint32_t *key;
+    int64_t s, k, used, *start, *lens, *stopped, *moves, *counts;
+    uint32_t *keys;
+    double *t;
     closed_run r;
     int status;
 
     while (scanf("%lld %lf %lld %lld %lld", &m, &horizon, &band_lo, &band_hi,
-                 &key_len) == 5) {
-        key = malloc((size_t)key_len * sizeof *key);
-        counts = malloc((size_t)m * sizeof *counts);
-        for (s = 0; s < key_len && scanf("%lld", &c) == 1; s++)
-            key[s] = (uint32_t)c;
+                 &runs) == 5) {
+        start = malloc((size_t)m * sizeof *start);
         for (s = 0; s < m && scanf("%lld", &c) == 1; s++)
-            counts[s] = c;
+            start[s] = c;
+        lens = malloc((size_t)runs * sizeof *lens);
+        keys = NULL;
+        for (used = k = 0; k < runs && scanf("%lld", &c) == 1; k++) {
+            lens[k] = c;
+            keys = realloc(keys, (size_t)(used + c) * sizeof *keys);
+            for (s = 0; s < lens[k] && scanf("%lld", &c) == 1; s++)
+                keys[used++] = (uint32_t)c;
+        }
+        t = malloc((size_t)runs * sizeof *t);
+        stopped = malloc((size_t)runs * sizeof *stopped);
+        moves = malloc((size_t)runs * sizeof *moves);
+        counts = malloc((size_t)(runs * m) * sizeof *counts);
         r = (closed_run){.m = m, .horizon = horizon, .band_lo = band_lo,
-                         .band_hi = band_hi, .key = key, .key_len = key_len,
+                         .band_hi = band_hi, .start = start, .runs = runs,
+                         .keys = keys, .key_lens = lens, .t = t,
+                         .stopped = stopped, .moves = moves,
                          .counts = counts};
         status = closed_loop(&r);
-        printf("%d %a %lld %lld", status, r.t, (long long)r.stopped,
-               (long long)r.moves);
-        for (s = 0; s < m; s++)
-            printf(" %lld", (long long)counts[s]);
-        printf("\\n");
-        free(key);
+        printf("%d %lld\\n", status, (long long)r.failed);
+        for (k = 0; k < runs; k++) {
+            printf("%a %lld %lld", t[k], (long long)stopped[k],
+                   (long long)moves[k]);
+            for (s = 0; s < m; s++)
+                printf(" %lld", (long long)counts[k * m + s]);
+            printf("\\n");
+        }
+        free(start);
+        free(lens);
+        free(keys);
+        free(t);
+        free(stopped);
+        free(moves);
         free(counts);
     }
     return 0;
@@ -893,18 +924,21 @@ SANITIZE = ("-g", "-fsanitize=address,undefined",
             "-fno-sanitize-recover=undefined")
 
 
-def _sanitized_closed_runs():
-    """(start, eps, horizon, seed) for the sanitized closed loop: the
-    benchmark's three cells, eps bands, censored runs, and random starts,
-    among them two-level starts whose first move goes from the top level k
-    to level k - 2."""
-    runs = [(_all_at_one(m, n), None, 1000.0, seed)
-            for m, n in ((2, 2), (32, 1024), (64, 256))
-            for seed in (0, 1, 54 * 8 * 10 ** 7 + 20002)]
-    runs += [(_all_at_one(16, 256), 0.2, 1000.0, 3),
-             ((20, 0, 30, 1, 0, 9, 0, 4, 7, 0, 0, 1), 0.25, 1000.0, 4),
-             (_all_at_one(32, 1024), None, 0.5, 5),
-             (_all_at_one(32, 1024), 0.5, 1000.0, 2 ** 70 + 9)]
+def _sanitized_closed_calls():
+    """(start, eps, horizon, seeds) for the sanitized closed loop, one
+    closed_loop call each. One run a call: the benchmark's three cells, eps
+    bands, censored runs, and random starts, among them two-level starts
+    whose first move goes from the top level k to level k - 2. Several runs
+    a call: seeds of one, two and three words mixed in each of the
+    benchmark's cells and an eps band, a race whose horizon censors some of
+    its runs and not others, and a start already in its band."""
+    calls = [(_all_at_one(m, n), None, 1000.0, (seed,))
+             for m, n in ((2, 2), (32, 1024), (64, 256))
+             for seed in (0, 1, 54 * 8 * 10 ** 7 + 20002)]
+    calls += [(_all_at_one(16, 256), 0.2, 1000.0, (3,)),
+              ((20, 0, 30, 1, 0, 9, 0, 4, 7, 0, 0, 1), 0.25, 1000.0, (4,)),
+              (_all_at_one(32, 1024), None, 0.5, (5,)),
+              (_all_at_one(32, 1024), 0.5, 1000.0, (2 ** 70 + 9,))]
     rng = Random(5)
     for seed in range(80):
         m = rng.randint(2, 40)
@@ -914,17 +948,23 @@ def _sanitized_closed_runs():
         else:
             start = tuple(rng.randint(0, 3 * rng.randint(1, 10))
                           for _ in range(m))
-        runs.append((start, rng.choice((None, 0.5)), 1000.0, -seed))
-    return runs
+        calls.append((start, rng.choice((None, 0.5)), 1000.0, (-seed,)))
+    mixed = (0, 2 ** 32 + 7, -3, 2 ** 70 + 9, 54 * 8 * 10 ** 7 + 20002, 11)
+    calls += [(_all_at_one(m, n), None, 1000.0, mixed)
+              for m, n in ((2, 2), (32, 1024), (64, 256))]
+    calls += [(_all_at_one(16, 256), 0.2, 1000.0, mixed),
+              ((2, 0), None, 0.5, tuple(range(2 ** 32 - 6, 2 ** 32 + 6))),
+              ((3, 2, 3), None, 1000.0, mixed)]
+    return calls
 
 
 def test_closed_loop_is_clean_under_sanitizers(tmp_path):
     """event_loops.c with a small driver, built with AddressSanitizer and
-    UndefinedBehaviorSanitizer, runs closed_loop on each start of
-    _sanitized_closed_runs that is not already in its band: it must exit
-    cleanly with no sanitizer report, and end each run as simulate_closed
-    does. An out-of-bounds read of below[], or an overflow of the pair
-    count, stops the run with a report."""
+    UndefinedBehaviorSanitizer, makes one closed_loop call of each entry of
+    _sanitized_closed_calls: it must exit cleanly with no sanitizer report,
+    and end each run as simulate_closed does with that run's seed alone.
+    An out-of-bounds read of below[] or of a later run's key, or an
+    overflow of the pair count, stops the run with a report."""
     flags = [f for f in ctmc.CC if f not in ("-shared", "-fPIC")] + list(SANITIZE)
     trivial = tmp_path / "trivial.c"
     trivial.write_text("int main(void)\n{\n    return 0;\n}\n")
@@ -935,34 +975,43 @@ def test_closed_loop_is_clean_under_sanitizers(tmp_path):
                     f"do not link with {flags[0]}: {probe.stderr.strip()}")
     exe, build = _compile_with_loops(tmp_path, "closed", CLOSED_DRIVER, flags)
     assert build.returncode == 0, build.stderr
-    runs, lines = [], []
-    for start, eps, horizon, seed in _sanitized_closed_runs():
+    calls = _sanitized_closed_calls()
+    lines = []
+    for start, eps, horizon, seeds in calls:
         m, n = len(start), sum(start)
         lo, hi = (n // m, -(-n // m)) if eps is None else eps_band(m, n, eps)
-        if lo <= min(start) and max(start) <= hi:
-            continue
-        key = list(ctmc._seed_key(seed))
-        runs.append((start, eps, horizon, seed))
-        lines.append(" ".join(map(str, (m, repr(horizon), lo, hi, len(key),
-                                        *key, *start))))
+        words, lengths = ctmc._seed_keys(seeds)
+        keys = iter(memoryview(words).cast("I"))
+        lines.append(" ".join(map(str, (
+            m, repr(horizon), lo, hi, len(seeds), *start,
+            *(x for length in lengths
+              for x in (length, *islice(keys, length)))))))
     done = subprocess.run([str(exe)], input="\n".join(lines) + "\n",
                           capture_output=True, text=True)
     assert done.returncode == 0 and "Sanitizer" not in done.stderr \
         and "runtime error" not in done.stderr, done.stderr
-    got = []
-    for line in done.stdout.splitlines():
-        status, t, stopped, moves, *counts = line.split()
-        got.append((int(status), float.fromhex(t), stopped == "1", int(moves),
-                    tuple(map(int, counts))))
-    expected = []
-    for start, eps, horizon, seed in runs:
-        run = simulate_closed(SystemConfig(m=len(start), policy="rls"), start,
-                              horizon=horizon, eps=eps, seed=seed)
-        end = run.trajectory
-        expected.append((0, end.final.t, run.stop_time is not None,
-                         end.event_counts["migration"], end.final.counts))
-    assert len(got) == len(expected) > 60
+    out = iter(done.stdout.splitlines())
+    got, expected = [], []
+    for start, eps, horizon, seeds in calls:
+        assert next(out).split()[0] == "0"  # the status; failed is unread
+        for _ in seeds:
+            t, stopped, moves, *counts = next(out).split()
+            got.append((float.fromhex(t), stopped == "1", int(moves),
+                        tuple(map(int, counts))))
+        for seed in seeds:
+            run = simulate_closed(SystemConfig(m=len(start), policy="rls"),
+                                  start, horizon=horizon, eps=eps, seed=seed)
+            end = run.trajectory
+            expected.append((end.final.t, run.stop_time is not None,
+                             end.event_counts["migration"], end.final.counts))
+    assert next(out, None) is None
+    assert len(got) == len(expected) > 100
     assert got == expected
+    # the race call censors some of its runs and stops the others, and the
+    # in-band call stops each run at 0 without a move
+    race = expected[-len(calls[-1][3]) - len(calls[-2][3]):-len(calls[-1][3])]
+    assert {stopped for _, stopped, _, _ in race} == {False, True}
+    assert set(expected[-len(calls[-1][3]):]) == {(0.0, True, 0, (3, 2, 3))}
 
 
 def test_import_without_cc_names_it(tmp_path):
