@@ -324,6 +324,61 @@ def test_rls_equilibrium_grid_is_pinned():
         assert digest.hexdigest() == expected, (lam, beta, b_cap)
 
 
+# (y, x_0) of the damped-Newton equilibrium_rls at the points of the grid
+# above, as it computed them; any solver of the same equations must land
+# within the bridge test's tolerances of them
+RLS_EQUILIBRIUM_NEWTON = {
+    (0.3, 0.02, 60): (0.42100558942260347, 0.7000000000000012),
+    (0.3, 0.02, 120): (0.42100558942267474, 0.6999999999999981),
+    (0.3, 0.5, 60): (0.35843771187972573, 0.7),
+    (0.3, 0.5, 120): (0.35843771187972984, 0.6999999999999986),
+    (0.3, 10.0, 60): (0.3060311602687979, 0.6999999999999983),
+    (0.3, 10.0, 120): (0.30603116026879146, 0.7000000000000043),
+    (0.8, 0.02, 60): (3.1203001081572954, 0.1999999999999985),
+    (0.8, 0.02, 120): (3.1203001081572515, 0.19999999999999957),
+    (0.8, 0.5, 60): (1.6148087269083478, 0.20000000000000318),
+    (0.8, 0.5, 120): (1.6148087269083606, 0.20000000000000082),
+    (0.8, 10.0, 60): (0.9302616232797458, 0.20000000000001708),
+    (0.8, 10.0, 120): (0.9302616232797843, 0.19999999999999662),
+    (0.95, 0.02, 60): (7.520049059473115, 0.05000000000003839),
+    (0.95, 0.02, 120): (7.520049059477111, 0.050000000000000815),
+    (0.95, 0.5, 60): (2.832456015573289, 0.04999999999999784),
+    (0.95, 0.5, 120): (2.832456015573385, 0.04999999999999247),
+    (0.95, 10.0, 60): (1.4195194857717217, 0.05000000000000359),
+    (0.95, 10.0, 120): (1.4195194857718882, 0.04999999999997984),
+}
+
+
+def test_rls_equilibrium_bridges_the_newton_values():
+    """y within 1e-12 relative and x_0 within 1e-12 absolute of the
+    Newton solver's, at every point of the pinned grid."""
+    for (lam, beta, b_cap), (y, x_0) in RLS_EQUILIBRIUM_NEWTON.items():
+        eq = equilibrium_rls(lam, beta, b_cap)
+        assert mean_occupancy(eq.state) == pytest.approx(y, rel=1e-12, abs=0)
+        assert float(eq.state.x[0]) == pytest.approx(x_0, rel=0, abs=1e-12)
+
+
+def test_rls_equilibrium_meets_its_closed_form_limits():
+    """First-order limits of the rls mean occupancy, written from the model
+    alone. As beta grows, each arrival that finds its server busy leaves
+    for an idle one, and beta (y - lam) -> lam**2 / (2 (1 - lam)). As lam
+    falls, a second client is rare, and (y/lam - 1)(1 + 2 beta)/lam -> 1."""
+    def y_rls(lam, beta):
+        return mean_occupancy(equilibrium_rls(lam, beta, 30).state)
+
+    for lam in (0.3, 0.8, 0.95):
+        limit = lam ** 2 / (2.0 * (1.0 - lam))
+        err = {beta: abs(beta * (y_rls(lam, beta) - lam) / limit - 1.0)
+               for beta in (1e3, 1e4)}
+        assert err[1e4] < 1e-2, (lam, err)
+        assert err[1e4] * 5.0 < err[1e3], (lam, err)
+    for beta in (0.02, 0.5, 10.0):
+        for lam, bound in ((1e-3, 1e-2), (1e-4, 1e-3)):
+            err = abs((y_rls(lam, beta) / lam - 1.0) * (1.0 + 2.0 * beta) / lam
+                      - 1.0)
+            assert err < bound, (lam, beta, err)
+
+
 def numpy_gauss_solve(a, b):
     """The Newton solve as numpy once ran all of it: elimination with
     partial pivoting on the first largest magnitude, then back
