@@ -3,7 +3,8 @@
 One small and one moderate server count at a fixed offered load, both
 migration policies. The oblivious-walk prediction is the fixed point of
 its one-dimensional root equation; the load-sensitive prediction is the
-equilibrium of its mean-field system, solved by damped Newton.
+equilibrium of its mean-field system, solved by bisection on the mean
+occupancy through its cut-balance recursion.
 """
 
 from migratesim.experiments import throughput_comparison

@@ -17,8 +17,8 @@ a repeated command with the same seed reproduces them byte for byte. This
 module is the only one that writes files, so the CSV and manifest formats
 live here. Exit codes: 0 success, 1 configuration or usage error, 2
 completed with warnings (censoring, inconclusive or failed checks, an rls
-equilibrium whose two starts disagree), each printed as a ``warning:``
-line and listed in the manifest.
+equilibrium with more than one root in its bracket), each printed as a
+``warning:`` line and listed in the manifest.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class RunManifest:
     outputs: tuple
     started: float
     finished: Optional[float] = None
-    # solver telemetry (iterations, residual, ...); written only when set
+    # solver telemetry (residual, roots, ...); written only when set
     solver: Optional[dict] = None
     # why the run exits 2; written only when there is one
     warnings: List[str] = field(default_factory=list)
@@ -428,23 +428,20 @@ def cmd_meanfield(args) -> int:
             warnings.simplefilter("ignore", RuntimeWarning)
             eq = equilibrium_rls(lam, beta, cap, tol=args.tol)
         y = mean_occupancy(eq.state)
-        manifest.solver = {"iterations": eq.iterations,
-                           "residual": eq.residual,
-                           "two_start_gap": eq.two_start_gap,
+        manifest.solver = {"residual": eq.residual, "roots": eq.roots,
                            "flagged": eq.flagged}
         print(f"y (mean occupancy): {y!r}")
-        print(f"residual: {eq.residual!r}")
-        print(f"two-start agreement (L1): {eq.two_start_gap!r}")
+        print(f"residual: {eq.residual!r} roots: {eq.roots}")
         if lam > 0:
             print(f"sojourn: {sojourn_time(y, lam)!r} "
                   f"throughput: {throughput(y, lam)!r}")
         if eq.flagged:
-            manifest.warnings.append("the two starts disagree beyond 10x tol")
+            manifest.warnings.append(
+                f"the rls mass defect changes sign {eq.roots} times")
         rows = [{"k": k, "x_k": v} for k, v in enumerate(eq.state.x)]
         return ("k", "x_k"), rows, [
             f"lambda={lam!r} beta={beta!r} B={cap}",
-            f"y={y!r} residual={eq.residual!r} "
-            f"two_start_gap={eq.two_start_gap!r}"]
+            f"y={y!r} residual={eq.residual!r} roots={eq.roots}"]
 
     if args.mode == "integrate":
         csv_name, body = "trajectory.csv", trajectory

@@ -185,9 +185,6 @@ _sojourn_window = _c_function(
     "sojourn_window", ctypes.c_int, ctypes.c_int64, ctypes.c_void_p,
     ctypes.c_double, ctypes.c_double, ctypes.POINTER(ctypes.c_double),
     ctypes.POINTER(ctypes.c_int64))
-# meanfield._gauss_solve's elimination: (n, a, b) -> zero pivot column or -1
-gauss_eliminate = _c_function("gauss_eliminate", ctypes.c_int64,
-                              ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
 OPEN_EVENTS = ("arrival", "departure", "migration", "resample_rejected",
                "resample_self", "arrival_dropped", "migration_blocked")
 # the event loops' error codes; a closed run fills in the two levels

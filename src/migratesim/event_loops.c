@@ -1,7 +1,7 @@
 /* The compiled code of migratesim: the event loops of ctmc.simulate_open
-   and ctmc.simulate_closed, the sojourn window sum of
-   experiments.measure_sojourns, and the forward elimination of
-   meanfield._gauss_solve. Each gives the bits of the Python it replaced.
+   and ctmc.simulate_closed, and the sojourn window sum of
+   experiments.measure_sojourns. Each gives the bits of the Python it
+   replaced.
 
    Both consume CPython's Mersenne Twister stream draw for draw, so a run
    is bit-identical to one driven by random.Random(seed):
@@ -19,9 +19,7 @@
 
    The open loop refreshes its busy service rate with CPython's math.fsum,
    and sojourn_window's total is that fsum too: one copy of its partials
-   (fsum_add, fsum_round) serves both. gauss_eliminate does numpy's array
-   operations in numpy's order; the back substitution stays numpy, whose
-   dot products do not sum in plain order.
+   (fsum_add, fsum_round) serves both.
 
    The closed loop counts its accepted pairs once, at the start, and then
    updates the count by an exact integer change per move (pairs_delta),
@@ -887,52 +885,4 @@ int sojourn_window(int64_t n, const double *rows, double warmup,
     counts[1] = in_window;
     free(ps);
     return OK;
-}
-
-/* The forward elimination of meanfield._gauss_solve, in place on the
-   row-major n x n a and on b, with numpy's operations in numpy's order:
-   the pivot is the first entry of largest fabs in column j at or below
-   the diagonal, a NaN counting as largest as np.argmax counts it; its row
-   swaps whole with row j; then each row i below takes m = a[i][j] /
-   a[j][j], a[i][k] -= m * a[j][k] for k > j, and b[i] -= m * b[j]. The
-   entries below the diagonal are left as they are. Returns the column of
-   a zero pivot, or -1. */
-int64_t gauss_eliminate(int64_t n, double *a, double *b)
-{
-    int64_t i, j, k, p;
-    double best, v, m, t, *ri, *rj;
-
-    for (j = 0; j < n; j++) {
-        rj = a + j * n;
-        p = j;
-        best = fabs(rj[j]);
-        for (i = j + 1; i < n && !isnan(best); i++) {
-            v = fabs(a[i * n + j]);
-            if (v > best || isnan(v)) {
-                best = v;
-                p = i;
-            }
-        }
-        if (a[p * n + j] == 0.0)
-            return j;
-        if (p != j) {
-            ri = a + p * n;
-            for (k = 0; k < n; k++) {
-                t = rj[k];
-                rj[k] = ri[k];
-                ri[k] = t;
-            }
-            t = b[j];
-            b[j] = b[p];
-            b[p] = t;
-        }
-        for (i = j + 1; i < n; i++) {
-            ri = a + i * n;
-            m = ri[j] / rj[j];
-            for (k = j + 1; k < n; k++)
-                ri[k] -= m * rj[k];
-            b[i] -= m * b[j];
-        }
-    }
-    return -1;
 }

@@ -24,13 +24,12 @@ stochastic system does.
 The stationary law of the rlo flow is available in closed form up to a
 scalar root: flux balance gives xi_i = xi_0 * z**i / prod_{j<=i}(1+beta*j)
 with z = lam + beta*y, and z is pinned down by the self-consistency of y,
-expressed here as the root of ``g_of_z``. The rls flow has no closed form.
-Its right-hand side is quadratic in x, so ``jac_rls`` gives the exact
-Jacobian cheaply, and ``equilibrium_rls`` solves rhs_rls(x) = 0 under the
-mass constraint by damped Newton (Armijo backtracking, as in Kelley,
-"Solving Nonlinear Equations with Newton's Method", SIAM 2003, ch. 1). It
-solves from two starts, the empty system and the rlo fixed point, and
-reports how well they agree.
+expressed here as the root of ``g_of_z``. The rls law has the same shape:
+at rest the net flow across every cut k | k+1 is zero, which fixes each
+level from the ones below it given the single scalar y, so
+``equilibrium_rls`` bisects y on the total mass as ``solve_fixed_point_rlo``
+bisects z. Neither solver assumes its root is unique; the rls solver counts
+sign changes over its bracket.
 """
 
 from __future__ import annotations
@@ -42,21 +41,15 @@ from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
-from .ctmc import gauss_eliminate
 from .model import Policy
 
 # Mass drift allowed before a step is declared broken, and how far below
 # zero a component may dip before clipping is refused.
 MASS_TOL = 1e-9
 NEG_TOL = 1e-12
-# Damped Newton for the rls equilibrium: done once the max-norm residual
-# is at rounding level; stuck after this many iterations, or once
-# backtracking has halved the step below the last constant.
-NEWTON_FLOOR = 8e-15
-NEWTON_MAX_ITER = 100
-NEWTON_MIN_STEP = 1e-12
-# Armijo slope: a step of length s must cut ||rhs||^2 by the factor 1 - ARMIJO*s.
-ARMIJO = 1e-4
+# Equal cells of the y bracket that the rls equilibrium's uniqueness audit
+# scans for sign changes of the mass defect.
+ROOT_SCAN = 16
 
 
 class SolverError(RuntimeError):
@@ -138,24 +131,6 @@ def rhs_rlo_tail(s, lam: float, beta: float) -> np.ndarray:
     return ds
 
 
-def _rls_terms(x: np.ndarray):
-    """Levels, padded T and P, and x shifted up and down, for rhs_rls.
-
-    T is padded two above the cap and P two below zero, so T_{k+j} is
-    t_pad[k+j] and P_{k-j} is p_pad[k+2-j] for every level k.
-    """
-    k = np.arange(x.size, dtype=float)
-    t_pad = np.zeros(x.size + 2)
-    t_pad[:-2] = np.cumsum((k * x)[::-1])[::-1]
-    p_pad = np.zeros(x.size + 2)
-    p_pad[2:] = np.cumsum(x)
-    x_prev = np.zeros_like(x)
-    x_prev[1:] = x[:-1]
-    x_next = np.zeros_like(x)
-    x_next[:-1] = x[1:]
-    return k, t_pad, p_pad, x_prev, x_next
-
-
 def rhs_rls(x, lam: float, beta: float) -> np.ndarray:
     """Time derivative under load-sensitive resampling.
 
@@ -172,7 +147,17 @@ def rhs_rls(x, lam: float, beta: float) -> np.ndarray:
     can land above the cap because that would need an origin above it.
     """
     x = _vec(x)
-    k, t_pad, p_pad, x_prev, x_next = _rls_terms(x)
+    k = np.arange(x.size, dtype=float)
+    # T padded two above the cap and P two below zero, so T_{k+j} is
+    # t_pad[k+j] and P_{k-j} is p_pad[k+2-j] for every level k
+    t_pad = np.zeros(x.size + 2)
+    t_pad[:-2] = np.cumsum((k * x)[::-1])[::-1]
+    p_pad = np.zeros(x.size + 2)
+    p_pad[2:] = np.cumsum(x)
+    x_prev = np.zeros_like(x)
+    x_prev[1:] = x[:-1]
+    x_next = np.zeros_like(x)
+    x_next[:-1] = x[1:]
     dx = rhs_rlo(x, lam, 0.0)
 
     gain_hi = x_prev * t_pad[1:-1]  # migrant lands, origin held >= k+1
@@ -181,40 +166,6 @@ def rhs_rls(x, lam: float, beta: float) -> np.ndarray:
     gain_lo = (k + 1.0) * x_next * p_pad[1:-1]  # resident leaves level k+1
     dx += beta * (gain_hi - loss_hi - loss_lo + gain_lo)
     return dx
-
-
-def jac_rls(x, lam: float, beta: float) -> np.ndarray:
-    """Jacobian of rhs_rls at x: entry [k, i] is d(dx_k/dt)/dx_i.
-
-    rhs_rls is quadratic in x, so this is exact. Each migration term is one
-    component times a suffix sum T or a prefix sum P. Differentiating the
-    component gives a sub-, main- or superdiagonal entry; differentiating
-    the sum gives an outer product masked to the sum's triangle, since
-    dT_j/dx_i = i [i >= j] and dP_j/dx_i = [i <= j].
-    """
-    x = _vec(x)
-    b = x.size - 1
-    k, t_pad, p_pad, x_prev, x_next = _rls_terms(x)
-    ones = np.ones(x.size)
-    # [lo, hi] walks the superdiagonal, [hi, lo] the subdiagonal
-    lo, hi = np.arange(b), np.arange(1, b + 1)
-
-    # derivatives through the sums, one term of rhs_rls per line
-    mig = (np.triu(np.outer(x_prev, k), 1)  # x_{k-1} T_{k+1}
-           - np.triu(np.outer(x, k), 2)  # x_k T_{k+2}
-           - np.tril(np.outer(k * x, ones), -2)  # k x_k P_{k-2}
-           + np.tril(np.outer((k + 1.0) * x_next, ones), -1))  # (k+1) x_{k+1} P_{k-1}
-    # derivatives through the components
-    mig[hi, lo] += t_pad[2:-1]
-    mig[lo, hi] += (k[:-1] + 1.0) * p_pad[1:-2]
-    mig[np.diag_indices(b + 1)] -= t_pad[2:] + k * p_pad[:-2]
-
-    jac = beta * mig
-    jac[hi, lo] += lam  # arrivals from level k-1 land on k
-    jac[lo, hi] += 1.0  # completions from level k+1 land on k
-    jac[lo, lo] -= lam  # arrivals leave every level below the cap
-    jac[hi, hi] -= 1.0  # completions leave every level above zero
-    return jac
 
 
 def make_rhs(policy: Union[Policy, str], lam: float, beta: float) -> Callable:
@@ -357,6 +308,19 @@ def g_of_z(z: float, lam: float, beta: float, b_cap: int) -> float:
     return math.copysign(math.inf, core)
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """The root of f in [lo, hi], f(lo) <= 0 < f(hi), to 1e-15 relative."""
+    for _ in range(400):
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 @dataclass(frozen=True)
 class FixedPoint:
     """Stationary occupancy law of the oblivious walk."""
@@ -401,15 +365,7 @@ def solve_fixed_point_rlo(lam: float, beta: float, b_cap: int,
             hi *= 2.0
         else:
             raise SolverError(f"could not bracket the root above z={hi!r}")
-        for _ in range(400):
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if g_of_z(mid, lam, beta, b_cap) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        z = 0.5 * (lo + hi)
+        z = _bisect(lambda z: g_of_z(z, lam, beta, b_cap), lo, hi)
     xi = _xi_from_z(z, lam, beta, b_cap)
     y = float(np.arange(b_cap + 1) @ xi) if beta == 0.0 else (z - lam) / beta
     residual = float(np.max(np.abs(rhs_rlo(xi, lam, beta))))
@@ -422,127 +378,110 @@ def solve_fixed_point_rlo(lam: float, beta: float, b_cap: int,
 
 @dataclass(frozen=True)
 class RlsEquilibrium:
-    """Load-sensitive equilibrium plus the two-start agreement audit.
+    """Load-sensitive equilibrium plus the uniqueness audit.
 
-    Uniqueness of this equilibrium is an observation, not a theorem, so the
-    distance between the Newton limits from the empty start and from the
-    rlo fixed point is reported rather than assumed away; ``flagged`` marks
-    a gap above 10x the residual tolerance. ``iterations`` is the larger of
-    the two starts' Newton iteration counts.
+    Uniqueness of this equilibrium is an observation, not a theorem, so
+    ``roots`` counts the sign changes of the mass defect over the scanned
+    bracket of y rather than assuming one; ``flagged`` marks more than one.
     """
 
     state: OdeState
-    residual: float
-    two_start_gap: float
-    flagged: bool
-    iterations: int
+    residual: float  # max-norm of rhs_rls at state
+    roots: int
+
+    @property
+    def flagged(self) -> bool:
+        return self.roots > 1
 
 
-def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with partial pivoting.
+def _cut_state(y: float, lam: float, beta: float, b_cap: int) -> List[float]:
+    """The levels that balance every cut at mean occupancy y.
 
-    The forward elimination is C (``gauss_eliminate`` in event_loops.c),
-    doing numpy's array operations in numpy's order, so it gives the bits
-    the numpy loop once gave. The back substitution stays numpy ``@``:
-    summed in plain order instead, its dot products change the last bits of
-    equilibrium_rls at all 18 points of the tests' pinned grid. Neither is
-    LAPACK: OpenBLAS runs its LU on several threads
-    for systems this size. On a 2-vCPU Xeon VM with the second vCPU busy,
-    one 121 x 121 solve took up to 0.1 s of CPU there, against 0.3 ms on
-    one thread, and the last bits of the answer changed with the thread
-    count.
+    Zero net flow across the cut k | k+1 gives
+
+        x_{k+1} = x_k (lam + beta (y - S_k)) / (1 + beta (k+1) P_k),
+
+    with S_k = sum_{i<=k} i x_i and P_k = sum_{i<=k} x_i, since
+    y - S_k - (k+1) x_{k+1} is the suffix sum T_{k+2} of rhs_rls. The
+    birth factor is clipped at zero, where y falls short of S_k. x_0 then
+    solves x_0 = 1 - lam (1 - x_B) (accepted arrivals equal completions):
+    at once when x_B is below rounding, and otherwise by secant steps from
+    x_0 = 1 - lam, kept inside [1 - lam, 1] by bisection. A gap that stays
+    positive up to x_0 = 1 means a chain that overshoots the cap, whose
+    mass then exceeds 1 anyway.
     """
-    a = np.array(a, dtype=np.float64, order="C")  # copies, eliminated in place
-    b = np.array(b, dtype=np.float64)
-    n = b.size
-    if a.shape != (n, n):
-        raise ValueError(f"a must be {n} x {n}, got {a.shape}")
-    j = gauss_eliminate(n, a.ctypes.data, b.ctypes.data)
-    if j >= 0:
-        raise SolverError(f"singular Newton system at column {j}")
-    x = np.empty(n)
-    for j in range(n - 1, -1, -1):
-        x[j] = (b[j] - a[j, j + 1:] @ x[j + 1:]) / a[j, j]
+    def gap(x_0):
+        x = [x_0]
+        x_k = x_0
+        s = p = 0.0
+        for k in range(b_cap):
+            s += k * x_k
+            p += x_k
+            up = lam + beta * (y - s)
+            x_k = x_k * up / (1.0 + beta * (k + 1) * p) if up > 0.0 else 0.0
+            x.append(x_k)
+        return 1.0 - lam * (1.0 - x_k) - x_0, x
+
+    lo, hi = 1.0 - lam, 1.0
+    a, (f_a, x) = lo, gap(lo)
+    b = lo + f_a
+    while lo < b < hi:
+        f_b, x = gap(b)
+        if f_b == 0.0 or f_b == f_a:
+            break
+        if f_b > 0.0:
+            lo = b
+        else:
+            hi = b
+        a, f_a, b = b, f_b, b - f_b * (b - a) / (f_b - f_a)
+        if not lo <= b <= hi:
+            b = 0.5 * (lo + hi)
     return x
 
 
-def _newton_rls(x: np.ndarray, lam: float, beta: float,
-                tol: float) -> Tuple[np.ndarray, float, int]:
-    """Damped Newton on rhs_rls(x) = 0 from x, holding sum(x) = 1.
-
-    The balance rows sum to zero, so the last one is redundant; the mass
-    row takes its place in the Newton system. A trial point is clipped at
-    zero and renormalized, and the step is halved until the trial cuts
-    ||rhs_rls||^2 by the Armijo factor. Returns (state, max-norm residual,
-    iterations); raises SolverError if the residual is not under tol when
-    the iterations run out or the step collapses.
-    """
-    x = x.copy()
-    f = rhs_rls(x, lam, beta)
-    merit = float(f @ f)
-    residual = float(np.max(np.abs(f)))
-    iterations = 0
-    step = 1.0
-    while (residual > NEWTON_FLOOR and iterations < NEWTON_MAX_ITER
-           and step >= NEWTON_MIN_STEP):
-        jac = jac_rls(x, lam, beta)
-        jac[-1] = 1.0
-        g = f.copy()
-        g[-1] = float(x.sum()) - 1.0
-        dx = _gauss_solve(jac, -g)
-        step = 1.0
-        while step >= NEWTON_MIN_STEP:
-            trial = np.maximum(x + step * dx, 0.0)
-            trial /= trial.sum()
-            f_trial = rhs_rls(trial, lam, beta)
-            merit_trial = float(f_trial @ f_trial)
-            if merit_trial <= (1.0 - ARMIJO * step) * merit:
-                x, f, merit = trial, f_trial, merit_trial
-                residual = float(np.max(np.abs(f)))
-                iterations += 1
-                break
-            step *= 0.5
-    if not residual < tol:
-        why = (f"the step fell below {NEWTON_MIN_STEP}"
-               if step < NEWTON_MIN_STEP
-               else f"{iterations} Newton iterations")
-        raise SolverError(
-            f"no rls equilibrium: residual {residual!r} still not under "
-            f"tol={tol!r} after {why}"
-        )
-    return x, residual, iterations
+def _mass_defect(y: float, lam: float, beta: float, b_cap: int) -> float:
+    """sum_k x_k - 1 for the cut-balanced levels at y; zero at the root."""
+    return math.fsum(_cut_state(y, lam, beta, b_cap)) - 1.0
 
 
 def equilibrium_rls(lam: float, beta: float, b_cap: int,
                     tol: float = 1e-10) -> RlsEquilibrium:
-    """Solve the load-sensitive stationarity system from two starts.
+    """Stationary law of the load-sensitive flow, by bisection on y.
 
-    Runs damped Newton with the analytic ``jac_rls`` from the empty start
-    and from the rlo fixed point at the same rates, and returns the
-    empty-start solution. The second start only feeds the agreement gap;
-    a gap above 10x tol sets ``flagged`` and warns. Requires lam < 1.
+    Grows y_hi from max(1, 2 lam) by doubling until the mass defect is
+    positive, scans ROOT_SCAN equal cells of [0, y_hi] for sign changes,
+    and bisects the lowest one, as solve_fixed_point_rlo bisects z. More
+    than one sign change sets ``flagged`` and warns. At lam = 0 or
+    beta = 0, y drops out of the cut balance and the levels are the plain
+    birth-death truncation. Raises SolverError unless max|rhs_rls| < tol
+    at the result. Requires lam < 1.
     """
     _check_stationary(lam, beta, b_cap, tol)
-    x_empty, residual, it_empty = _newton_rls(point_mass(0, b_cap).x, lam,
-                                              beta, tol)
-    x_rlo, _, it_rlo = _newton_rls(solve_fixed_point_rlo(lam, beta, b_cap).xi,
-                                   lam, beta, tol)
-    gap = float(np.abs(x_empty - x_rlo).sum())
-    flagged = gap > 10.0 * tol
-    if flagged:
-        warnings.warn(
-            f"two-start equilibria differ by {gap!r} in L1 (tol {tol!r}); "
-            f"treat the returned state with care",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return RlsEquilibrium(
-        state=OdeState(x_empty),
-        residual=residual,
-        two_start_gap=gap,
-        flagged=flagged,
-        iterations=max(it_empty, it_rlo),
-    )
+    y, roots = 0.0, 1
+    if lam > 0.0 and beta > 0.0:
+        hi = max(1.0, 2.0 * lam)
+        while _mass_defect(hi, lam, beta, b_cap) <= 0.0:
+            if hi > b_cap:
+                raise SolverError(f"no rls equilibrium: the mass defect is "
+                                  f"not positive at y={hi!r} > B={b_cap}")
+            hi *= 2.0
+        grid = [hi * i / ROOT_SCAN for i in range(ROOT_SCAN + 1)]
+        above = [_mass_defect(g, lam, beta, b_cap) > 0.0 for g in grid]
+        cells = [i for i in range(ROOT_SCAN) if above[i] != above[i + 1]]
+        roots = len(cells)
+        if roots > 1:
+            warnings.warn(f"the rls mass defect changes sign {roots} times "
+                          f"on [0, {hi!r}]; returning the lowest root",
+                          RuntimeWarning, stacklevel=2)
+        y = _bisect(lambda y: _mass_defect(y, lam, beta, b_cap),
+                    grid[cells[0]], grid[cells[0] + 1])
+    x = np.array(_cut_state(y, lam, beta, b_cap))
+    x /= math.fsum(x)
+    residual = float(np.max(np.abs(rhs_rls(x, lam, beta))))
+    if not residual < tol:
+        raise SolverError(f"no rls equilibrium: residual {residual!r} at "
+                          f"y={y!r} is not under tol={tol!r}")
+    return RlsEquilibrium(state=OdeState(x), residual=residual, roots=roots)
 
 
 def mean_occupancy(x) -> float:

@@ -1,8 +1,8 @@
 """Shared test plumbing: the acceptance suite registers one line per check
 here and a terminal hook prints them all at the end of the run, so the
-pass/fail table survives pytest's output capture. The
-``disagreeing_starts`` fixture makes the rls equilibrium's two starts
-really disagree, for the tests of the flagged path."""
+pass/fail table survives pytest's output capture. The ``second_root``
+fixture gives the rls mass defect extra sign changes, for the tests of the
+flagged path."""
 
 import pytest
 
@@ -12,21 +12,20 @@ ACCEPTANCE_LINES = []
 
 
 @pytest.fixture
-def disagreeing_starts(monkeypatch):
-    """Move 1e-6 of mass up one level in the second start's Newton answer."""
-    solve = meanfield._newton_rls
-    calls = []
+def second_root(monkeypatch):
+    """dip(lo, hi) turns the rls mass defect negative for y in [lo, hi];
+    a window above the root that holds a point of the audit's scan gives
+    the scan two more sign changes."""
+    def dip(lo, hi):
+        defect = meanfield._mass_defect
 
-    def second_start_off(x, lam, beta, tol):
-        state, residual, iterations = solve(x, lam, beta, tol)
-        calls.append(1)
-        if len(calls) == 2:
-            state = state.copy()
-            state[0] -= 1e-6
-            state[1] += 1e-6
-        return state, residual, iterations
+        def dipped(y, *rates):
+            value = defect(y, *rates)
+            return -abs(value) if lo <= y <= hi else value
 
-    monkeypatch.setattr(meanfield, "_newton_rls", second_start_off)
+        monkeypatch.setattr(meanfield, "_mass_defect", dipped)
+
+    return dip
 
 
 def record_acceptance(index: int, label: str, ok: bool, detail: str) -> None:

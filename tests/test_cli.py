@@ -184,7 +184,7 @@ PINNED_CSVS = [
     (["meanfield", "--policy", "rls", "--lambda", 0.8, "--beta", 0.5,
       "--bcap", 60],
      "equilibrium.csv",
-     "1e9104d5f90795330ca0cad2fc9f0217fcf171133a8b520b2b6be348d9e0dbd9"),
+     "83c926a34b3772a27db357125bac48257c3fe0b4de12c58220c6891fd8a05ca7"),
 ]
 
 
@@ -342,7 +342,7 @@ def test_meanfield_empty_system(tmp_path, capsys):
 def check_equilibrium_csv(out, cap):
     lines = (out / "equilibrium.csv").read_text().splitlines()
     assert lines[0] == f"# lambda=0.8 beta=0.5 B={cap}"
-    assert lines[1].startswith("# y=") and " two_start_gap=" in lines[1]
+    assert lines[1].startswith("# y=") and " roots=" in lines[1]
     assert lines[2] == "k,x_k"
     assert len(lines) == 3 + cap + 1
     cells = [ln.split(",")[1] for ln in lines[3:]]
@@ -354,26 +354,28 @@ def test_meanfield_rls_equilibrium(tmp_path, capsys):
     code = run(["meanfield", "--policy", "rls", "--lambda", "0.8",
                 "--beta", "0.5", "--bcap", 60, "--out", out])
     assert code == 0
-    assert "disagree" not in capsys.readouterr().out
+    assert "changes sign" not in capsys.readouterr().out
     check_equilibrium_csv(out, 60)
     solver = json.loads((out / "manifest.json").read_text())["solver"]
-    assert set(solver) == {"iterations", "residual", "two_start_gap", "flagged"}
-    assert solver["flagged"] is False
-    assert 0 < solver["iterations"] <= 100
-    assert solver["residual"] < 1e-10 and solver["two_start_gap"] < 1e-12
+    assert solver == {"residual": solver["residual"], "roots": 1,
+                      "flagged": False}
+    assert solver["residual"] < 1e-10
 
 
 def test_meanfield_rls_flagged_equilibrium_warns(tmp_path, capsys,
-                                                 disagreeing_starts):
+                                                 second_root):
+    # the root is at y = 1.61 and the scan steps through [0, 3.2] by 0.2
+    second_root(2.1, 2.5)
     out = tmp_path / "mf"
     code = run(["meanfield", "--policy", "rls", "--lambda", "0.8",
                 "--beta", "0.5", "--bcap", 60, "--out", out])
     assert code == 2
-    assert "two starts disagree" in capsys.readouterr().out
+    assert "changes sign 3 times" in capsys.readouterr().out
     check_equilibrium_csv(out, 60)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["solver"]["flagged"] is True
-    assert manifest["warnings"] == ["the two starts disagree beyond 10x tol"]
+    assert manifest["solver"]["roots"] == 3
+    assert manifest["warnings"] == ["the rls mass defect changes sign 3 times"]
 
 
 def test_meanfield_rls_reruns_byte_identical(tmp_path):

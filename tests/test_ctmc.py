@@ -720,9 +720,8 @@ def test_build_keeps_floating_point_exact():
 
 
 # what the library exports: the two loops, the open loop's release, and the
-# two reductions that meanfield and experiments call
-EXPORTS = {"closed_loop", "gauss_eliminate", "open_free", "open_loop",
-           "sojourn_window"}
+# sojourn window sum that experiments calls
+EXPORTS = {"closed_loop", "open_free", "open_loop", "sojourn_window"}
 
 
 @pytest.mark.skipif(shutil.which("nm") is None, reason="nm is not on PATH")

@@ -382,7 +382,7 @@ def test_sojourn_tables_are_pinned():
     """Every field of a small comparison table, and of a sojourn summary
     whose window reaches the horizon so that some clients are censored: the
     sha256 of their reprs, recorded from the window sum written in numpy
-    and the elimination written in numpy."""
+    and the rls equilibrium's cut-balance bisection."""
     rows = throughput_comparison([5, 20], [0.5, 0.9], beta=0.5, horizon=300.0,
                                  reps=2, base_seed=7)
     censored = measure_sojourns(
@@ -390,7 +390,7 @@ def test_sojourn_tables_are_pinned():
         horizon=300.0, warmup=60.0, reps=3, cutoff=300.0, base_seed=3)
     assert censored.censored > 0
     assert hashlib.sha256(repr([vars(r) for r in rows]).encode()).hexdigest() == (
-        "f6efa4696380f18b53ca6a49814b783f457a3718372170c69c489223d668efa9")
+        "b2f9c3f806a75e8ff897b8eec60eccb889f3f7636abc230d87d83fea9f4e0b55")
     assert hashlib.sha256(repr(vars(censored)).encode()).hexdigest() == (
         "c1cee9646a6d2c2b63095f1ac17e165936a0731160f828236b7cb9d1e6eefef8")
 

@@ -2,22 +2,26 @@
 solvers, and the deterministic integrator."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import migratesim
 from migratesim.cli import main
 from migratesim.meanfield import (
     OdeState,
     SolverError,
-    _gauss_solve,
     equilibrium_rls,
     g_of_z,
     integrate,
-    jac_rls,
     mean_occupancy,
     point_mass,
     rhs_rlo,
@@ -235,14 +239,13 @@ def test_throughput_approaches_the_lone_client_rate_at_light_load():
 
 
 def test_rls_equilibrium_converged():
-    """Newton from the empty start and from the rlo fixed point lands on
-    one state to rounding, so nothing is flagged or warned."""
+    """The mass defect changes sign once over the scanned bracket, so
+    nothing is flagged or warned."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         eq = equilibrium_rls(0.8, 0.5, 60, tol=1e-10)
-    assert not eq.flagged
+    assert eq.roots == 1 and not eq.flagged
     assert eq.residual < 1e-10
-    assert eq.two_start_gap < 1e-12
     assert mean_occupancy(eq.state) == pytest.approx(1.6148087269083478, rel=1e-12)
     # resampling beats the oblivious walk on mean occupancy at these rates
     assert mean_occupancy(eq.state) < solve_fixed_point_rlo(0.8, 0.5, 60).y
@@ -250,16 +253,19 @@ def test_rls_equilibrium_converged():
 
 def test_rls_equilibrium_clean_case():
     eq = equilibrium_rls(0.5, 1.0, 10, tol=1e-8)
-    assert not eq.flagged
+    assert eq.roots == 1 and not eq.flagged
     assert eq.residual < 1e-8
-    assert eq.two_start_gap < 1e-7
 
 
-def test_rls_equilibrium_flags_disagreeing_starts(disagreeing_starts):
-    with pytest.warns(RuntimeWarning, match="two-start equilibria differ"):
+def test_rls_equilibrium_flags_a_second_root(second_root):
+    # the root is at y = 0.638 and the scan steps through [0, 1] by 1/16
+    second_root(0.85, 0.95)
+    with pytest.warns(RuntimeWarning, match="changes sign 3 times"):
         eq = equilibrium_rls(0.5, 1.0, 10)
-    assert eq.flagged
-    assert eq.two_start_gap == pytest.approx(2e-6, rel=1e-6)
+    assert eq.roots == 3 and eq.flagged
+    # the lowest root, the true one, is still the one returned
+    assert mean_occupancy(eq.state) == pytest.approx(0.6384171643486983,
+                                                     rel=1e-12)
 
 
 def test_rls_equilibrium_unreachable_tol_raises():
@@ -275,44 +281,27 @@ def test_rls_equilibrium_domain():
         equilibrium_rls(0.5, 0.5, 10, tol=0.0)
 
 
-def test_jac_rls_matches_central_differences():
-    rng = np.random.default_rng(3)
-    interior = rng.dirichlet(np.ones(13))
-    with_zero = interior.copy()
-    with_zero[5] = 0.0
-    with_zero /= with_zero.sum()
-    h = 1e-6
-    for x in (interior, with_zero):
-        jac = jac_rls(x, 0.7, 1.3)
-        for i in range(x.size):
-            e = np.zeros(x.size)
-            e[i] = h
-            column = (rhs_rls(x + e, 0.7, 1.3) - rhs_rls(x - e, 0.7, 1.3)) / (2 * h)
-            assert np.abs(jac[:, i] - column).max() < 1e-8
-
-
 # equilibrium_rls(lam, beta, B) on a grid: the sha256 of the state's bytes
-# and the repr of (residual, two_start_gap, iterations), recorded from the
-# elimination written in numpy (numpy_gauss_solve below)
+# and the repr of (residual, roots)
 RLS_EQUILIBRIUM_SHA256 = {
-    (0.3, 0.02, 60): "df9be85f24eda9bd8993bb206b8e3d10f9f65ba0e69de0a02ed4f7bc28ab8914",
-    (0.3, 0.02, 120): "fe08db92d8a4583cf3a49578d1cd2274bda56adafc84171c288bc7105180160c",
-    (0.3, 0.5, 60): "7bf6c79b63fbd32adb7acd9d1f8f36290836365632a4e53c149d1145fed0a301",
-    (0.3, 0.5, 120): "bf4815548985cd93631da96d8ef61bdabbf70f68831722528b557c3f7e5d11a7",
-    (0.3, 10.0, 60): "c73dc372c94fbf4b5f27238fcf0258207f7541171ac0000d34dd4177b6721d4f",
-    (0.3, 10.0, 120): "4901f10a4713ed518be8580680cb4b75148512ba6a4ff5daaecf43e23e8f4c58",
-    (0.8, 0.02, 60): "79d0cd83ea59c89ddcf2924e91deb07ec6ab8a89fdd80164a6ef0d1ea7288fb0",
-    (0.8, 0.02, 120): "643e2b26a9facbdb78af5280b12856fe9d19cbfb4969b297c114b55dcfda69f5",
-    (0.8, 0.5, 60): "c1e735fba1d55a29ee51a95dc05e13174c29139642cd5969825c9b915d2f46d5",
-    (0.8, 0.5, 120): "35b6e2d50c43fcffecb92064086267ead734eb67069ad084dcddec2d10fedb42",
-    (0.8, 10.0, 60): "ae37ecbce7052da1a91756a6570f11446476eed5b4263fb42bc43d0ef32efb8d",
-    (0.8, 10.0, 120): "893c800626becf912d2e7126ba7aa519cebe7326cf0035194bf2b03a8eed6a1b",
-    (0.95, 0.02, 60): "acba5dae92ed674ea29b6fa6c1d9ccdf59bb1067e07165935c75ef72a25d4eec",
-    (0.95, 0.02, 120): "9dfa632989b1829e155d1eb535c413f79cd388c5bafc29aff2fd832400339a50",
-    (0.95, 0.5, 60): "26edec076006b35cc8ab9d30dfa0397a0f34341c6303b0ef2f4a361b26eb60d5",
-    (0.95, 0.5, 120): "03c3ed8954c22d2e34fa6c1b209873a82850e2274a8c13fff906a3811621e9f9",
-    (0.95, 10.0, 60): "be3d605547ac5f579c2ad51c56ec621a894fd2b950e782bc7156ebb17accca49",
-    (0.95, 10.0, 120): "9ec2fce9a500d5aa792de96c70af470589979dc438d600a99c0c09b4170cfff9",
+    (0.3, 0.02, 60): "86b4d39ba0167f5337ae3e44f719efc5866d41406085f5a35e4babd8f6418d56",
+    (0.3, 0.02, 120): "80a1796f0f276de7a347d3fc3a2349dac108d1abefa4d86b0eb30f5cd2df6cc4",
+    (0.3, 0.5, 60): "18390f3a23467933b39f133a56bd7298be7d1ad8fd0e4abe1a8b5a31f53e6f1a",
+    (0.3, 0.5, 120): "db752b5d0f6fc294463981f192ba9f346bf2c0a78251b07334dd9254e278fa21",
+    (0.3, 10.0, 60): "a3b5daa44f2dba9544f359c1b197aeee1654170ee5529aadf0b1b1a50c3e75a6",
+    (0.3, 10.0, 120): "79700a293331db6d49c786fa643192e8559a78002f255d8ebbb5b88f4dc3fa0d",
+    (0.8, 0.02, 60): "9a896c6897968e09b672a0eff577c2d579ee239fca3bbea3cfb220520b478de9",
+    (0.8, 0.02, 120): "6d79c4232cbef803ef790b21592b24534aa53656c7db7608d00ab3a6aaf8c1a2",
+    (0.8, 0.5, 60): "b4bdac53266ab59681b751cbfeb6151acfb399172cff611e8131281a957a1f0f",
+    (0.8, 0.5, 120): "a9420f37860be6a45b4d9be0b371264833b4d93d40d851a8d337cc7031ba79bc",
+    (0.8, 10.0, 60): "e4bf7a5d5e4008f85676c8f11a97df5c71a36644cda15ac3f63a96fce1ef6264",
+    (0.8, 10.0, 120): "f402e1dfed9494ed00c9ab840483f4860cf4446ad7d189bae29d046d02e89d36",
+    (0.95, 0.02, 60): "77f914842f49b72b0f787ca869fcf73b4e1d25a1ade8446d99912116bd24ae6d",
+    (0.95, 0.02, 120): "b9e452198c1fa8ad3fc032d5e4ae6d81c270cd904c0208d777d66b9b426d8b98",
+    (0.95, 0.5, 60): "29782791bc71532b17aafcfe1806fd319e624e5080e83d7b2cb6de8bedc7c756",
+    (0.95, 0.5, 120): "f3c8164917635b3fc4b9881349cd4ac32b3a38a048f04bf5b0b213de7f6511a8",
+    (0.95, 10.0, 60): "a9ddd6b59b7e59de0eb05a975e0af9a6abc42c4a161abaff411e002576317a0a",
+    (0.95, 10.0, 120): "fb5779bf4d0a4bc039584720e8e93090d9190aaae9f8066584a6eb537d9b610a",
 }
 
 
@@ -320,7 +309,7 @@ def test_rls_equilibrium_grid_is_pinned():
     for (lam, beta, b_cap), expected in RLS_EQUILIBRIUM_SHA256.items():
         eq = equilibrium_rls(lam, beta, b_cap)
         digest = hashlib.sha256(eq.state.x.tobytes() + repr(
-            (eq.residual, eq.two_start_gap, eq.iterations)).encode())
+            (eq.residual, eq.roots)).encode())
         assert digest.hexdigest() == expected, (lam, beta, b_cap)
 
 
@@ -379,96 +368,6 @@ def test_rls_equilibrium_meets_its_closed_form_limits():
             assert err < bound, (lam, beta, err)
 
 
-def numpy_gauss_solve(a, b):
-    """The Newton solve as numpy once ran all of it: elimination with
-    partial pivoting on the first largest magnitude, then back
-    substitution. _gauss_solve must give its bits."""
-    a = a.copy()
-    b = b.copy()
-    n = b.size
-    for j in range(n):
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        if a[p, j] == 0.0:
-            raise SolverError(f"singular Newton system at column {j}")
-        if p != j:
-            a[[j, p]] = a[[p, j]]
-            b[[j, p]] = b[[p, j]]
-        m = a[j + 1:, j] / a[j, j]
-        a[j + 1:, j + 1:] -= np.outer(m, a[j, j + 1:])
-        b[j + 1:] -= m * b[j]
-    x = np.empty(n)
-    for j in range(n - 1, -1, -1):
-        x[j] = (b[j] - a[j, j + 1:] @ x[j + 1:]) / a[j, j]
-    return x
-
-
-def newton_system(n, rng):
-    """The Newton system of equilibrium_rls at B = n - 1, at a random state."""
-    x = rng.dirichlet(np.ones(n))
-    jac = jac_rls(x, 0.8, 0.5)
-    jac[-1] = 1.0
-    return jac, -rhs_rls(x, 0.8, 0.5)
-
-
-def gauss_systems(n, seed):
-    """Systems that exercise the pivot choice: random; entries of few
-    magnitudes, so the pivot column holds ties; a tiny diagonal, so every
-    column swaps rows; and a Newton Jacobian."""
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal(n)
-    swaps = rng.standard_normal((n, n))
-    swaps[np.diag_indices(n)] *= 1e-3
-    ties = np.zeros((n, n))
-    while abs(np.linalg.det(ties)) < 0.5:  # an integer matrix, not singular
-        ties = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n, n))
-    yield rng.standard_normal((n, n)), b
-    yield ties, b
-    yield swaps, b
-    yield newton_system(n, rng)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 31, 121])
-def test_gauss_solve_is_the_numpy_elimination_bit_for_bit(n):
-    for seed in range(3):
-        for a, b in gauss_systems(n, seed):
-            a_in, b_in = a.copy(), b.copy()
-            x = _gauss_solve(a, b)
-            assert x.tobytes() == numpy_gauss_solve(a, b).tobytes()
-            # the inputs are left as they were
-            assert a.tobytes() == a_in.tobytes()
-            assert b.tobytes() == b_in.tobytes()
-
-
-def test_gauss_solve_takes_the_first_largest_pivot():
-    """Rows 1 and 2 tie for the largest magnitude in column 0, and row 2
-    holds a NaN lower down; numpy's argmax picks the first of the tie, and
-    the first NaN, which it counts as the largest, above an inf or a
-    zero."""
-    a = np.array([[1.0, 2.0, 3.0], [-4.0, 1.0, 0.5], [4.0, 3.0, 1.0]])
-    b = np.array([1.0, 2.0, 3.0])
-    assert _gauss_solve(a, b).tobytes() == numpy_gauss_solve(a, b).tobytes()
-    a[2, 1] = math.nan
-    a[1, 1] = math.inf
-    np.testing.assert_array_equal(_gauss_solve(a, b), numpy_gauss_solve(a, b))
-    # a NaN below a zero is the pivot, so the column is not singular
-    a = np.array([[0.0, 1.0], [math.nan, 1.0]])
-    assert np.isnan(numpy_gauss_solve(a, b[:2])).all()
-    assert np.isnan(_gauss_solve(a, b[:2])).all()
-
-
-@pytest.mark.parametrize("column", [0, 1, 4])
-def test_singular_newton_system_names_its_column(column):
-    """Upper triangular with a zero on the diagonal at `column`: every
-    multiplier before it is zero, so the column reaches its turn all zero
-    from the diagonal down."""
-    a = np.triu(np.random.default_rng(column).uniform(1.0, 2.0, (5, 5)))
-    a[column, column] = 0.0
-    for solve in (numpy_gauss_solve, _gauss_solve):
-        with pytest.raises(SolverError,
-                           match=f"singular Newton system at column {column}$"):
-            solve(a, np.ones(5))
-
-
 def cut_balance_residual(x, lam, beta):
     """Largest imbalance of the flux across the cuts k | k+1 at rest:
     lam x_k + beta x_k T_{k+2} up against x_{k+1} (1 + beta (k+1) P_{k-1})
@@ -499,6 +398,35 @@ def test_rls_equilibrium_is_where_the_flow_comes_to_rest():
     final = integrate("rls", point_mass(0, 10), 50.0, dt=0.01, sample_dt=50.0,
                       lam=0.5, beta=1.0)[-1][1]
     assert np.abs(final.x - eq.state.x).sum() < 1e-8
+
+
+def test_meanfield_import_leaves_the_compiled_library_unloaded(tmp_path):
+    """The mean field is pure numpy: importing it, and solving both
+    stationary laws, neither imports ctmc nor builds or maps the compiled
+    event loops. A fresh interpreter with an empty build cache runs it,
+    since this process holds both already."""
+    script = """
+import json, sys
+from migratesim import meanfield
+meanfield.equilibrium_rls(0.8, 0.5, 40)
+meanfield.solve_fixed_point_rlo(0.8, 0.5, 40)
+try:
+    with open("/proc/self/maps") as f:
+        mapped = sorted({line.split()[-1] for line in f if "event_loops" in line})
+except OSError:
+    mapped = []
+print(json.dumps({"modules": sorted(k for k in sys.modules
+                                    if k.startswith("migratesim")),
+                  "mapped": mapped}))
+"""
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+           "PYTHONPATH": str(Path(migratesim.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"modules": ["migratesim", "migratesim.meanfield",
+                                  "migratesim.model"], "mapped": []}
+    assert not (tmp_path / "cache").exists()
 
 
 # --- integrator ----------------------------------------------------------------------
