@@ -27,30 +27,28 @@ is a system of its own:
   second stream marks a blue particle red where possible, otherwise
   deposits a green one.
 
-``step`` is the open law's single-transition reference. Both the
-open and the closed loop are C (``event_loops.c``, loaded through ctypes).
-Each seeds its own Mersenne Twister exactly as ``Random(seed)`` does,
-from the 32-bit words of abs(seed), so seeds must be ints, and consumes
-that stream in the order the pure-Python loops did. The open loop draws
-one event at a time:
+Both the open and the closed loop are C (``event_loops.c``, loaded
+through ctypes). Each seeds its own Mersenne Twister exactly as
+``Random(seed)`` does, from the 32-bit words of abs(seed), so seeds must be
+ints, and consumes that stream in the order the pure-Python loops did. The
+open loop draws one event at a time:
 
     open:    dt ~ expovariate(total) ; u = random() picks the event category
              and, within arrivals/departures/resampling, the server or slot;
              resampling destination and (when tracking) the departing
              resident need further draws
 
-so a single step from a freshly constructed state is bit-identical to the
-first open-loop event under the same seed. Both loops draw each
-randrange(n) as CPython's _randbelow does, getrandbits(n.bit_length())
-until below n (n = 1 too), for widths up to 64 bits: on an interpreter
-that draws otherwise their streams shift, and
+Both loops draw each randrange(n) as CPython's _randbelow does,
+getrandbits(n.bit_length()) until below n (n = 1 too), for widths up to 64
+bits: on an interpreter that draws otherwise their streams shift, and
 test_inline_bounded_draw_is_randbelow fails. Importing this module
 compiles the loops with the system C compiler ``cc`` into
 ``$XDG_CACHE_HOME/migratesim`` (default ``~/.cache/migratesim``), once per
-source and compile command; without ``cc`` the import fails. The closed
-loop's law is checked against the exact lumped chain on the partitions of
-n (tests/test_balance.py), not against ``step``. Each of its steps draws,
-in this order:
+source and compile command; without ``cc`` the import fails. The laws'
+references live in the tests: the open loop's in tests/open_law.py, a
+one-event step that draws as listed above and the exact two-server chain,
+and the closed loop's in tests/test_balance.py, the exact lumped chain on
+the partitions of n. Each closed step draws, in this order:
 
     closed:  dt = -log(1 - random()) / R, R = (1 / m) * pairs the total
              accepted-move rate ;
@@ -81,7 +79,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ConfigError, Policy, SystemConfig, SystemState, eps_band, rls_accepts
+from .model import ConfigError, Policy, SystemConfig, SystemState, eps_band
 
 
 class SimulationError(RuntimeError):
@@ -223,17 +221,6 @@ def _seed_keys(seeds) -> tuple:
     return words, lengths
 
 
-@dataclass(frozen=True)
-class Event:
-    """One transition: its kind, waiting time, and the servers involved."""
-
-    kind: str  # arrival | departure | migration | resample_rejected |
-    #            resample_self | arrival_dropped | migration_blocked
-    dt: float
-    server_from: Optional[int] = None
-    server_to: Optional[int] = None
-
-
 @dataclass
 class Trajectory:
     """Sampled occupancy path plus event tallies for one open run.
@@ -283,84 +270,6 @@ class ClosedBatchResult:
 
 def _cumulative(seq) -> list:
     return list(accumulate(seq, initial=0.0))[1:]
-
-
-def _jump_destination(config: SystemConfig, origin: int, rng: Random) -> int:
-    """Destination draw for one rlo jump: uniform over all m servers, or
-    over the other m - 1 when self-jumps are excluded."""
-    if config.include_self:
-        return rng.randrange(config.m)
-    k = rng.randrange(config.m - 1)
-    return k if k < origin else k + 1
-
-
-def step(state: SystemState, config: SystemConfig, rng: Random) -> tuple:
-    """Advance the open system by exactly one event. Returns (new_state, event).
-
-    The one-event reference of the open law, for every policy: arrivals,
-    service completions and resampling. A zero total event rate means
-    nothing can ever happen, which is reported as a deadlock instead of
-    hanging. ``simulate_open`` draws exactly like this function.
-    """
-    m = config.m
-    counts = list(state.counts)
-    n = sum(counts)
-    svc = config.service_rates
-    beta = config.resample_rate
-
-    arr = config.arrival_rates
-    cum_arr = _cumulative(arr)
-    total_arr = cum_arr[-1] if m else 0.0
-    busy_svc = math.fsum(svc[i] for i in range(m) if counts[i] > 0)
-    total = total_arr + busy_svc + beta * n
-    if total <= 0.0:
-        raise SimulationError("total event rate is zero; no transition is possible")
-    dt = rng.expovariate(total)
-    w = rng.random() * total
-
-    if w < total_arr:
-        i = bisect_right(cum_arr, w)
-        if config.cap is not None and counts[i] >= config.cap:
-            return SystemState(state.t + dt, tuple(counts)), Event(
-                "arrival_dropped", dt, server_to=i)
-        counts[i] += 1
-        return SystemState(state.t + dt, tuple(counts)), Event("arrival", dt, server_to=i)
-
-    w -= total_arr
-    if w < busy_svc:
-        homogeneous = len(set(svc)) == 1
-        if homogeneous:
-            busy = [i for i in range(m) if counts[i] > 0]
-            i = busy[min(int(w / svc[0]), len(busy) - 1)]
-        else:
-            acc = 0.0
-            i = max(j for j in range(m) if counts[j] > 0)
-            for j in range(m):
-                if counts[j] > 0:
-                    acc += svc[j]
-                    if w < acc:
-                        i = j
-                        break
-        counts[i] -= 1
-        return SystemState(state.t + dt, tuple(counts)), Event("departure", dt, server_from=i)
-
-    w -= busy_svc
-    slot = min(int(w / beta), n - 1)
-    origin = bisect_right(list(accumulate(counts)), slot)  # slot < n
-    if config.policy is Policy.RLS:
-        dest = rng.randrange(m)
-        kind = ("migration" if rls_accepts(svc[origin], counts[origin],
-                                           svc[dest], counts[dest])
-                else "resample_rejected")
-    else:
-        dest = _jump_destination(config, origin, rng)
-        kind = "migration" if dest != origin else "resample_self"
-    if kind == "migration" and config.cap is not None and counts[dest] >= config.cap:
-        kind = "migration_blocked"
-    if kind == "migration":
-        counts[origin] -= 1
-        counts[dest] += 1
-    return SystemState(state.t + dt, tuple(counts)), Event(kind, dt, origin, dest)
 
 
 def _start_counts(config: SystemConfig, initial: Sequence[int]) -> list:

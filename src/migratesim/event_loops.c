@@ -41,8 +41,8 @@
    no fused multiply-add or reordering changes a rounding; -O3 keeps to
    that, and the build stops unless each double operation rounds to
    double (FLT_EVAL_METHOD 0), so fsum needs no volatile. Every open buffer
-   grows on demand; open_free releases the outputs. ctmc.step is the
-   per-event reference that the open loop inlines. */
+   grows on demand; open_free releases the outputs. The open loop's
+   per-event reference is step in tests/open_law.py. */
 
 #include <float.h>
 #include <math.h>

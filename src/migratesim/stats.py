@@ -119,8 +119,11 @@ def chi_square_gof(observed, expected) -> tuple:
 
     observed and expected are aligned count/expectation vectors over ordered
     bins. Adjacent bins are pooled from the right, then from the left, until
-    every pooled expectation reaches MIN_EXPECTED. Returns (stat, df, p).
-    Probabilities are taken as known, so df = bins - 1.
+    every pooled expectation reaches MIN_EXPECTED. Pooling reaches only the
+    ends of the bin order, so a bin between them still under MIN_EXPECTED
+    raises ValueError, naming it: order the bins so the small ones sit at
+    the ends. Returns (stat, df, p). Probabilities are taken as known, so
+    df = bins - 1.
     """
     from scipy.stats import chi2
 
@@ -129,13 +132,14 @@ def chi_square_gof(observed, expected) -> tuple:
     if len(obs) != len(exp):
         raise ValueError("observed and expected lengths differ")
     while len(exp) > 2 and exp[-1] < MIN_EXPECTED:
-        exp[-2] += exp.pop()
-        obs[-2] += obs.pop()
+        exp[-2:], obs[-2:] = [exp[-2] + exp[-1]], [obs[-2] + obs[-1]]
+    first = 0  # the input index of the bin the left pooling ends in
     while len(exp) > 2 and exp[0] < MIN_EXPECTED:
-        exp[1] += exp.pop(0)
-        obs[1] += obs.pop(0)
-    if any(e <= 0 for e in exp):
-        raise ValueError("pooled expected counts must be positive")
+        exp[:2], obs[:2] = [exp[0] + exp[1]], [obs[0] + obs[1]]
+        first += 1
+    for k, e in enumerate(exp):
+        if e < MIN_EXPECTED:
+            raise ValueError(f"bin {first + k} expects {e!r} < MIN_EXPECTED")
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
     df = len(obs) - 1
     p = float(chi2.sf(stat, df))

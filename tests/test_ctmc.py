@@ -1,6 +1,6 @@
 """Event-loop tests: single transitions against the full drivers, exact
-first-event laws, conservation identities, sampling grids, and the
-three-colour audit chain."""
+first-event laws, the open transient law on two servers, conservation
+identities, sampling grids, and the three-colour audit chain."""
 
 import ctypes
 import hashlib
@@ -9,12 +9,14 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from migratesim import ctmc
 from migratesim.cli import config_echo
@@ -23,11 +25,12 @@ from migratesim.ctmc import (
     simulate_coupled,
     simulate_open,
     sojourn_window,
-    step,
 )
 from migratesim.experiments import measure_sojourns
 from migratesim.model import ConfigError, SystemConfig, SystemState, eps_band
-from migratesim.stats import chi_square_gof
+from migratesim.stats import MIN_EXPECTED, chi_square_gof
+
+from open_law import step, two_server_generator
 
 
 RLS2 = SystemConfig(m=2, policy="rls", resample_rate=1.0)
@@ -285,6 +288,48 @@ def test_open_event_mix_chi_square():
                 tally["migration"], tally["resample_rejected"]]
     stat, df, p = chi_square_gof(observed, expected)
     assert df == 3
+    assert p > 0.01
+
+
+# the capped two-server chain's cells for the open transient law, each with
+# its first seed: equal rates under rls, rlo with and without self-jumps,
+# and rls with unequal arrival and service rates
+TWO_SERVERS = dict(m=2, arrival_rates=0.7, resample_rate=0.6, cap=4)
+TRANSIENT_LAW_CELLS = {
+    "rls": (SystemConfig(policy="rls", **TWO_SERVERS), 80000),
+    "rlo": (SystemConfig(policy="rlo", **TWO_SERVERS), 90000),
+    "rlo-no-self": (SystemConfig(policy="rlo", include_self=False,
+                                 **TWO_SERVERS), 100000),
+    "rls-unequal": (SystemConfig(m=2, policy="rls", arrival_rates=(0.9, 0.3),
+                                 service_rates=(2.0, 0.5), resample_rate=0.6,
+                                 cap=4), 110000),
+}
+
+
+@pytest.mark.parametrize("cell", TRANSIENT_LAW_CELLS)
+def test_open_loop_matches_two_server_chain_in_law(cell):
+    """The state the untracked open loop holds at horizon 1.5 from (3, 0),
+    on two servers capped at 4, follows the exact transient law: the
+    start's row of expm(Q * 1.5) for the chain of
+    open_law.two_server_generator, over 4000 seeds. Unlike the one-event
+    tests this sees every event up to the horizon. The states expecting
+    fewer than MIN_EXPECTED runs are pooled into one last bin: ordered by
+    falling expectation alone, the unequal-rate cell would leave a bin
+    expecting 4.0 before the pooled tail."""
+    cfg, first_seed = TRANSIENT_LAW_CELLS[cell]
+    reps, horizon, start = 4000, 1.5, (3, 0)
+    states, q = two_server_generator(cfg)
+    expected = reps * expm(q.toarray() * horizon)[states.index(start)]
+    ends = Counter(
+        tuple(simulate_open(cfg, horizon, seed, sample_dt=None, initial=start,
+                            track_sojourns=False)[0].counts[-1].tolist())
+        for seed in range(first_seed, first_seed + reps))
+    assert set(ends) <= set(states)
+    observed = np.array([ends[state] for state in states])
+    small = expected < MIN_EXPECTED
+    stat, df, p = chi_square_gof(
+        [*observed[~small], observed[small].sum()],
+        [*expected[~small], expected[small].sum()])
     assert p > 0.01
 
 

@@ -15,7 +15,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.stats
 from scipy.sparse.linalg import spsolve
 
@@ -34,6 +33,8 @@ from migratesim.meanfield import integrate, point_mass
 from migratesim.model import ConfigError, SystemConfig
 from migratesim.stats import SEED_STRIDE, Z95, mean_sd
 
+from open_law import two_server_generator
+
 
 # --- exact two-server oracle for the sojourn pipeline --------------------------
 
@@ -41,51 +42,24 @@ def two_server_walk_stationary(lam, beta, n_max):
     """Stationary law of the two-server oblivious chain, truncated at n_max.
 
     Clients arrive at rate lam per server, depart at unit rate from busy
-    servers, and hop to the other server at rate beta each. The truncation
-    mass at the boundary is checked to be negligible before use.
+    servers, and hop to the other server at rate beta each: the open chain
+    of rlo without self-jumps, capped at n_max, which is the truncation.
+    The truncation mass at the boundary is checked to be negligible before
+    use.
     """
-    size = (n_max + 1) ** 2
-
-    def idx(a, b):
-        return a * (n_max + 1) + b
-
-    rows, cols, vals = [], [], []
-
-    def add(src, dst, rate):
-        rows.append(dst)
-        cols.append(src)
-        vals.append(rate)
-        rows.append(src)
-        cols.append(src)
-        vals.append(-rate)
-
-    for a in range(n_max + 1):
-        for b in range(n_max + 1):
-            s = idx(a, b)
-            if a < n_max:
-                add(s, idx(a + 1, b), lam)
-            if b < n_max:
-                add(s, idx(a, b + 1), lam)
-            if a > 0:
-                add(s, idx(a - 1, b), 1.0)
-                if b < n_max:
-                    add(s, idx(a - 1, b + 1), beta * a)
-            if b > 0:
-                add(s, idx(a, b - 1), 1.0)
-                if a < n_max:
-                    add(s, idx(a + 1, b - 1), beta * b)
-
-    gen = sp.csr_matrix((vals, (rows, cols)), shape=(size, size)).tolil()
+    cfg = SystemConfig(m=2, policy="rlo", arrival_rates=lam,
+                       resample_rate=beta, include_self=False, cap=n_max)
+    states, q = two_server_generator(cfg)
+    size = len(states)
+    gen = q.T.tolil()
     # replace one balance equation by the normalization
     gen[size - 1, :] = 1.0
     rhs = np.zeros(size)
     rhs[size - 1] = 1.0
     pi = spsolve(gen.tocsr(), rhs)
-    boundary = sum(pi[idx(n_max, b)] for b in range(n_max + 1))
-    boundary += sum(pi[idx(a, n_max)] for a in range(n_max + 1))
+    boundary = sum(p for p, (a, b) in zip(pi, states) if n_max in (a, b))
     assert boundary < 1e-7, "truncation level too low for the oracle"
-    y = sum(pi[idx(a, b)] * (a + b) for a in range(n_max + 1)
-            for b in range(n_max + 1)) / 2.0
+    y = sum(p * (a + b) for p, (a, b) in zip(pi, states)) / 2.0
     return pi, y
 
 

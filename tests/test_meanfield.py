@@ -393,7 +393,8 @@ def test_rls_equilibrium_balances_every_cut(lam, beta):
 
 
 def test_rls_equilibrium_is_where_the_flow_comes_to_rest():
-    # the integrator shares no code path with the Newton solve but rhs_rls
+    # the integrator shares no code path with the cut-balance bisection but
+    # rhs_rls, its residual gate
     eq = equilibrium_rls(0.5, 1.0, 10)
     final = integrate("rls", point_mass(0, 10), 50.0, dt=0.01, sample_dt=50.0,
                       lam=0.5, beta=1.0)[-1][1]

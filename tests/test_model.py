@@ -162,11 +162,6 @@ def test_no_unused_imports():
     assert not unused, f"unused imports: {unused}"
 
 
-# definitions whose only callers are tests, on purpose: step is the
-# one-event reference that the loop tests compare the open loop against bit
-# for bit
-TEST_ONLY_REFERENCES = {"step"}
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -253,8 +248,7 @@ def test_every_definition_has_a_caller():
             else:
                 continue
             unused += [f"{path.name}: {name}" for name in names
-                       if not name.startswith("__") and name not in used
-                       and name not in TEST_ONLY_REFERENCES]
+                       if not name.startswith("__") and name not in used]
     assert not unused, f"defined but never read outside tests: {unused}"
 
 

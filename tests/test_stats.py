@@ -1,4 +1,5 @@
-"""The replication fan-out of migratesim.stats: order, chunking, errors."""
+"""The replication fan-out of migratesim.stats: order, chunking, errors;
+and the chi-square helper's pooling."""
 
 import sys
 import threading
@@ -8,7 +9,7 @@ import pytest
 
 from migratesim.ctmc import simulate_closed
 from migratesim.model import SystemConfig
-from migratesim.stats import _chunks, map_replications
+from migratesim.stats import _chunks, chi_square_gof, map_replications
 
 
 @pytest.mark.parametrize("n, jobs", [(0, 2), (1, 2), (3, 5), (10, 2), (21, 2),
@@ -72,3 +73,18 @@ def test_fan_out_under_frequent_thread_switches():
     finally:
         sys.setswitchinterval(interval)
     assert fanned == serial
+
+
+def test_chi_square_pools_small_bins_at_the_ends():
+    # 3 joins its left neighbour, then 0.5 joins its right one: two bins
+    stat, df, p = chi_square_gof([1, 50, 50, 2], [0.5, 50.0, 50.0, 3.0])
+    assert df == 1
+    assert stat == pytest.approx(0.5 ** 2 / 50.5 + 1.0 / 53.0)
+
+
+def test_chi_square_refuses_a_small_bin_between_the_ends():
+    # tail pooling cannot reach bin 2, nor a last pair of bins short of 5
+    with pytest.raises(ValueError, match="bin 2 expects 0.3"):
+        chi_square_gof([30, 30, 1, 30, 30], [30.0, 30.0, 0.3, 30.0, 30.0])
+    with pytest.raises(ValueError, match="bin 1 expects 4.0"):
+        chi_square_gof([9, 1, 2], [20.0, 3.0, 1.0])
